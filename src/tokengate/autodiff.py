@@ -270,12 +270,10 @@ def transpose(a: Var) -> Var:
 # nonlinearities
 
 def sigmoid_values(x: Array) -> Array:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Overflow-free logistic: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below,
+    both from the one exponential e = exp(-|x|)."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a: Var) -> Var:

@@ -236,8 +236,12 @@ def hard_top_n(r, n: int) -> KeepMask:
     if n > m:
         logger.warning("budget %d exceeds token count %d; clamping", n, m)
         n = m
-    order = np.argsort(-r, kind="stable")[:n]
-    indices = np.sort(order)
+    # v is the n-th largest value: keep every r > v, then the
+    # lowest-indexed r == v until n tokens are kept
+    v = np.partition(r, m - n)[m - n]
+    above = np.flatnonzero(r > v)
+    tied = np.flatnonzero(r == v)[: n - above.size]
+    indices = np.sort(np.concatenate([above, tied]))
     keep = np.zeros(m, dtype=bool)
     keep[indices] = True
     return KeepMask(keep=keep, indices=indices)

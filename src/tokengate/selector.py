@@ -38,7 +38,7 @@ from .errors import (
 from .gate import GateConfig, hard_top_n, sample_gumbel_pairs, soft_gate_apply, threshold_var
 from .layers import MapFn, Tensor, as_var
 from .reencoder import ReencoderStack, reencode
-from .scoring import ScoringWeights, score
+from .scoring import ScoringWeights, relevance, score
 
 
 @dataclass
@@ -166,10 +166,15 @@ def select(
     count is stochastic with expectation rho*M); infer mode keeps
     exactly n = max(1, min(ceil(rho*M), n_max, M)) tokens via hard
     Top-n.  Both modes preserve original token order and re-encode the
-    kept tokens with their absolute timestamps.
+    kept tokens with their absolute timestamps.  Train mode needs an
+    ``rng`` for the Gumbel noise.  When neither the inputs nor the
+    scoring weights are tape-tracked, relevance comes from the tape-free
+    ``relevance`` kernel instead of ``score``.
     """
     if mode not in ("train", "infer"):
         raise ParameterError(f"mode must be 'train' or 'infer', got {mode!r}")
+    if mode == "train" and rng is None:
+        raise ParameterError("train mode needs an rng for the Gumbel noise")
     x_var = as_var(x)
     q_var = as_var(q)
     m = x_var.shape[0]
@@ -179,7 +184,11 @@ def select(
     if ts.size != m:
         raise ShapeError(f"{ts.size} timestamps for {m} tokens")
 
-    _, r_var = score(x_var, q_var, model.scoring)
+    scoring_inputs = [x_var, q_var, *(t for _, t in model.scoring.named_tensors())]
+    if any(isinstance(t, Var) and t.tape is not None for t in scoring_inputs):
+        _, r_var = score(x_var, q_var, model.scoring)
+    else:
+        r_var = Var(relevance(x_var, q_var, model.scoring).reshape(1, -1))
     features = extract_features(q_var, r_var, m)
     rho_var = predict_rho(features, model.budget)
     rho = rho_var.item()
@@ -189,8 +198,6 @@ def select(
 
     soft_var = st_var = None
     if mode == "train":
-        if rng is None:
-            rng = np.random.default_rng(model.gate.seed)
         noise = sample_gumbel_pairs(m, rng)
         soft_var, st_var, mask = soft_gate_apply(r_var, t_var, model.gate.tau_s, noise)
         idx = mask.indices

@@ -4,7 +4,8 @@ A tensor file is: magic ``QTN1``, little-endian uint32 version,
 uint32 rank, rank uint64 dimensions, then the float64 row-major
 payload.  A manifest is UTF-8 text, one ``name shape checksum filename``
 line per tensor, checksummed over the whole tensor file so a single
-flipped byte is caught and attributed.
+flipped byte is caught and attributed.  Filenames are bare names inside
+the manifest's directory; anything with a path component is rejected.
 """
 
 from __future__ import annotations
@@ -88,6 +89,9 @@ def read_manifest(path: str | Path) -> list[tuple[str, str, str, str]]:
         parts = line.split()
         if len(parts) != 4:
             raise InputError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
+        filename = parts[3]
+        if filename in (".", "..") or "/" in filename or "\\" in filename:
+            raise InputError(f"{path}: line {lineno}: filename {filename!r} is not a bare file name")
         entries.append(tuple(parts))
     return entries
 

@@ -88,6 +88,15 @@ class TestSelectCommand:
         target.write_bytes(bytes(blob))
         assert main(_select_args(workspace)) == 2
 
+    def test_manifest_path_outside_weights_exits_2(self, workspace):
+        manifest = workspace / "weights" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        name, shape, checksum, filename = lines[0].split()
+        (workspace / "weights" / filename).rename(workspace / filename)
+        lines[0] = " ".join((name, shape, checksum, f"../{filename}"))
+        manifest.write_text("\n".join(lines) + "\n")
+        assert main(_select_args(workspace)) == 2
+
     def test_unknown_config_key_exits_6(self, workspace):
         (workspace / "run.cfg").write_text(CFG_TEXT + "imaginary_knob = 3\n")
         assert main(_select_args(workspace)) == 6

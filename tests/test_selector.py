@@ -7,7 +7,7 @@ import pytest
 
 from tokengate.budget import compute_budget
 from tokengate.config import RunConfig
-from tokengate.errors import InputError, MissingResourceError, ShapeError
+from tokengate.errors import InputError, MissingResourceError, ParameterError, ShapeError
 from tokengate.harness import WorkloadSpec, generate_workload
 from tokengate.selector import SelectorModel, load_weights, save_weights, select
 from tokengate.tensorio import read_tensor, write_tensor
@@ -117,6 +117,12 @@ class TestSelect:
         with pytest.raises(ShapeError):
             select(model, wl.x, wl.timestamps[:-1], wl.q)
 
+    def test_train_mode_requires_rng(self, model):
+        """A default generator would draw the same Gumbel noise on every call."""
+        wl = _workload()
+        with pytest.raises(ParameterError, match="rng"):
+            select(model, wl.x, wl.timestamps, wl.q, mode="train")
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self, model, tmp_path):
@@ -170,6 +176,27 @@ class TestSerialization:
         write_manifest(tmp_path / "w" / "manifest.txt", fixed)
         with pytest.raises(ShapeError):
             load_weights(tmp_path / "w")
+
+    @pytest.mark.parametrize("target", ["../{}", "sub/{}", "absolute"])
+    def test_manifest_filename_must_be_bare(self, model, tmp_path, target):
+        """A manifest may not name a file outside its directory, even one
+        whose checksum and shape are right."""
+        from tokengate.tensorio import write_manifest
+
+        weights = tmp_path / "w"
+        entries = save_weights(model, weights)
+        name, shape_txt, checksum, filename = entries[0]
+        if target == "absolute":
+            target = str(tmp_path / filename)
+        else:
+            target = target.format(filename)
+        moved = weights / target  # an absolute target replaces the directory
+        moved.parent.mkdir(exist_ok=True)
+        (weights / filename).rename(moved)
+        entries[0] = (name, shape_txt, checksum, target)
+        write_manifest(weights / "manifest.txt", entries)
+        with pytest.raises(InputError, match="bare file name"):
+            load_weights(weights)
 
     def test_manifest_counts_match_configuration(self, model, tmp_path):
         entries = save_weights(model, tmp_path / "w")
