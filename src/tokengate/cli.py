@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -23,19 +24,19 @@ from .errors import (
     ShapeError,
 )
 from .harness import (
+    AblationRow,
     AblationVariant,
+    BenchRecord,
+    CorrelationRow,
+    EpochStats,
     OptimizerConfig,
     WorkloadSpec,
-    ablation_csv,
-    bench_csv,
     bench_scaling,
-    correlation_csv,
     correlation_report,
-    parse_records_csv,
-    records_csv,
+    from_csv,
     run_ablation,
+    to_csv,
     train_desk_scale,
-    trajectory_csv,
     write_csv,
 )
 from .objective import PenaltyWeights
@@ -94,7 +95,7 @@ def cmd_select(args) -> int:
     atomic_write_text(
         args.out_indices, "\n".join(str(int(i)) for i in result.indices) + "\n"
     )
-    diag = {name: getattr(result.record, name) for name in DiagnosticsRecord.FIELDS}
+    diag = asdict(result.record)
     diag["mode"] = result.mode
     diag["n_target"] = result.n_target
     diag["rho_m"] = result.rho_m
@@ -117,7 +118,7 @@ def cmd_train(args) -> int:
         seed=cfg.seed,
     )
     save_weights(trained, args.out_weights)
-    write_csv(args.out_trajectory, trajectory_csv(trajectory))
+    write_csv(args.out_trajectory, to_csv(EpochStats, trajectory))
     print(f"trained {cfg.train_epochs} epochs; weights -> {args.out_weights}")
     return EXIT_OK
 
@@ -130,7 +131,7 @@ def cmd_bench(args) -> int:
         raise InputError("empty frame list")
     spec = WorkloadSpec.from_config(cfg)
     records = bench_scaling(frames, model, spec)
-    write_csv(args.out, bench_csv(records))
+    write_csv(args.out, to_csv(BenchRecord, records))
     print(f"benchmark rows: {len(records)} -> {args.out}")
     return EXIT_OK
 
@@ -141,9 +142,9 @@ def cmd_ablate(args) -> int:
     spec = WorkloadSpec.from_config(cfg)
     variant = AblationVariant(args.variant)
     metrics = run_ablation(variant, spec, model, args.trials)
-    write_csv(args.out, ablation_csv(metrics.rows))
+    write_csv(args.out, to_csv(AblationRow, metrics.rows))
     if args.records_out:
-        write_csv(args.records_out, records_csv(metrics.records))
+        write_csv(args.records_out, to_csv(DiagnosticsRecord, metrics.records))
     print(
         f"{metrics.variant}: recall={metrics.mean_recall:.4f} "
         f"rho={metrics.mean_rho:.4f} n={metrics.mean_n:.1f} over {metrics.trials} trials"
@@ -155,9 +156,9 @@ def cmd_diag(args) -> int:
     path = Path(args.records)
     if not path.exists():
         raise MissingResourceError(f"records file not found: {path}")
-    records = parse_records_csv(path.read_text(encoding="utf-8"))
+    records = from_csv(DiagnosticsRecord, path.read_text(encoding="utf-8"))
     rows = correlation_report(records)
-    write_csv(args.out, correlation_csv(rows))
+    write_csv(args.out, to_csv(CorrelationRow, rows))
     for row in rows:
         r_txt = "undefined" if row.r is None else f"{row.r:+.4f}"
         print(f"{row.pair}: r={r_txt} (count={row.count})")

@@ -14,10 +14,10 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import Field, dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -331,7 +331,7 @@ def train_desk_scale(
 @dataclass
 class BenchRecord:
     frames: int
-    m: int
+    m: int = field(metadata={"csv": "M"})
     n: int
     selector_ms: float
     downstream_ms: float
@@ -461,9 +461,14 @@ def correlation_report(records: Sequence[DiagnosticsRecord]) -> list[Correlation
 
 
 # ---------------------------------------------------------------------------
-# CSV emitters/parsers (every schema round-trips exactly)
+# CSV codec: one row per dataclass instance, one column per field (every
+# schema round-trips exactly)
 
 UNDEFINED = "undefined"
+
+
+def _column(f: Field) -> str:
+    return f.metadata.get("csv", f.name)
 
 
 def _fmt(value) -> str:
@@ -474,149 +479,42 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def ablation_csv(rows: Sequence[AblationRow]) -> str:
+def _cell_parser(kind) -> Callable[[str], object]:
+    if kind == float | None:
+        return lambda token: None if token == UNDEFINED else float(token)
+    return kind  # int, float or str
+
+
+def to_csv(cls: type, rows: Sequence) -> str:
+    """CSV text for ``rows`` of dataclass ``cls``: a header of column names,
+    then one line per row (floats as ``repr``, ``None`` as ``undefined``)."""
+    columns = fields(cls)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["variant", "trial", "recall", "rho", "n", "ms"])
+    writer.writerow([_column(f) for f in columns])
     for row in rows:
-        writer.writerow(
-            [row.variant, row.trial, _fmt(row.recall), _fmt(row.rho), row.n, _fmt(row.ms)]
-        )
+        writer.writerow([_fmt(getattr(row, f.name)) for f in columns])
     return buf.getvalue()
 
 
-def parse_ablation_csv(text: str) -> list[AblationRow]:
-    rows = []
-    for rec in csv.DictReader(io.StringIO(text)):
-        rows.append(
-            AblationRow(
-                variant=rec["variant"],
-                trial=int(rec["trial"]),
-                recall=float(rec["recall"]),
-                rho=float(rec["rho"]),
-                n=int(rec["n"]),
-                ms=float(rec["ms"]),
-            )
-        )
-    return rows
+def from_csv(cls: type, text: str) -> list:
+    """Parse ``to_csv`` output back into ``cls`` instances.
 
-
-def bench_csv(records: Sequence[BenchRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["frames", "M", "n", "selector_ms", "downstream_ms", "total_ms", "mode"])
-    for rec in records:
-        writer.writerow(
-            [
-                rec.frames,
-                rec.m,
-                rec.n,
-                _fmt(rec.selector_ms),
-                _fmt(rec.downstream_ms),
-                _fmt(rec.total_ms),
-                rec.mode,
-            ]
-        )
-    return buf.getvalue()
-
-
-def parse_bench_csv(text: str) -> list[BenchRecord]:
-    records = []
-    for rec in csv.DictReader(io.StringIO(text)):
-        records.append(
-            BenchRecord(
-                frames=int(rec["frames"]),
-                m=int(rec["M"]),
-                n=int(rec["n"]),
-                selector_ms=float(rec["selector_ms"]),
-                downstream_ms=float(rec["downstream_ms"]),
-                total_ms=float(rec["total_ms"]),
-                mode=rec["mode"],
-            )
-        )
-    return records
-
-
-def correlation_csv(rows: Sequence[CorrelationRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["pair", "r", "slope", "intercept", "count"])
-    for row in rows:
-        writer.writerow([row.pair, _fmt(row.r), _fmt(row.slope), _fmt(row.intercept), row.count])
-    return buf.getvalue()
-
-
-def parse_correlation_csv(text: str) -> list[CorrelationRow]:
-    rows = []
-    for rec in csv.DictReader(io.StringIO(text)):
-        def opt(token: str) -> float | None:
-            return None if token == UNDEFINED else float(token)
-
-        rows.append(
-            CorrelationRow(
-                pair=rec["pair"],
-                r=opt(rec["r"]),
-                slope=opt(rec["slope"]),
-                intercept=opt(rec["intercept"]),
-                count=int(rec["count"]),
-            )
-        )
-    return rows
-
-
-def records_csv(records: Sequence[DiagnosticsRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(DiagnosticsRecord.FIELDS))
-    for rec in records:
-        writer.writerow([_fmt(getattr(rec, name)) for name in DiagnosticsRecord.FIELDS])
-    return buf.getvalue()
-
-
-def parse_records_csv(text: str) -> list[DiagnosticsRecord]:
-    records = []
+    Raises InputError for a header that does not name exactly the
+    columns of ``cls`` (in any order), or for a cell that does not parse.
+    """
+    kinds = get_type_hints(cls)
+    parsers = {_column(f): (f.name, _cell_parser(kinds[f.name])) for f in fields(cls)}
     reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or set(reader.fieldnames) != set(DiagnosticsRecord.FIELDS):
-        raise InputError(
-            f"diagnostics CSV must have columns {','.join(DiagnosticsRecord.FIELDS)}"
-        )
+    if sorted(reader.fieldnames or ()) != sorted(parsers):
+        raise InputError(f"{cls.__name__} CSV must have columns {','.join(parsers)}")
+    rows = []
     for rec in reader:
-        records.append(
-            DiagnosticsRecord(
-                sq_mean=float(rec["sq_mean"]),
-                log_m=float(rec["log_m"]),
-                r_max=float(rec["r_max"]),
-                entropy=float(rec["entropy"]),
-                rho=float(rec["rho"]),
-                t=float(rec["t"]),
-                n=int(rec["n"]),
-                m=int(rec["m"]),
-            )
-        )
-    return records
-
-
-def trajectory_csv(stats: Sequence[EpochStats]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["epoch", "loss", "mean_rho", "mean_n"])
-    for s in stats:
-        writer.writerow([s.epoch, _fmt(s.loss), _fmt(s.mean_rho), _fmt(s.mean_n)])
-    return buf.getvalue()
-
-
-def parse_trajectory_csv(text: str) -> list[EpochStats]:
-    stats = []
-    for rec in csv.DictReader(io.StringIO(text)):
-        stats.append(
-            EpochStats(
-                epoch=int(rec["epoch"]),
-                loss=float(rec["loss"]),
-                mean_rho=float(rec["mean_rho"]),
-                mean_n=float(rec["mean_n"]),
-            )
-        )
-    return stats
+        try:
+            rows.append(cls(**{name: parse(rec[col]) for col, (name, parse) in parsers.items()}))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{cls.__name__} CSV line {reader.line_num}: {exc}") from exc
+    return rows
 
 
 def write_csv(path: str | Path, text: str) -> None:

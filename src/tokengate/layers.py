@@ -78,49 +78,76 @@ def time_encode(timestamps, d: int) -> Array:
 
 @dataclass
 class AttentionWeights:
-    """Per-head query/key/value projections plus the output projection."""
+    """Packed multi-head projections: ``wq``, ``wk``, ``wv`` and ``wo`` are
+    each d x d, and head h owns columns h*d_h:(h+1)*d_h of ``wq``, ``wk``
+    and ``wv`` (d_h = d / heads); ``wo`` maps the concatenated heads back."""
 
-    wq: list[Tensor]
-    wk: list[Tensor]
-    wv: list[Tensor]
+    wq: Tensor
+    wk: Tensor
+    wv: Tensor
     wo: Tensor
-
-    @property
-    def heads(self) -> int:
-        return len(self.wq)
+    heads: int
 
     @classmethod
     def seeded(cls, d: int, heads: int, rng: np.random.Generator) -> "AttentionWeights":
         if heads < 1 or d % heads != 0:
             raise ConfigError(f"model dim {d} not divisible by {heads} heads")
         d_h = d // heads
-        return cls(
-            wq=[uniform_init(rng, d, d_h) for _ in range(heads)],
-            wk=[uniform_init(rng, d, d_h) for _ in range(heads)],
-            wv=[uniform_init(rng, d, d_h) for _ in range(heads)],
-            wo=uniform_init(rng, d, d),
-        )
+
+        def packed() -> Array:
+            return np.hstack([uniform_init(rng, d, d_h) for _ in range(heads)])
+
+        return cls(wq=packed(), wk=packed(), wv=packed(), wo=uniform_init(rng, d, d), heads=heads)
 
     @classmethod
     def identity(cls, d: int) -> "AttentionWeights":
         """Single head with identity projections, for oracle tests."""
         eye = np.eye(d)
-        return cls(wq=[eye.copy()], wk=[eye.copy()], wv=[eye.copy()], wo=eye.copy())
+        return cls(wq=eye.copy(), wk=eye.copy(), wv=eye.copy(), wo=eye.copy(), heads=1)
 
     def named_tensors(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        for i in range(self.heads):
-            yield f"{prefix}.h{i}.wq", self.wq[i]
-            yield f"{prefix}.h{i}.wk", self.wk[i]
-            yield f"{prefix}.h{i}.wv", self.wv[i]
+        yield f"{prefix}.wq", self.wq
+        yield f"{prefix}.wk", self.wk
+        yield f"{prefix}.wv", self.wv
         yield f"{prefix}.wo", self.wo
 
     def map_tensors(self, prefix: str, fn: MapFn) -> "AttentionWeights":
         return AttentionWeights(
-            wq=[fn(f"{prefix}.h{i}.wq", w) for i, w in enumerate(self.wq)],
-            wk=[fn(f"{prefix}.h{i}.wk", w) for i, w in enumerate(self.wk)],
-            wv=[fn(f"{prefix}.h{i}.wv", w) for i, w in enumerate(self.wv)],
+            wq=fn(f"{prefix}.wq", self.wq),
+            wk=fn(f"{prefix}.wk", self.wk),
+            wv=fn(f"{prefix}.wv", self.wv),
             wo=fn(f"{prefix}.wo", self.wo),
+            heads=self.heads,
         )
+
+
+def attention_heads(
+    q_in: Var,
+    kv_in: Var,
+    wq: Tensor,
+    wk: Tensor,
+    heads: int,
+) -> Iterator[tuple[Array, Var]]:
+    """Per-head maps softmax((q_in W_q^h)(kv_in W_k^h)^T / sqrt(d_h)).
+
+    Yields (columns, map) for each head h in turn, ``columns`` being the
+    packed columns h*d_h:(h+1)*d_h that head owns, so a caller can finish
+    one head's work before the next map is built.  The one attention
+    kernel: ``multi_head_attention`` and ``scoring.score`` both use it.
+    """
+    d = q_in.shape[1]
+    if kv_in.shape[1] != d:
+        raise ShapeError(f"query dim {d} vs key/value dim {kv_in.shape[1]}")
+    if d % heads != 0:
+        raise ConfigError(f"model dim {d} not divisible by {heads} heads")
+    wq, wk = as_var(wq), as_var(wk)
+    d_h = wq.shape[1] // heads
+    for h in range(heads):
+        cols = np.arange(h * d_h, (h + 1) * d_h)
+        q = ad.matmul(q_in, ad.take_cols(wq, cols))
+        k = ad.matmul(kv_in, ad.take_cols(wk, cols))
+        logits = ad.smul(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(d_h))
+        yield cols, ad.softmax_rows(logits, 1.0)
 
 
 def multi_head_attention(
@@ -135,23 +162,12 @@ def multi_head_attention(
     """
     q_in = as_var(q_in)
     kv_in = as_var(kv_in)
-    d = q_in.shape[1]
-    if kv_in.shape[1] != d:
-        raise ShapeError(f"query dim {d} vs key/value dim {kv_in.shape[1]}")
-    if d % w.heads != 0:
-        raise ConfigError(f"model dim {d} not divisible by {w.heads} heads")
+    wv = as_var(w.wv)
     attn_maps: list[Var] = []
     head_outs: list[Var] = []
-    for h in range(w.heads):
-        wq, wk, wv = as_var(w.wq[h]), as_var(w.wk[h]), as_var(w.wv[h])
-        d_h = wq.shape[1]
-        q = ad.matmul(q_in, wq)
-        k = ad.matmul(kv_in, wk)
-        v = ad.matmul(kv_in, wv)
-        logits = ad.smul(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(d_h))
-        attn = ad.softmax_rows(logits, 1.0)
+    for cols, attn in attention_heads(q_in, kv_in, w.wq, w.wk, w.heads):
         attn_maps.append(attn)
-        head_outs.append(ad.matmul(attn, v))
+        head_outs.append(ad.matmul(attn, ad.matmul(kv_in, ad.take_cols(wv, cols))))
     merged = head_outs[0] if len(head_outs) == 1 else ad.hcat(head_outs)
     out = ad.matmul(merged, as_var(w.wo))
     return out, attn_maps

@@ -12,7 +12,7 @@ in chunks so its memory does not grow with heads x query length x M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Array, Var
 from .errors import InputError, ShapeError
-from .layers import AttentionWeights, MapFn, Tensor, as_var
+from .layers import AttentionWeights, MapFn, Tensor, as_var, attention_heads
 
 # Stabilizer in the relevance normalization p_i = r_i / (sum_j r_j + EPS_REL).
 EPS_REL = 1e-8
@@ -60,37 +60,54 @@ class AttentionMap:
 
 @dataclass
 class ScoringWeights:
-    """Stacked cross-attention scoring layers.
+    """Stacked cross-attention scoring layers, holding only tensors that
+    reach the relevance.
 
-    Depth 1 is the default; deeper stacks re-score after feeding the
-    value-projected visual stream back as the next layer's key source.
+    The last layer's packed ``wq``/``wk`` give the attention maps.  Each
+    earlier layer only feeds the visual stream forward as the next key
+    source x W_v W_o, so ``carry`` keeps just its (wv, wo); its own maps
+    reach no output.  Depth 1 (no carry) is the default.
     """
 
-    layers: list[AttentionWeights]
+    wq: Tensor
+    wk: Tensor
+    heads: int
+    carry: list[tuple[Tensor, Tensor]] = field(default_factory=list)
 
     @property
     def depth(self) -> int:
-        return len(self.layers)
-
-    @property
-    def heads(self) -> int:
-        return self.layers[0].heads
+        return len(self.carry) + 1
 
     @classmethod
     def seeded(cls, d: int, heads: int, depth: int, rng: np.random.Generator) -> "ScoringWeights":
-        return cls([AttentionWeights.seeded(d, heads, rng) for _ in range(depth)])
+        # Draw all four projections of every layer, then drop the unused
+        # ones: the budget head and re-encoder draw from the same generator
+        # next, so their seeded values do not depend on what is kept here.
+        layers = [AttentionWeights.seeded(d, heads, rng) for _ in range(depth)]
+        return cls(layers[-1].wq, layers[-1].wk, heads, [(a.wv, a.wo) for a in layers[:-1]])
 
     @classmethod
     def identity(cls, d: int) -> "ScoringWeights":
-        return cls([AttentionWeights.identity(d)])
+        eye = AttentionWeights.identity(d)
+        return cls(eye.wq, eye.wk, eye.heads)
 
     def named_tensors(self, prefix: str = "scoring") -> Iterator[tuple[str, Tensor]]:
-        for i, layer in enumerate(self.layers):
-            yield from layer.named_tensors(f"{prefix}.l{i}")
+        for i, (wv, wo) in enumerate(self.carry):
+            yield f"{prefix}.l{i}.wv", wv
+            yield f"{prefix}.l{i}.wo", wo
+        yield f"{prefix}.l{self.depth - 1}.wq", self.wq
+        yield f"{prefix}.l{self.depth - 1}.wk", self.wk
 
     def map_tensors(self, fn: MapFn, prefix: str = "scoring") -> "ScoringWeights":
+        last = f"{prefix}.l{self.depth - 1}"
         return ScoringWeights(
-            [layer.map_tensors(f"{prefix}.l{i}", fn) for i, layer in enumerate(self.layers)]
+            fn(f"{last}.wq", self.wq),
+            fn(f"{last}.wk", self.wk),
+            self.heads,
+            [
+                (fn(f"{prefix}.l{i}.wv", wv), fn(f"{prefix}.l{i}.wo", wo))
+                for i, (wv, wo) in enumerate(self.carry)
+            ],
         )
 
 
@@ -106,24 +123,10 @@ def score(x: Var | Array, q: Var | Array, w: ScoringWeights) -> tuple[AttentionM
     q = as_var(q)
     _check_streams(x.value, q.value)
 
-    x_cur = x
-    attn_vars: list[Var] = []
-    for depth_idx, layer in enumerate(w.layers):
-        attn_vars = []
-        values: list[Var] = []
-        for h in range(layer.heads):
-            wq, wk = as_var(layer.wq[h]), as_var(layer.wk[h])
-            d_h = wq.shape[1]
-            logits = ad.smul(
-                ad.matmul(ad.matmul(q, wq), ad.transpose(ad.matmul(x_cur, wk))),
-                1.0 / math.sqrt(d_h),
-            )
-            attn_vars.append(ad.softmax_rows(logits, 1.0))
-            if depth_idx + 1 < w.depth:
-                values.append(ad.matmul(x_cur, as_var(layer.wv[h])))
-        if depth_idx + 1 < w.depth:
-            merged = values[0] if len(values) == 1 else ad.hcat(values)
-            x_cur = ad.matmul(merged, as_var(layer.wo))
+    keys = x
+    for wv, wo in w.carry:
+        keys = ad.matmul(ad.matmul(keys, as_var(wv)), as_var(wo))
+    attn_vars = [attn for _, attn in attention_heads(q, keys, w.wq, w.wk, w.heads)]
 
     stacked = attn_vars[0] if len(attn_vars) == 1 else ad.vcat(attn_vars)
     relevance = ad.colmax(stacked)
@@ -186,18 +189,19 @@ def relevance(x: Var | Array, q: Var | Array, w: ScoringWeights) -> Array:
 def _logit_matrix(q: Array, w: ScoringWeights) -> Array:
     """The (heads*L, d) matrix A whose product with token row x_i gives
     token i's final-layer logits for every (head, query) pair, head-major."""
+    wq, wk = as_var(w.wq).value, as_var(w.wk).value
+    if wq.shape[0] != q.shape[1]:
+        raise ShapeError(f"token dim {q.shape[1]} does not match scoring weights {wq.shape}")
     proj = None  # x -> final-layer key source; None is the identity
-    for layer in w.layers[:-1]:
-        values = np.hstack([as_var(wv).value for wv in layer.wv])
-        step = values @ as_var(layer.wo).value
+    for wv, wo in w.carry:
+        step = as_var(wv).value @ as_var(wo).value
         proj = step if proj is None else proj @ step
+    d_h = wq.shape[1] // w.heads
     blocks = []
-    for wq, wk in zip(w.layers[-1].wq, w.layers[-1].wk):
-        wq, wk = as_var(wq).value, as_var(wk).value
-        if wq.shape[0] != q.shape[1]:
-            raise ShapeError(f"token dim {q.shape[1]} does not match scoring weights {wq.shape}")
-        keys = wk if proj is None else proj @ wk
-        blocks.append(((q @ wq) @ keys.T) * (1.0 / math.sqrt(wq.shape[1])))
+    for h in range(w.heads):
+        cols = slice(h * d_h, (h + 1) * d_h)
+        keys = wk[:, cols] if proj is None else proj @ wk[:, cols]
+        blocks.append(((q @ wq[:, cols]) @ keys.T) * (1.0 / math.sqrt(d_h)))
     return np.vstack(blocks)
 
 

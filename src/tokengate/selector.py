@@ -10,7 +10,7 @@ record.  To train, bind the model's tensors to a tape first
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -122,12 +122,10 @@ class DiagnosticsRecord:
     n: int
     m: int
 
-    FIELDS = ("sq_mean", "log_m", "r_max", "entropy", "rho", "t", "n", "m")
-
     def validate(self) -> None:
-        for name in self.FIELDS:
-            if not np.isfinite(getattr(self, name)):
-                raise NumericError(f"diagnostics field {name} is not finite")
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise NumericError(f"diagnostics field {f.name} is not finite")
 
 
 @dataclass
@@ -170,6 +168,10 @@ def select(
     ``rng`` for the Gumbel noise.  When neither the inputs nor the
     scoring weights are tape-tracked, relevance comes from the tape-free
     ``relevance`` kernel instead of ``score``.
+
+    Every timestamp, kept or not, must be a finite, nonnegative number of
+    seconds (``InputError`` otherwise).  Timestamps need not be sorted:
+    kept tokens stay in index order and carry their own timestamps.
     """
     if mode not in ("train", "infer"):
         raise ParameterError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -183,6 +185,8 @@ def select(
     ts = np.asarray(timestamps, dtype=np.float64).ravel()
     if ts.size != m:
         raise ShapeError(f"{ts.size} timestamps for {m} tokens")
+    if not np.all(np.isfinite(ts)) or np.any(ts < 0):
+        raise InputError("timestamps must be finite, nonnegative seconds")
 
     scoring_inputs = [x_var, q_var, *(t for _, t in model.scoring.named_tensors())]
     if any(isinstance(t, Var) and t.tape is not None for t in scoring_inputs):

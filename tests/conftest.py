@@ -33,3 +33,29 @@ def tape_vs_fd(build, x0, step=1e-6):
 
     numeric = finite_difference_gradient(f, x0.ravel(), step)
     return analytic, numeric
+
+
+def save_per_head_weights(model, path):
+    """Save ``model`` in the layout used before heads were packed: each
+    attention projection split into per-head ``.h{i}.`` files, and the
+    scoring layer's value/output projections stored although unused."""
+    from tokengate.selector import save_weights
+    from tokengate.tensorio import file_sha256, shape_token, write_manifest, write_tensor
+
+    save_weights(model, path)  # model.cfg and the tensors whose names did not change
+    d, heads = model.d, model.heads
+    tensors = {"scoring.l0.wo": np.zeros((d, d))}
+    for h in range(heads):
+        tensors[f"scoring.l0.h{h}.wv"] = np.zeros((d, d // heads))
+    for name, tensor in model.named_tensors():
+        stem, _, key = name.rpartition(".")
+        if key in ("wq", "wk", "wv"):
+            for h, part in enumerate(np.hsplit(np.asarray(tensor), heads)):
+                tensors[f"{stem}.h{h}.{key}"] = part
+        else:
+            tensors[name] = np.asarray(tensor)
+    entries = []
+    for name, arr in tensors.items():
+        write_tensor(path / f"{name}.qtn", arr)
+        entries.append((name, shape_token(arr), file_sha256(path / f"{name}.qtn"), f"{name}.qtn"))
+    write_manifest(path / "manifest.txt", entries)

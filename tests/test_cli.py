@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from conftest import save_per_head_weights
 from tokengate.cli import main
 from tokengate.config import RunConfig, SCHEMA
-from tokengate.harness import parse_bench_csv, parse_correlation_csv, parse_records_csv
-from tokengate.selector import SelectorModel, save_weights
+from tokengate.harness import BenchRecord, CorrelationRow, from_csv
+from tokengate.selector import DiagnosticsRecord, SelectorModel, save_weights
 from tokengate.tensorio import write_tensor
 
 CFG_TEXT = "d = 16\nheads = 2\nbudget_hidden = 16\nn_max = 64\n"
@@ -97,6 +98,20 @@ class TestSelectCommand:
         manifest.write_text("\n".join(lines) + "\n")
         assert main(_select_args(workspace)) == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_bad_timestamp_exits_2_without_outputs(self, workspace, bad):
+        ts = np.arange(16.0)
+        ts[-1] = bad
+        write_tensor(workspace / "ts.qtn", ts)
+        assert main(_select_args(workspace)) == 2
+        assert not (workspace / "out_z.qtn").exists()
+
+    def test_per_head_weights_exit_4(self, workspace, capsys):
+        model = SelectorModel.build(RunConfig(d=16, heads=2, budget_hidden=16, n_max=64))
+        save_per_head_weights(model, workspace / "old")
+        assert main(["weights-inspect", "--weights", str(workspace / "old")]) == 4
+        assert "scoring.l0.wq" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_6(self, workspace):
         (workspace / "run.cfg").write_text(CFG_TEXT + "imaginary_knob = 3\n")
         assert main(_select_args(workspace)) == 6
@@ -116,10 +131,10 @@ class TestOtherCommands:
         out_u = tmp_path / "unif.csv"
         assert main(["ablate", "--variant", "QTS", "--out", str(out_q)] + common) == 0
         assert main(["ablate", "--variant", "UNIF", "--out", str(out_u)] + common) == 0
-        from tokengate.harness import parse_ablation_csv
+        from tokengate.harness import AblationRow
 
-        qts = parse_ablation_csv(out_q.read_text())
-        unif = parse_ablation_csv(out_u.read_text())
+        qts = from_csv(AblationRow, out_q.read_text())
+        unif = from_csv(AblationRow, out_u.read_text())
         assert np.mean([r.recall for r in qts]) >= np.mean([r.recall for r in unif])
 
     def test_bench_row_count(self, workspace, tmp_path):
@@ -134,7 +149,7 @@ class TestOtherCommands:
             ]
         )
         assert code == 0
-        records = parse_bench_csv(out.read_text())
+        records = from_csv(BenchRecord, out.read_text())
         assert len(records) == 8
         assert {r.mode for r in records} == {"baseline", "qts"}
 
@@ -147,7 +162,7 @@ class TestOtherCommands:
         records_file.write_text(header + rows)
         out = tmp_path / "corr.csv"
         assert main(["diag", "--records", str(records_file), "--out", str(out)]) == 0
-        parsed = parse_correlation_csv(out.read_text())
+        parsed = from_csv(CorrelationRow, out.read_text())
         rho_t = next(r for r in parsed if r.pair == "rho_vs_t")
         assert rho_t.r is None
         assert "undefined" in out.read_text()
@@ -182,7 +197,7 @@ class TestOtherCommands:
             ]
         )
         assert code == 0
-        records = parse_records_csv(records_out.read_text())
+        records = from_csv(DiagnosticsRecord, records_out.read_text())
         assert len(records) == 5
         out = tmp_path / "corr.csv"
         assert main(["diag", "--records", str(records_out), "--out", str(out)]) == 0

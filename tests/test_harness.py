@@ -8,24 +8,19 @@ import pytest
 from tokengate.config import RunConfig
 from tokengate.errors import InputError
 from tokengate.harness import (
+    AblationRow,
     AblationVariant,
+    BenchRecord,
+    CorrelationRow,
     EpochStats,
     OptimizerConfig,
     WorkloadSpec,
-    ablation_csv,
-    bench_csv,
     bench_scaling,
-    correlation_csv,
     correlation_report,
+    from_csv,
     generate_workload,
-    parse_ablation_csv,
-    parse_bench_csv,
-    parse_correlation_csv,
-    parse_records_csv,
-    parse_trajectory_csv,
-    records_csv,
     run_ablation,
-    trajectory_csv,
+    to_csv,
     train_desk_scale,
     uniform_stride_indices,
 )
@@ -281,13 +276,13 @@ class TestCsvRoundTrips:
     def test_ablation(self):
         spec = WorkloadSpec(m=60, d=16, l=2, k=3, seed=13)
         metrics = run_ablation(AblationVariant.QTS, spec, _identity_model(), trials=3)
-        text = ablation_csv(metrics.rows)
-        assert parse_ablation_csv(text) == metrics.rows
+        text = to_csv(AblationRow, metrics.rows)
+        assert from_csv(AblationRow, text) == metrics.rows
 
     def test_bench(self):
         spec = WorkloadSpec(m=None, d=16, l=2, k=2, frame_height=28, frame_width=28, patch=14)
         records = bench_scaling([4], SelectorModel.build(CFG), spec)
-        assert parse_bench_csv(bench_csv(records)) == records
+        assert from_csv(BenchRecord, to_csv(BenchRecord, records)) == records
 
     def test_correlation(self):
         rows = correlation_report(
@@ -296,12 +291,23 @@ class TestCsvRoundTrips:
                 for i in range(1, 5)
             ]
         )
-        assert parse_correlation_csv(correlation_csv(rows)) == rows
+        assert from_csv(CorrelationRow, to_csv(CorrelationRow, rows)) == rows
 
     def test_records(self):
         records = [DiagnosticsRecord(0.1, 5.0, 0.5, 1.0, 0.2, 0.9, 10, 100)]
-        assert parse_records_csv(records_csv(records)) == records
+        assert from_csv(DiagnosticsRecord, to_csv(DiagnosticsRecord, records)) == records
 
     def test_trajectory(self):
         stats = [EpochStats(0, 1.5, 0.3, 12.0), EpochStats(1, 1.2, 0.28, 11.5)]
-        assert parse_trajectory_csv(trajectory_csv(stats)) == stats
+        assert from_csv(EpochStats, to_csv(EpochStats, stats)) == stats
+
+    def test_bench_header_keeps_capital_m(self):
+        assert to_csv(BenchRecord, []) == "frames,M,n,selector_ms,downstream_ms,total_ms,mode\n"
+
+    @pytest.mark.parametrize(
+        "cls", [AblationRow, BenchRecord, CorrelationRow, DiagnosticsRecord, EpochStats]
+    )
+    def test_wrong_header_rejected(self, cls):
+        other = EpochStats if cls is not EpochStats else AblationRow
+        with pytest.raises(InputError, match="columns"):
+            from_csv(cls, to_csv(other, []))

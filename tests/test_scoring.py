@@ -9,7 +9,6 @@ from conftest import rel_err, tape_vs_fd
 from tokengate import autodiff as ad
 from tokengate.autodiff import Tape
 from tokengate.errors import InputError
-from tokengate.layers import AttentionWeights
 from tokengate.scoring import ScoringWeights, normalize_relevance, score
 
 
@@ -55,10 +54,9 @@ class TestScore:
         w = ScoringWeights.seeded(d, 2, 1, rng)
         _, r = score(x, q, w)
 
-        layer = w.layers[0]
         per_head = []
-        for h in range(2):
-            per_head.append(_single_head_relevance(x, q, layer.wq[h], layer.wk[h]))
+        for cols in (slice(0, d // 2), slice(d // 2, d)):
+            per_head.append(_single_head_relevance(x, q, w.wq[:, cols], w.wk[:, cols]))
         expected = np.maximum(per_head[0], per_head[1])
         np.testing.assert_allclose(r.value.ravel(), expected, atol=1e-12)
 
@@ -99,14 +97,7 @@ class TestScore:
         base = ScoringWeights.seeded(d, 1, 1, rng)
         _, r = score(x, q, base)
         for c in (0.5, 2.0, 7.3):
-            scaled = ScoringWeights(
-                [AttentionWeights(
-                    wq=[base.layers[0].wq[0]],
-                    wk=[base.layers[0].wk[0] * c],
-                    wv=[base.layers[0].wv[0]],
-                    wo=base.layers[0].wo,
-                )]
-            )
+            scaled = ScoringWeights(wq=base.wq, wk=base.wk * c, heads=1)
             _, r_scaled = score(x, q, scaled)
             assert int(np.argmax(r_scaled.value)) == int(np.argmax(r.value))
             assert not np.allclose(r_scaled.value, r.value)

@@ -1,10 +1,12 @@
 """Pipeline orchestration and weight persistence."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import save_per_head_weights
 from tokengate.budget import compute_budget
 from tokengate.config import RunConfig
 from tokengate.errors import InputError, MissingResourceError, ParameterError, ShapeError
@@ -117,6 +119,27 @@ class TestSelect:
         with pytest.raises(ShapeError):
             select(model, wl.x, wl.timestamps[:-1], wl.q)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("reencode", [True, False])
+    def test_bad_timestamp_on_dropped_token_rejected(self, model, bad, reencode):
+        """Every timestamp is checked, not only those of kept tokens, and
+        also when re-encoding (the only consumer of timestamps) is off."""
+        model = model if reencode else model.without_reencoder()
+        wl = _workload()
+        kept = select(model, wl.x, wl.timestamps, wl.q).indices
+        ts = wl.timestamps.copy()
+        ts[np.setdiff1d(np.arange(ts.size), kept)[0]] = bad
+        with pytest.raises(InputError, match="timestamps"):
+            select(model, wl.x, ts, wl.q)
+
+    def test_unsorted_timestamps_accepted(self, model):
+        """Timestamps need not be monotone; kept tokens keep their own."""
+        wl = _workload()
+        a = select(model, wl.x, wl.timestamps, wl.q)
+        b = select(model, wl.x, wl.timestamps[::-1].copy(), wl.q)
+        np.testing.assert_array_equal(a.indices, b.indices)
+        assert np.all(np.isfinite(b.z))
+
     def test_train_mode_requires_rng(self, model):
         """A default generator would draw the same Gumbel noise on every call."""
         wl = _workload()
@@ -125,7 +148,9 @@ class TestSelect:
 
 
 class TestSerialization:
-    def test_round_trip_bit_exact(self, model, tmp_path):
+    @pytest.mark.parametrize("s_depth", [1, 2])
+    def test_round_trip_bit_exact(self, s_depth, tmp_path):
+        model = SelectorModel.build(replace(SMALL, scoring_depth=s_depth))
         save_weights(model, tmp_path / "w")
         loaded = load_weights(tmp_path / "w")
         original = model.parameters()
@@ -198,17 +223,25 @@ class TestSerialization:
         with pytest.raises(InputError, match="bare file name"):
             load_weights(weights)
 
-    def test_manifest_counts_match_configuration(self, model, tmp_path):
-        entries = save_weights(model, tmp_path / "w")
-        heads, s_depth, r_depth = SMALL.heads, SMALL.scoring_depth, SMALL.reencode_depth
-        expected_scoring = s_depth * (3 * heads + 1)
+    @pytest.mark.parametrize("s_depth", [1, 2])
+    def test_manifest_counts_match_configuration(self, s_depth, tmp_path):
+        """Packed heads; scoring keeps the last layer's wq/wk and each
+        earlier layer's wv/wo, the only tensors that reach the relevance."""
+        cfg = replace(SMALL, scoring_depth=s_depth)
+        entries = save_weights(SelectorModel.build(cfg), tmp_path / "w")
+        expected_scoring = 2 * s_depth
         expected_budget = 6
-        expected_reencoder = r_depth * (2 + 3 * heads + 1 + 4)
+        expected_reencoder = cfg.reencode_depth * (2 + 4 + 4)
         names = [e[0] for e in entries]
         assert sum(n.startswith("scoring.") for n in names) == expected_scoring
         assert sum(n.startswith("budget.") for n in names) == expected_budget
         assert sum(n.startswith("reencoder.") for n in names) == expected_reencoder
         assert len(names) == expected_scoring + expected_budget + expected_reencoder
+
+    def test_per_head_layout_is_missing_resource(self, model, tmp_path):
+        save_per_head_weights(model, tmp_path / "w")
+        with pytest.raises(MissingResourceError, match=r"scoring\.l0\.wq"):
+            load_weights(tmp_path / "w")
 
 
 class TestTensorFormat:
