@@ -126,6 +126,15 @@ class Var:
         return smul(self, -1.0)
 
 
+def any_tracked(tensors) -> bool:
+    """Whether any of ``tensors`` is a Var recorded on a tape.
+
+    Callers with a tape-free kernel run it only when this is false, so
+    the kernel never has to produce gradients.
+    """
+    return any(isinstance(t, Var) and t.tape is not None for t in tensors)
+
+
 def const(x, name: str = "const") -> Var:
     """An untracked matrix constant."""
     return Var(as_matrix(x, name))
@@ -343,10 +352,11 @@ def xlogx(a: Var) -> Var:
 
 
 def _softmax_row_values(x: Array, temperature: float) -> Array:
-    z = x / temperature
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    y = x / temperature
+    y -= y.max(axis=1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=1, keepdims=True)
+    return y
 
 
 def softmax_rows(a: Var, temperature: float = 1.0) -> Var:

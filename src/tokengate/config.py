@@ -81,6 +81,8 @@ class RunConfig:
             raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
         if self.tau_s <= 0:
             raise ConfigError(f"tau_s must be positive, got {self.tau_s}")
+        if self.train_batch < 1:
+            raise ConfigError(f"train_batch must be >= 1, got {self.train_batch}")
 
 
 _PARSERS = {int: int, float: float, bool: _parse_bool, str: str}

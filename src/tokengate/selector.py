@@ -37,7 +37,7 @@ from .errors import (
 )
 from .gate import GateConfig, hard_top_n, sample_gumbel_pairs, soft_gate_apply, threshold_var
 from .layers import MapFn, Tensor, as_var
-from .reencoder import ReencoderStack, reencode
+from .reencoder import ReencoderStack, reencode, reencode_values
 from .scoring import ScoringWeights, relevance, score
 
 
@@ -167,7 +167,10 @@ def select(
     kept tokens with their absolute timestamps.  Train mode needs an
     ``rng`` for the Gumbel noise.  When neither the inputs nor the
     scoring weights are tape-tracked, relevance comes from the tape-free
-    ``relevance`` kernel instead of ``score``.
+    ``relevance`` kernel instead of ``score``; when neither the kept rows
+    nor the re-encoder weights are, z comes from ``reencode_values``
+    instead of ``reencode`` (equal to it within 1e-12 in the tests).  A
+    model bound to a tape takes both tape paths.
 
     Every timestamp, kept or not, must be a finite, nonnegative number of
     seconds (``InputError`` otherwise).  Timestamps need not be sorted:
@@ -189,7 +192,7 @@ def select(
         raise InputError("timestamps must be finite, nonnegative seconds")
 
     scoring_inputs = [x_var, q_var, *(t for _, t in model.scoring.named_tensors())]
-    if any(isinstance(t, Var) and t.tape is not None for t in scoring_inputs):
+    if ad.any_tracked(scoring_inputs):
         _, r_var = score(x_var, q_var, model.scoring)
     else:
         r_var = Var(relevance(x_var, q_var, model.scoring).reshape(1, -1))
@@ -212,7 +215,10 @@ def select(
         idx = mask.indices
         z_sel = ad.take_rows(x_var, idx)
 
-    z_var = reencode(z_sel, ts[idx], model.reencoder)
+    if ad.any_tracked([z_sel, *(t for _, t in model.reencoder.named_tensors())]):
+        z_var = reencode(z_sel, ts[idx], model.reencoder)
+    else:
+        z_var = Var(reencode_values(z_sel.value, ts[idx], model.reencoder))
 
     r_values = r_var.value.ravel()
     record = DiagnosticsRecord(
@@ -339,8 +345,8 @@ def load_weights(path: str | Path) -> SelectorModel:
     """Rebuild a model from a weights directory, verifying every checksum.
 
     Raises MissingResourceError for absent files or tensors, InputError
-    for checksum mismatches (naming the tensor), ShapeError for shape
-    conflicts.
+    for checksum mismatches or NaN/inf values (naming the tensor),
+    ShapeError for shape conflicts.
     """
     path = Path(path)
     if not path.is_dir():
@@ -369,6 +375,8 @@ def load_weights(path: str | Path) -> SelectorModel:
         if actual != checksum:
             raise InputError(f"checksum mismatch for tensor {name} in {filename}")
         arr = tensorio.read_tensor(tensor_path)
+        if not np.all(np.isfinite(arr)):
+            raise InputError(f"tensor {name} in {filename} has non-finite values")
         if tensorio.shape_token(arr) != shape_txt:
             raise ShapeError(f"tensor {name}: file shape {arr.shape} vs manifest {shape_txt}")
         want = np.asarray(expected[name]).shape

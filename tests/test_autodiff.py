@@ -76,6 +76,25 @@ class TestSoftmaxRows:
         with pytest.raises(ParameterError):
             ad.softmax_rows(ad.const([[1.0]]), 0.0)
 
+    def test_values_bit_identical_to_allocating_form(self):
+        """The one-buffer softmax equals the form that allocated a new array
+        per step, kept here as the reference."""
+
+        def reference(x, temperature):
+            z = x / temperature
+            z = z - z.max(axis=1, keepdims=True)
+            e = np.exp(z)
+            return e / e.sum(axis=1, keepdims=True)
+
+        rng = np.random.default_rng(2)
+        for scale in (1e-300, 1e-8, 1.0, 40.0, 800.0, 1e300):
+            x = scale * rng.standard_normal((7, 300))
+            x[0, :3] = [0.0, -0.0, 1.0]
+            x[1] = x[1, 0]  # an all-tied row
+            for temperature in (0.5, 1.0, 3.0):
+                got = ad._softmax_row_values(x, temperature)
+                assert got.tobytes() == reference(x, temperature).tobytes()
+
 
 class TestFiniteDifferenceOracle:
     def test_polynomial_exactness(self):

@@ -106,6 +106,14 @@ class TestSelectCommand:
         assert main(_select_args(workspace)) == 2
         assert not (workspace / "out_z.qtn").exists()
 
+    def test_non_finite_weights_exit_2(self, workspace, capsys):
+        model = SelectorModel.build(RunConfig(d=16, heads=2, budget_hidden=16, n_max=64))
+        params = model.parameters()
+        params["budget.w2"][0, 0] = np.nan
+        save_weights(model.with_parameters(params), workspace / "nan")
+        assert main(["weights-inspect", "--weights", str(workspace / "nan")]) == 2
+        assert "budget.w2" in capsys.readouterr().err
+
     def test_per_head_weights_exit_4(self, workspace, capsys):
         model = SelectorModel.build(RunConfig(d=16, heads=2, budget_hidden=16, n_max=64))
         save_per_head_weights(model, workspace / "old")
@@ -183,6 +191,22 @@ class TestOtherCommands:
         assert code == 0
         assert (out_w / "manifest.txt").exists()
         assert main(["weights-inspect", "--weights", str(out_w)]) == 0
+
+    def test_zero_train_batch_exits_6_without_outputs(self, workspace, tmp_path):
+        out_w = tmp_path / "trained"
+        out_t = tmp_path / "traj.csv"
+        code = main(
+            [
+                "train",
+                "--config", str(workspace / "run.cfg"),
+                "--set", "train_batch=0", "--set", "train_epochs=1",
+                "--out-weights", str(out_w),
+                "--out-trajectory", str(out_t),
+            ]
+        )
+        assert code == 6
+        assert not out_w.exists()
+        assert not out_t.exists()
 
     def test_ablate_records_out_feeds_diag(self, workspace, tmp_path):
         records_out = tmp_path / "records.csv"

@@ -1,7 +1,8 @@
 """The tape-free inference path against the tape path it replaces.
 
-``relevance`` must agree with ``score``, and ``select`` on an unbound model
-(tape-free scoring) with the same model bound to a tape (tape scoring).
+``relevance`` must agree with ``score``, ``reencode_values`` with
+``reencode``, and ``select`` on an unbound model (tape-free scoring and
+re-encoding) with the same model bound to a tape (the tape paths).
 ``hard_top_n`` must agree with a full stable sort, and ``sigmoid_values``
 bit for bit with the masked two-branch form it replaced.
 """
@@ -16,6 +17,7 @@ from tokengate.autodiff import Tape, sigmoid_values
 from tokengate.config import RunConfig
 from tokengate.errors import InputError, ShapeError
 from tokengate.gate import hard_top_n
+from tokengate.reencoder import ReencoderStack, reencode, reencode_values
 from tokengate.scoring import ScoringWeights, relevance, score
 from tokengate.selector import SelectorModel, select
 
@@ -85,9 +87,18 @@ class TestRelevanceMatchesScore:
 
 
 class TestSelectMatchesTapePath:
+    @pytest.mark.parametrize("reencode_depth", [0, 1, 3])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
     @pytest.mark.parametrize("depth", [1, 2])
-    def test_unbound_equals_bound(self, depth):
-        cfg = RunConfig(d=8, heads=2, scoring_depth=depth, budget_hidden=8, n_max=24, reencode_depth=1)
+    def test_unbound_equals_bound(self, depth, heads, reencode_depth):
+        cfg = RunConfig(
+            d=8,
+            heads=heads,
+            scoring_depth=depth,
+            budget_hidden=8,
+            n_max=24,
+            reencode_depth=reencode_depth,
+        )
         model = SelectorModel.build(cfg)
         bound, _ = model.bind(Tape())
         rng = np.random.default_rng(1500 + depth)
@@ -98,9 +109,40 @@ class TestSelectMatchesTapePath:
             fast = select(model, x, ts, q, mode, np.random.default_rng(call))
             tape = select(bound, x, ts, q, mode, np.random.default_rng(call))
             assert fast.r_var.tape is None and tape.r_var.tape is not None
+            assert fast.z_var.tape is None
+            if reencode_depth:  # the bound re-encoder records on the tape
+                assert tape.z_var.tape is not None
             np.testing.assert_array_equal(fast.indices, tape.indices)
             np.testing.assert_allclose(fast.z, tape.z, rtol=0, atol=TOL)
             assert abs(fast.record.t - tape.record.t) <= TOL
+
+
+def _reencode_case(case, rng):
+    """(z, timestamps, stack) for one named kernel-vs-tape case."""
+    stack = ReencoderStack.seeded(8, 2, 2, rng)
+    if case == "one_token":
+        return rng.standard_normal((1, 8)), np.array([3.0]), stack
+    if case == "tied_rows":
+        return np.tile(rng.standard_normal((1, 8)), (9, 1)), np.full(9, 5.0), stack
+    if case == "large_logits":
+        # RMSNorm removes the row scale, so the attention gains are raised
+        # too: logits then pass 1000, beyond exp's overflow at ~709.
+        for block in stack.blocks:
+            block.gain_attn = np.full((1, 8), 40.0)
+        return 1e3 * rng.standard_normal((12, 8)), np.arange(12.0), stack
+    assert case == "beyond_n_max"  # more rows than the default n_max = 256
+    return rng.standard_normal((300, 8)), np.sort(rng.uniform(0, 3600, 300)), stack
+
+
+@pytest.mark.parametrize("case", ["one_token", "tied_rows", "large_logits", "beyond_n_max"])
+def test_reencode_values_matches_tape(case):
+    z, ts, stack = _reencode_case(case, np.random.default_rng(1700))
+    z_before = z.copy()
+    got = reencode_values(z, ts, stack)
+    np.testing.assert_allclose(got, reencode(z, ts, stack).value, rtol=0, atol=TOL)
+    np.testing.assert_array_equal(z, z_before)
+    if case == "tied_rows":
+        assert np.all(got == got[0])
 
 
 class TestHardTopNMatchesStableSort:

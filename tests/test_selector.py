@@ -172,6 +172,15 @@ class TestSerialization:
         with pytest.raises(InputError, match=name.replace(".", r"\.")):
             load_weights(tmp_path / "w")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tensor_named(self, model, tmp_path, bad):
+        """Checksums match a NaN/inf payload, so only a value scan catches it."""
+        params = model.parameters()
+        params["reencoder.b1.ffn.w1"][2, 3] = bad
+        save_weights(model.with_parameters(params), tmp_path / "w")
+        with pytest.raises(InputError, match=r"reencoder\.b1\.ffn\.w1"):
+            load_weights(tmp_path / "w")
+
     def test_missing_tensor_file(self, model, tmp_path):
         entries = save_weights(model, tmp_path / "w")
         (tmp_path / "w" / entries[0][3]).unlink()
