@@ -17,7 +17,7 @@ from .budget import (
     predict_rho,
 )
 from .config import RunConfig, load_config, parse_config_text
-from .gate import GateConfig, KeepMask, find_threshold, hard_top_n, soft_gate_train, threshold_gradients
+from .gate import KeepMask, find_threshold, hard_top_n, soft_gate_train, threshold_gradients
 from .harness import (
     AblationVariant,
     OptimizerConfig,
@@ -50,7 +50,6 @@ __all__ = [
     "BudgetHead",
     "DiagnosticsRecord",
     "DualState",
-    "GateConfig",
     "KeepMask",
     "OptimizerConfig",
     "PenaltyWeights",

@@ -152,7 +152,9 @@ def _coerce(x) -> Var:
     return const(x)
 
 
-def _apply(value: Array, inputs: tuple[Var, ...], backward: BackwardFn) -> Var:
+def apply(value: Array, inputs: tuple[Var, ...], backward: BackwardFn) -> Var:
+    """Record an operation with its backward rule on the operands' tape;
+    untracked operands give an untracked result."""
     tape = None
     for v in inputs:
         if v.tape is not None:
@@ -163,11 +165,6 @@ def _apply(value: Array, inputs: tuple[Var, ...], backward: BackwardFn) -> Var:
     if tape is None:
         return Var(value)
     return tape.record(value, inputs, backward)
-
-
-def custom_op(value: Array, inputs: tuple[Var, ...], backward: BackwardFn) -> Var:
-    """Extension point: record an operation with a bespoke backward rule."""
-    return _apply(value, inputs, backward)
 
 
 def _unbroadcast(g: Array, shape: tuple[int, int]) -> Array:
@@ -199,7 +196,7 @@ def add(a: Var, b: Var) -> Var:
     def backward(g):
         return (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
 
-    return _apply(value, (a, b), backward)
+    return apply(value, (a, b), backward)
 
 
 def sub(a: Var, b: Var) -> Var:
@@ -209,7 +206,7 @@ def sub(a: Var, b: Var) -> Var:
     def backward(g):
         return (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
 
-    return _apply(value, (a, b), backward)
+    return apply(value, (a, b), backward)
 
 
 def mul(a: Var, b: Var) -> Var:
@@ -220,7 +217,7 @@ def mul(a: Var, b: Var) -> Var:
     def backward(g):
         return (_unbroadcast(g * bv, a.shape), _unbroadcast(g * av, b.shape))
 
-    return _apply(value, (a, b), backward)
+    return apply(value, (a, b), backward)
 
 
 def div(a: Var, b: Var) -> Var:
@@ -234,7 +231,7 @@ def div(a: Var, b: Var) -> Var:
             _unbroadcast(-g * av / (bv * bv), b.shape),
         )
 
-    return _apply(value, (a, b), backward)
+    return apply(value, (a, b), backward)
 
 
 def smul(a: Var, c: float) -> Var:
@@ -243,14 +240,14 @@ def smul(a: Var, c: float) -> Var:
     def backward(g):
         return (g * c,)
 
-    return _apply(a.value * c, (a,), backward)
+    return apply(a.value * c, (a,), backward)
 
 
 def add_const(a: Var, c: float) -> Var:
     def backward(g):
         return (g,)
 
-    return _apply(a.value + float(c), (a,), backward)
+    return apply(a.value + float(c), (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +262,14 @@ def matmul(a: Var, b: Var) -> Var:
     def backward(g):
         return (g @ bv.T, av.T @ g)
 
-    return _apply(value, (a, b), backward)
+    return apply(value, (a, b), backward)
 
 
 def transpose(a: Var) -> Var:
     def backward(g):
         return (g.T,)
 
-    return _apply(a.value.T.copy(), (a,), backward)
+    return apply(a.value.T.copy(), (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +288,7 @@ def sigmoid(a: Var) -> Var:
     def backward(g):
         return (g * y * (1.0 - y),)
 
-    return _apply(y, (a,), backward)
+    return apply(y, (a,), backward)
 
 
 def tanh(a: Var) -> Var:
@@ -300,7 +297,7 @@ def tanh(a: Var) -> Var:
     def backward(g):
         return (g * (1.0 - y * y),)
 
-    return _apply(y, (a,), backward)
+    return apply(y, (a,), backward)
 
 
 def exp(a: Var) -> Var:
@@ -309,7 +306,7 @@ def exp(a: Var) -> Var:
     def backward(g):
         return (g * y,)
 
-    return _apply(y, (a,), backward)
+    return apply(y, (a,), backward)
 
 
 def log(a: Var) -> Var:
@@ -320,7 +317,7 @@ def log(a: Var) -> Var:
     def backward(g):
         return (g / av,)
 
-    return _apply(np.log(av), (a,), backward)
+    return apply(np.log(av), (a,), backward)
 
 
 def pow_const(a: Var, p: float) -> Var:
@@ -333,7 +330,7 @@ def pow_const(a: Var, p: float) -> Var:
     def backward(g):
         return (g * p * av ** (p - 1.0),)
 
-    return _apply(y, (a,), backward)
+    return apply(y, (a,), backward)
 
 
 def xlogx(a: Var) -> Var:
@@ -348,7 +345,7 @@ def xlogx(a: Var) -> Var:
         # subgradient 0 at exactly zero entries
         return (np.where(av > 0, np.log(safe) + 1.0, 0.0) * g,)
 
-    return _apply(y, (a,), backward)
+    return apply(y, (a,), backward)
 
 
 def _softmax_row_values(x: Array, temperature: float) -> Array:
@@ -370,7 +367,7 @@ def softmax_rows(a: Var, temperature: float = 1.0) -> Var:
         dot = (g * y).sum(axis=1, keepdims=True)
         return ((y * (g - dot)) / t,)
 
-    return _apply(y, (a,), backward)
+    return apply(y, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +379,7 @@ def sum_all(a: Var) -> Var:
     def backward(g):
         return (np.full(shape, g[0, 0]),)
 
-    return _apply(np.array([[a.value.sum()]]), (a,), backward)
+    return apply(np.array([[a.value.sum()]]), (a,), backward)
 
 
 def row_means(a: Var) -> Var:
@@ -391,7 +388,7 @@ def row_means(a: Var) -> Var:
     def backward(g):
         return (np.repeat(g, k, axis=1) / k,)
 
-    return _apply(a.value.mean(axis=1, keepdims=True), (a,), backward)
+    return apply(a.value.mean(axis=1, keepdims=True), (a,), backward)
 
 
 def col_means(a: Var) -> Var:
@@ -400,7 +397,7 @@ def col_means(a: Var) -> Var:
     def backward(g):
         return (np.repeat(g, n, axis=0) / n,)
 
-    return _apply(a.value.mean(axis=0, keepdims=True), (a,), backward)
+    return apply(a.value.mean(axis=0, keepdims=True), (a,), backward)
 
 
 def colmax(a: Var) -> Var:
@@ -414,7 +411,7 @@ def colmax(a: Var) -> Var:
         out[idx, cols] = g[0]
         return (out,)
 
-    return _apply(a.value[idx, cols].reshape(1, -1), (a,), backward)
+    return apply(a.value[idx, cols].reshape(1, -1), (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +426,7 @@ def take_rows(a: Var, idx) -> Var:
         np.add.at(out, idx, g)
         return (out,)
 
-    return _apply(a.value[idx].copy(), (a,), backward)
+    return apply(a.value[idx].copy(), (a,), backward)
 
 
 def take_cols(a: Var, idx) -> Var:
@@ -441,7 +438,7 @@ def take_cols(a: Var, idx) -> Var:
         np.add.at(out.T, idx, g.T)
         return (out,)
 
-    return _apply(a.value[:, idx].copy(), (a,), backward)
+    return apply(a.value[:, idx].copy(), (a,), backward)
 
 
 def hcat(parts: Sequence[Var]) -> Var:
@@ -452,7 +449,7 @@ def hcat(parts: Sequence[Var]) -> Var:
     def backward(g):
         return tuple(np.split(g, splits, axis=1))
 
-    return _apply(np.concatenate([p.value for p in parts], axis=1), parts, backward)
+    return apply(np.concatenate([p.value for p in parts], axis=1), parts, backward)
 
 
 def vcat(parts: Sequence[Var]) -> Var:
@@ -463,7 +460,7 @@ def vcat(parts: Sequence[Var]) -> Var:
     def backward(g):
         return tuple(np.split(g, splits, axis=0))
 
-    return _apply(np.concatenate([p.value for p in parts], axis=0), parts, backward)
+    return apply(np.concatenate([p.value for p in parts], axis=0), parts, backward)
 
 
 def straight_through(soft: Var, hard: Array) -> Var:
@@ -475,7 +472,7 @@ def straight_through(soft: Var, hard: Array) -> Var:
     def backward(g):
         return (g,)
 
-    return _apply(hard.copy(), (soft,), backward)
+    return apply(hard.copy(), (soft,), backward)
 
 
 # ---------------------------------------------------------------------------

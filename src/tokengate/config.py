@@ -43,8 +43,6 @@ class RunConfig:
     lambda_m: float = 0.17
     lambda_s: float = 0.05
     rho_bar: float = 0.275
-    dual_step: float = 1e-3
-    dual_n_bar: int = 0  # 0 disables the dual term
     # workload
     wl_tokens: int = 256  # direct M; 0 derives M from the video geometry below
     wl_frames: int = 0
@@ -73,14 +71,22 @@ class RunConfig:
             )
         if self.d < 1 or self.heads < 1 or self.d % self.heads != 0:
             raise ConfigError(f"model dim {self.d} not divisible by {self.heads} heads")
+        if self.budget_hidden < 1:
+            raise ConfigError(f"budget_hidden must be >= 1, got {self.budget_hidden}")
         if self.scoring_depth < 1:
             raise ConfigError(f"scoring_depth must be >= 1, got {self.scoring_depth}")
         if self.reencode_depth < 0:
             raise ConfigError(f"reencode_depth must be >= 0, got {self.reencode_depth}")
         if self.n_max < 1:
             raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
-        if self.tau_s <= 0:
+        if not self.tau_s > 0:  # also rejects NaN
             raise ConfigError(f"tau_s must be positive, got {self.tau_s}")
+        if self.newton_iters < 1:
+            raise ConfigError(f"newton_iters must be >= 1, got {self.newton_iters}")
+        if not self.residual_tol > 0:
+            raise ConfigError(f"residual_tol must be positive, got {self.residual_tol}")
+        if self.train_epochs < 0:
+            raise ConfigError(f"train_epochs must be >= 0, got {self.train_epochs}")
         if self.train_batch < 1:
             raise ConfigError(f"train_batch must be >= 1, got {self.train_batch}")
 

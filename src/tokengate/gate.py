@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Array, Var, sigmoid_values, custom_op
+from .autodiff import Array, Var, sigmoid_values
+from .config import RunConfig
 from .errors import ParameterError
 
 logger = logging.getLogger(__name__)
@@ -32,26 +33,6 @@ SATURATION_GUARD = 1e-12
 # Convergence criterion on the Newton step, well inside the 1e-9
 # agreement required against a bisection oracle.
 STEP_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class GateConfig:
-    """Gate hyperparameters; tau_s and the iteration budget follow the
-    reference training configuration."""
-
-    tau_s: float = 0.5
-    newton_iters: int = 6
-    residual_tol: float = 1e-6
-    clamp_margin: float = 10.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.tau_s <= 0:
-            raise ParameterError(f"gate temperature must be positive, got {self.tau_s}")
-        if self.newton_iters < 1:
-            raise ParameterError(f"newton_iters must be >= 1, got {self.newton_iters}")
-        if self.residual_tol <= 0:
-            raise ParameterError(f"residual_tol must be positive, got {self.residual_tol}")
 
 
 @dataclass
@@ -85,7 +66,7 @@ def _keep_sum(r: Array, t: float, tau: float) -> float:
 
 
 def find_threshold(
-    r, rho: float, tau_s: float, cfg: GateConfig = GateConfig()
+    r, rho: float, tau_s: float, cfg: RunConfig = RunConfig()
 ) -> tuple[float, float]:
     """Solve sum_i sigmoid((r_i - t)/tau_s) = rho*M for the threshold t.
 
@@ -171,7 +152,7 @@ def threshold_gradients(r, rho: float, t: float, tau_s: float) -> tuple[float, A
     return dt_drho, dt_dr
 
 
-def threshold_var(r: Var, rho: Var, tau_s: float, cfg: GateConfig = GateConfig()) -> Var:
+def threshold_var(r: Var, rho: Var, tau_s: float, cfg: RunConfig = RunConfig()) -> Var:
     """Tape-aware threshold solve; backward uses the implicit gradients."""
     r_values = r.value.ravel()
     t, _ = find_threshold(r_values, rho.item(), tau_s, cfg)
@@ -181,7 +162,7 @@ def threshold_var(r: Var, rho: Var, tau_s: float, cfg: GateConfig = GateConfig()
         g0 = g[0, 0]
         return (g0 * dt_dr.reshape(1, -1), np.array([[g0 * dt_drho]]))
 
-    return custom_op(np.array([[t]]), (r, rho), backward)
+    return ad.apply(np.array([[t]]), (r, rho), backward)
 
 
 def sample_gumbel_pairs(m: int, rng: np.random.Generator) -> Array:
@@ -215,7 +196,7 @@ def soft_gate_apply(
 
 
 def soft_gate_train(
-    r, t: float, cfg: GateConfig, rng: np.random.Generator
+    r, t: float, cfg: RunConfig, rng: np.random.Generator
 ) -> tuple[KeepMask, Array]:
     """Value-level training gate: sample noise, return (mask, soft scores)."""
     r = _as_relevance(r)

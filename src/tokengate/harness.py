@@ -77,6 +77,8 @@ class WorkloadSpec:
 
     def validate(self) -> None:
         m = self.token_count()
+        if self.k < 1:
+            raise InputError(f"planted count must be >= 1, got {self.k}")
         if self.k > m:
             raise InputError(f"planted count {self.k} exceeds token count {m}")
         if self.alignment <= 0:
@@ -284,7 +286,7 @@ def train_desk_scale(
             res = select(bound, wl.x, wl.timestamps, wl.q, mode="train", rng=rng)
             task = planted_mass_loss(res, wl.planted)
             loss = total_loss(
-                task, res.rho_var, wl.x.shape[0], model.n_max, penalties, dual
+                task, res.rho_var, wl.x.shape[0], model.cfg.n_max, penalties, dual
             )
             loss_value = loss.item()
             if not math.isfinite(loss_value):

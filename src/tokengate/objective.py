@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var, custom_op
+from .autodiff import Var
 from .errors import ParameterError
 
 
@@ -78,7 +78,7 @@ def penalty_var(rho: Var, m: int, n_max: int, w: PenaltyWeights) -> Var:
     def backward(g):
         return (np.array([[g[0, 0] * grad]]),)
 
-    return custom_op(np.array([[value]]), (rho,), backward)
+    return ad.apply(np.array([[value]]), (rho,), backward)
 
 
 def dual_penalty(rho: float, m: int, dual: DualState) -> float:

@@ -27,7 +27,7 @@ from .budget import (
     extract_features,
     predict_rho,
 )
-from .config import RunConfig, load_config
+from .config import RunConfig, config_text, load_config
 from .errors import (
     InputError,
     MissingResourceError,
@@ -35,7 +35,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .gate import GateConfig, hard_top_n, sample_gumbel_pairs, soft_gate_apply, threshold_var
+from .gate import hard_top_n, sample_gumbel_pairs, soft_gate_apply, threshold_var
 from .layers import MapFn, Tensor, as_var
 from .reencoder import ReencoderStack, reencode, reencode_values
 from .scoring import ScoringWeights, relevance, score
@@ -43,33 +43,21 @@ from .scoring import ScoringWeights, relevance, score
 
 @dataclass
 class SelectorModel:
-    """All weights and configuration for one selector instance."""
+    """All weights of one selector instance and the config it was built from."""
 
-    d: int
-    heads: int
-    n_max: int
+    cfg: RunConfig
     scoring: ScoringWeights
     budget: BudgetHead
-    gate: GateConfig
     reencoder: ReencoderStack
 
     @classmethod
     def build(cls, cfg: RunConfig) -> "SelectorModel":
         rng = np.random.default_rng(cfg.seed)
         return cls(
-            d=cfg.d,
-            heads=cfg.heads,
-            n_max=cfg.n_max,
+            cfg=cfg,
             scoring=ScoringWeights.seeded(cfg.d, cfg.heads, cfg.scoring_depth, rng),
             budget=BudgetHead.seeded(
                 cfg.d, rng, hidden=cfg.budget_hidden, rho_min=cfg.rho_min, rho_max=cfg.rho_max
-            ),
-            gate=GateConfig(
-                tau_s=cfg.tau_s,
-                newton_iters=cfg.newton_iters,
-                residual_tol=cfg.residual_tol,
-                clamp_margin=cfg.clamp_margin,
-                seed=cfg.seed,
             ),
             reencoder=ReencoderStack.seeded(cfg.d, cfg.heads, cfg.reencode_depth, rng),
         )
@@ -106,7 +94,9 @@ class SelectorModel:
         return self.map_tensors(lambda name, _t: params[name])
 
     def without_reencoder(self) -> "SelectorModel":
-        return replace(self, reencoder=ReencoderStack([]))
+        return replace(
+            self, cfg=replace(self.cfg, reencode_depth=0), reencoder=ReencoderStack([])
+        )
 
 
 @dataclass
@@ -199,14 +189,14 @@ def select(
     features = extract_features(q_var, r_var, m)
     rho_var = predict_rho(features, model.budget)
     rho = rho_var.item()
-    n_target = compute_budget(rho, m, model.n_max)
-    t_var = threshold_var(r_var, rho_var, model.gate.tau_s, model.gate)
+    n_target = compute_budget(rho, m, model.cfg.n_max)
+    t_var = threshold_var(r_var, rho_var, model.cfg.tau_s, model.cfg)
     t = t_var.item()
 
     soft_var = st_var = None
     if mode == "train":
         noise = sample_gumbel_pairs(m, rng)
-        soft_var, st_var, mask = soft_gate_apply(r_var, t_var, model.gate.tau_s, noise)
+        soft_var, st_var, mask = soft_gate_apply(r_var, t_var, model.cfg.tau_s, noise)
         idx = mask.indices
         st_col = ad.transpose(ad.take_cols(st_var, idx))
         z_sel = ad.mul(ad.take_rows(x_var, idx), st_col)
@@ -260,9 +250,9 @@ def _check_boundary(model: SelectorModel, res: SelectionResult, r_values: Array)
     """Re-verify the budget and gate contracts at the module boundary."""
     rec = res.record
     rec.validate()
-    res.decision.validate(model.budget, model.n_max)
+    res.decision.validate(model.budget, model.cfg.n_max)
     if res.mode == "infer":
-        cap = min(model.n_max, math.ceil(round(model.budget.rho_max * rec.m, 9)))
+        cap = min(model.cfg.n_max, math.ceil(round(model.budget.rho_max * rec.m, 9)))
         if rec.n > cap:
             raise NumericError(f"kept count {rec.n} exceeds compression bound {cap}")
         if rec.n != res.n_target:
@@ -271,8 +261,8 @@ def _check_boundary(model: SelectorModel, res: SelectionResult, r_values: Array)
         raise NumericError("selection kept zero tokens")
     if np.any(np.diff(res.indices) <= 0):
         raise NumericError("kept indices are not strictly ascending")
-    keep_sum = float(ad.sigmoid_values((r_values - rec.t) / model.gate.tau_s).sum())
-    if abs(keep_sum - res.rho_m) > model.gate.residual_tol * rec.m:
+    keep_sum = float(ad.sigmoid_values((r_values - rec.t) / model.cfg.tau_s).sum())
+    if abs(keep_sum - res.rho_m) > model.cfg.residual_tol * rec.m:
         raise NumericError(
             f"threshold residual {abs(keep_sum - res.rho_m)} violates tolerance"
         )
@@ -283,52 +273,16 @@ def _check_boundary(model: SelectorModel, res: SelectionResult, r_values: Array)
 # ---------------------------------------------------------------------------
 # weight persistence
 
-_MODEL_KEYS = (
-    "d",
-    "heads",
-    "scoring_depth",
-    "reencode_depth",
-    "budget_hidden",
-    "rho_min",
-    "rho_max",
-    "n_max",
-    "tau_s",
-    "newton_iters",
-    "residual_tol",
-    "clamp_margin",
-    "seed",
-)
-
-
-def _model_config(model: SelectorModel) -> RunConfig:
-    budget_hidden = model.budget.w1.shape[1] if not isinstance(model.budget.w1, Var) else model.budget.w1.value.shape[1]
-    return RunConfig(
-        d=model.d,
-        heads=model.heads,
-        scoring_depth=model.scoring.depth,
-        reencode_depth=model.reencoder.depth,
-        budget_hidden=budget_hidden,
-        rho_min=model.budget.rho_min,
-        rho_max=model.budget.rho_max,
-        n_max=model.n_max,
-        tau_s=model.gate.tau_s,
-        newton_iters=model.gate.newton_iters,
-        residual_tol=model.gate.residual_tol,
-        clamp_margin=model.gate.clamp_margin,
-        seed=model.gate.seed,
-    )
-
 
 def save_weights(model: SelectorModel, path: str | Path) -> list[tuple[str, str, str, str]]:
-    """Write one QTN1 file per tensor plus a manifest and model config.
+    """Write one QTN1 file per tensor, a manifest, and ``model.cfg``: the
+    full run config the model was built from.
 
     Returns the manifest entries (name, shape, checksum, filename).
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    cfg = _model_config(model)
-    model_lines = [f"{key} = {getattr(cfg, key)}" for key in _MODEL_KEYS]
-    tensorio.atomic_write_text(path / "model.cfg", "\n".join(model_lines) + "\n")
+    tensorio.atomic_write_text(path / "model.cfg", config_text(model.cfg))
     entries = []
     for name, tensor in model.named_tensors():
         arr = np.asarray(tensor, dtype=np.float64)

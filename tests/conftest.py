@@ -43,7 +43,7 @@ def save_per_head_weights(model, path):
     from tokengate.tensorio import file_sha256, shape_token, write_manifest, write_tensor
 
     save_weights(model, path)  # model.cfg and the tensors whose names did not change
-    d, heads = model.d, model.heads
+    d, heads = model.cfg.d, model.cfg.heads
     tensors = {"scoring.l0.wo": np.zeros((d, d))}
     for h in range(heads):
         tensors[f"scoring.l0.h{h}.wv"] = np.zeros((d, d // heads))

@@ -18,7 +18,6 @@ from tokengate.autodiff import Tape, finite_difference_gradient, sigmoid_values
 from tokengate.budget import compute_budget, extract_features, predict_rho
 from tokengate.config import RunConfig
 from tokengate.gate import (
-    GateConfig,
     find_threshold,
     sample_gumbel_pairs,
     soft_gate_apply,
@@ -66,7 +65,7 @@ def test_criterion_1_threshold_equation_contract():
     in under 5 seconds."""
     with criterion(1, "threshold-equation contract (1000 instances, < 5 s)"):
         rng = np.random.default_rng(101)
-        cfg = GateConfig()
+        cfg = RunConfig()
         start = time.perf_counter()
         for _ in range(1000):
             m = int(rng.integers(8, 4097))
@@ -136,7 +135,7 @@ def test_criterion_4_straight_through_gradient_fidelity():
     """Frozen-noise soft-path gradients: gate-only rel err <= 1e-5 on
     M <= 32; full scoring+budget+gate+re-encoder rel err <= 1e-4."""
     with criterion(4, "straight-through gradient fidelity (soft path vs FD)"):
-        gate_cfg = GateConfig()
+        gate_cfg = RunConfig()
         rng = np.random.default_rng(104)
 
         # gate-only: d(sum of probed soft scores)/dr on M <= 32 instances
@@ -182,7 +181,7 @@ def test_criterion_4_straight_through_gradient_fidelity():
         tape = Tape()
         bound, tracked = model.bind(tape)
         loss = _soft_pipeline_loss(
-            bound, ad.const(wl.x), ad.const(wl.q), wl.timestamps, noise, kept, probe, model.gate
+            bound, ad.const(wl.x), ad.const(wl.q), wl.timestamps, noise, kept, probe, model.cfg
         )
         names = sorted(tracked)
         analytic_all = tape.gradients(loss, [tracked[n] for n in names])
@@ -197,7 +196,7 @@ def test_criterion_4_straight_through_gradient_fidelity():
                 candidate = model.with_parameters(trial)
                 value = _soft_pipeline_loss(
                     candidate, ad.const(wl.x), ad.const(wl.q), wl.timestamps,
-                    noise, kept, probe, model.gate,
+                    noise, kept, probe, model.cfg,
                 )
                 return value.item()
 
@@ -209,7 +208,7 @@ def test_criterion_5_expected_budget_consistency():
     """Monte Carlo kept-count mean over 1e5 gate samples within 3 standard
     errors of rho*M."""
     with criterion(5, "expected kept count equals rho*M (1e5 samples, 3 SE)"):
-        cfg = GateConfig()
+        cfg = RunConfig()
         rng = np.random.default_rng(105)
         m, rho, trials = 64, 0.2, 100_000
         r = np.random.default_rng(0).uniform(0, 1, m)

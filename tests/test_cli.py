@@ -1,10 +1,13 @@
 """CLI behavior: exit codes, determinism, atomicity, schema help."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tokengate
 from conftest import save_per_head_weights
 from tokengate.cli import main
 from tokengate.config import RunConfig, SCHEMA
@@ -208,6 +211,33 @@ class TestOtherCommands:
         assert not out_w.exists()
         assert not out_t.exists()
 
+    @pytest.mark.parametrize(
+        "key, code",
+        [
+            ("budget_hidden=0", 6),
+            ("budget_hidden=-1", 6),
+            ("train_epochs=-1", 6),
+            ("newton_iters=0", 6),
+            ("residual_tol=0", 6),
+            ("residual_tol=nan", 6),
+            ("tau_s=nan", 6),
+            ("wl_planted=0", 2),
+        ],
+    )
+    def test_out_of_range_key_fails_without_outputs(self, workspace, tmp_path, key, code):
+        out_w = tmp_path / "trained"
+        out_t = tmp_path / "traj.csv"
+        args = [
+            "train",
+            "--config", str(workspace / "run.cfg"),
+            "--set", "train_epochs=1", "--set", key,
+            "--out-weights", str(out_w),
+            "--out-trajectory", str(out_t),
+        ]
+        assert main(args) == code
+        assert not out_w.exists()
+        assert not out_t.exists()
+
     def test_ablate_records_out_feeds_diag(self, workspace, tmp_path):
         records_out = tmp_path / "records.csv"
         code = main(
@@ -241,3 +271,10 @@ class TestHelp:
         text = capsys.readouterr().out
         for key in SCHEMA:
             assert key in text, key
+
+    def test_every_schema_key_is_read(self):
+        """A key the help advertises must configure something outside config.py."""
+        src = Path(tokengate.__file__).parent
+        code = "\n".join(p.read_text() for p in src.glob("*.py") if p.name != "config.py")
+        unread = [key for key in SCHEMA if not re.search(rf"\.{key}\b", code)]
+        assert unread == []

@@ -9,9 +9,9 @@ import pytest
 from conftest import rel_err
 from tokengate import autodiff as ad
 from tokengate.autodiff import Tape, finite_difference_gradient, sigmoid_values
+from tokengate.config import RunConfig
 from tokengate.errors import ParameterError
 from tokengate.gate import (
-    GateConfig,
     find_threshold,
     hard_top_n,
     sample_gumbel_pairs,
@@ -21,7 +21,7 @@ from tokengate.gate import (
     threshold_var,
 )
 
-CFG = GateConfig()
+CFG = RunConfig()
 
 
 def bisection_oracle(r, rho, tau, iters=80):

@@ -71,6 +71,12 @@ class TestGenerateWorkload:
         with pytest.raises(InputError):
             generate_workload(WorkloadSpec(m=4, k=9), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_no_planted_tokens_rejected(self, k):
+        """Recall and the planted-mass loss divide by the planted count."""
+        with pytest.raises(InputError, match="planted count"):
+            generate_workload(WorkloadSpec(m=16, k=k), np.random.default_rng(0))
+
     def test_video_geometry_derives_token_count_and_timestamps(self):
         spec = WorkloadSpec(
             m=None, d=8, l=2, k=2, frames=10, frame_rate=2.0, sample_interval=2,

@@ -31,7 +31,7 @@ class TestSelect:
     def test_infer_counts_match_budget(self, model):
         wl = _workload()
         res = select(model, wl.x, wl.timestamps, wl.q, mode="infer")
-        expected = compute_budget(res.record.rho, 120, model.n_max)
+        expected = compute_budget(res.record.rho, 120, model.cfg.n_max)
         assert res.record.n == expected == res.indices.size == res.z.shape[0]
 
     def test_small_input_degenerates_to_identity_selection(self):
@@ -89,7 +89,7 @@ class TestSelect:
         for seed in range(20):
             wl = _workload(m=200, seed=seed)
             res = select(model, wl.x, wl.timestamps, wl.q, mode="infer")
-            bound = min(model.n_max, math.ceil(model.budget.rho_max * 200))
+            bound = min(model.cfg.n_max, math.ceil(model.budget.rho_max * 200))
             assert res.record.n <= bound
 
     def test_concurrent_calls_match_sequential(self, model):
@@ -161,6 +161,43 @@ class TestSerialization:
         a = select(model, wl.x, wl.timestamps, wl.q, mode="infer")
         b = select(loaded, wl.x, wl.timestamps, wl.q, mode="infer")
         np.testing.assert_array_equal(a.z, b.z)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [RunConfig(), RunConfig(scoring_depth=2, tau_s=0.3, n_max=64, budget_hidden=16)],
+        ids=["default", "custom"],
+    )
+    def test_round_trip_keeps_config(self, cfg, tmp_path):
+        model = SelectorModel.build(cfg)
+        save_weights(model, tmp_path / "w")
+        assert load_weights(tmp_path / "w").cfg == model.cfg
+
+    def test_without_reencoder_round_trips(self, model, tmp_path):
+        bare = model.without_reencoder()
+        save_weights(bare, tmp_path / "w")
+        loaded = load_weights(tmp_path / "w")
+        assert loaded.cfg == bare.cfg and loaded.cfg.reencode_depth == 0
+        assert sorted(loaded.parameters()) == sorted(bare.parameters())
+
+    def test_model_keys_only_config_loads(self, tmp_path):
+        """A model.cfg that holds only the model and gate keys (the layout
+        written before it held the full run config) still loads."""
+        cfg = replace(SMALL, scoring_depth=2, tau_s=0.3, n_max=40, seed=3)
+        model = SelectorModel.build(cfg)
+        save_weights(model, tmp_path / "w")
+        keys = (
+            "d", "heads", "scoring_depth", "reencode_depth", "budget_hidden", "rho_min",
+            "rho_max", "n_max", "tau_s", "newton_iters", "residual_tol", "clamp_margin", "seed",
+        )
+        (tmp_path / "w" / "model.cfg").write_text(
+            "".join(f"{key} = {getattr(cfg, key)}\n" for key in keys)
+        )
+        loaded = load_weights(tmp_path / "w")
+        wl = _workload(m=300, seed=8)
+        a = select(model, wl.x, wl.timestamps, wl.q, mode="infer")
+        b = select(loaded, wl.x, wl.timestamps, wl.q, mode="infer")
+        np.testing.assert_array_equal(a.indices, b.indices)
+        np.testing.assert_allclose(b.z, a.z, rtol=0, atol=1e-12)
 
     def test_corrupt_byte_names_tensor(self, model, tmp_path):
         entries = save_weights(model, tmp_path / "w")
