@@ -7,6 +7,7 @@ depth 2, penalty weights 0.1/0.17/0.05).  Unknown keys are errors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -79,12 +80,14 @@ class RunConfig:
             raise ConfigError(f"reencode_depth must be >= 0, got {self.reencode_depth}")
         if self.n_max < 1:
             raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
-        if not self.tau_s > 0:  # also rejects NaN
-            raise ConfigError(f"tau_s must be positive, got {self.tau_s}")
+        if not 0.0 < self.tau_s < math.inf:  # also rejects NaN
+            raise ConfigError(f"tau_s must be positive and finite, got {self.tau_s}")
         if self.newton_iters < 1:
             raise ConfigError(f"newton_iters must be >= 1, got {self.newton_iters}")
         if not self.residual_tol > 0:
             raise ConfigError(f"residual_tol must be positive, got {self.residual_tol}")
+        if not 0.0 <= self.clamp_margin < math.inf:
+            raise ConfigError(f"clamp_margin must be finite and >= 0, got {self.clamp_margin}")
         if self.train_epochs < 0:
             raise ConfigError(f"train_epochs must be >= 0, got {self.train_epochs}")
         if self.train_batch < 1:

@@ -15,6 +15,7 @@ the expected kept count would not match rho*M for tau_s != 1.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,8 @@ def _as_relevance(r) -> Array:
     r = np.asarray(r, dtype=np.float64).ravel()
     if r.size < 1:
         raise ParameterError("relevance vector must be nonempty")
+    if not np.isfinite(r).all():
+        raise ParameterError("relevance vector must be finite")
     return r
 
 
@@ -70,10 +73,17 @@ def find_threshold(
 ) -> tuple[float, float]:
     """Solve sum_i sigmoid((r_i - t)/tau_s) = rho*M for the threshold t.
 
-    Newton iterations start at the median; iterates are clamped to
-    [min r - margin*tau, max r + margin*tau] and a bisection fallback
-    (guaranteed by strict monotonicity of the residual) finishes the job
-    whenever Newton fails to converge tightly.  Returns (t, |residual|).
+    A safeguarded Newton iteration (Numerical Recipes' ``rtsafe``).  It
+    starts at the closed form t0 = mean(r) + tau_s*ln((1 - rho)/rho),
+    the exact root when all scores are equal, clamped to the bracket
+    [lo, hi] = [min r - margin*tau, max r + margin*tau] (at rho = 1,
+    where t0 is -inf, at lo).  Every evaluation narrows the sign
+    bracket, and a Newton step that would leave it bisects it instead.
+    The solve stops at the evaluated point once the residual is within
+    ``residual_tol*M`` and the next Newton step is below ``STEP_TOL``.
+    After ``newton_iters`` evaluations without that, a bisection of the
+    narrowed bracket finishes the job (the residual is strictly
+    decreasing in t).  Returns (t, |residual|).
     """
     r = _as_relevance(r)
     m = r.size
@@ -81,44 +91,50 @@ def find_threshold(
         raise ParameterError(f"retention fraction must lie in (0, 1], got {rho}")
     if rho * m > m:
         raise ParameterError(f"target rho*M = {rho * m} exceeds token count {m}")
-    if tau_s <= 0:
-        raise ParameterError(f"gate temperature must be positive, got {tau_s}")
+    if not 0.0 < tau_s < math.inf:
+        raise ParameterError(f"gate temperature must be positive and finite, got {tau_s}")
 
     target = rho * m
     tol = cfg.residual_tol * m
     lo = float(r.min()) - cfg.clamp_margin * tau_s
     hi = float(r.max()) + cfg.clamp_margin * tau_s
+    lo_ok = hi_ok = False  # has an evaluation confirmed the bracket end's sign?
 
-    t = float(np.median(r))
-    converged = False
+    t = lo if rho == 1.0 else float(r.mean()) + tau_s * math.log((1.0 - rho) / rho)
+    t = min(max(t, lo), hi)
     for _ in range(cfg.newton_iters):
         s = sigmoid_values((r - t) / tau_s)
-        u = float(s.sum()) - target
-        slope = -float((s * (1.0 - s)).sum()) / tau_s
-        if abs(u) <= tol and converged:
-            break
-        if slope >= -SATURATION_GUARD:
-            break  # flat region: leave it to bisection
-        step = u / slope
-        t = min(max(t - step, lo), hi)
-        converged = abs(step) <= STEP_TOL * max(1.0, abs(t))
+        keep = float(s.sum())
+        u = keep - target
+        if u > 0:
+            lo, lo_ok = t, True
+        else:
+            hi, hi_ok = t, True
+        slope = keep - float(s @ s)  # tau_s * |du/dt| = sum s_i(1 - s_i)
+        if slope > SATURATION_GUARD:
+            step = u * tau_s / slope
+            if abs(u) <= tol and abs(step) <= STEP_TOL * max(1.0, abs(t)):
+                return t, abs(u)
+            t += step
+        if not lo < t < hi:  # saturated, or Newton left the bracket
+            t = 0.5 * (lo + hi)
 
-    residual = abs(_keep_sum(r, t, tau_s) - target)
-    if not (converged and residual <= tol):
-        t = _bisect_threshold(r, target, tau_s, lo, hi)
-        residual = abs(_keep_sum(r, t, tau_s) - target)
-    return t, residual
+    t = _bisect_threshold(r, target, tau_s, lo, hi, lo_ok, hi_ok)
+    return t, abs(_keep_sum(r, t, tau_s) - target)
 
 
-def _bisect_threshold(r: Array, target: float, tau: float, lo: float, hi: float) -> float:
+def _bisect_threshold(
+    r: Array, target: float, tau: float, lo: float, hi: float, lo_ok: bool, hi_ok: bool
+) -> float:
     # keep-sum is strictly decreasing in t: u(lo) > 0 > u(hi) for any
-    # attainable target; expand the bracket if saturation spoils it
-    for _ in range(60):
+    # attainable target; expand an end no evaluation has confirmed
+    # until saturation no longer spoils it
+    for _ in range(0 if lo_ok else 60):
         if _keep_sum(r, lo, tau) - target > 0:
             break
         lo -= 10.0 * tau
-    for _ in range(60):
-        if _keep_sum(r, hi, tau) - target < 0:
+    for _ in range(0 if hi_ok else 60):
+        if _keep_sum(r, hi, tau) - target <= 0:
             break
         hi += 10.0 * tau
     for _ in range(200):

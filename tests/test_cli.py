@@ -221,6 +221,10 @@ class TestOtherCommands:
             ("residual_tol=0", 6),
             ("residual_tol=nan", 6),
             ("tau_s=nan", 6),
+            ("tau_s=inf", 6),
+            ("clamp_margin=-5", 6),
+            ("clamp_margin=nan", 6),
+            ("clamp_margin=inf", 6),
             ("wl_planted=0", 2),
         ],
     )

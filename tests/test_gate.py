@@ -5,12 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rel_err
 from tokengate import autodiff as ad
+from tokengate import gate
 from tokengate.autodiff import Tape, finite_difference_gradient, sigmoid_values
 from tokengate.config import RunConfig
 from tokengate.errors import ParameterError
+from tokengate.harness import WorkloadSpec, generate_workload
+from tokengate.scoring import ScoringWeights, relevance
 from tokengate.gate import (
     find_threshold,
     hard_top_n,
@@ -86,6 +91,116 @@ class TestFindThreshold:
     def test_empty_relevance(self):
         with pytest.raises(ParameterError):
             find_threshold(np.zeros(0), 0.2, 0.5, CFG)
+
+
+def criterion_1_oracle(r, rho, tau, width=1e-11):
+    """The bisection oracle of acceptance criterion 1, unchanged."""
+    target = rho * r.size
+    lo, hi = float(r.min()) - 10 * tau, float(r.max()) + 10 * tau
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if sigmoid_values((r - mid) / tau).sum() - target > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def relevance_regime(regime, m, rng):
+    """Scores of one kind: a softmax over M (r ~ 1/M), its log, U(0, 1),
+    or a few tied levels."""
+    if regime in ("softmax", "log_softmax"):
+        logits = rng.uniform(0.1, 3.0) * rng.standard_normal(m)
+        p = np.exp(logits - logits.max())
+        p /= p.sum()
+        return p if regime == "softmax" else np.log(p)
+    if regime == "uniform":
+        return rng.uniform(0.0, 1.0, m)
+    return rng.choice(rng.uniform(0.0, 1.0, int(rng.integers(1, 5))), m)
+
+
+SOLVER_CONFIGS = {
+    "default": CFG,
+    "newton_iters=1": RunConfig(newton_iters=1),  # falls back after one step
+    "clamp_margin=0": RunConfig(clamp_margin=0.0),  # bracket may miss the root
+}
+
+
+class TestThresholdBracketInvariant:
+    """Residual and bisection agreement over the gate's whole input range,
+    on the Newton path and on the two forced-fallback paths."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(1, 4096),
+        rho=st.floats(0.05, 1.0),
+        log_tau=st.floats(-2.0, 2.0),
+        regime=st.sampled_from(["softmax", "log_softmax", "uniform", "ties"]),
+        solver=st.sampled_from(sorted(SOLVER_CONFIGS)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_residual_and_bisection_agreement(self, m, rho, log_tau, regime, solver, seed):
+        cfg = SOLVER_CONFIGS[solver]
+        tau = 10.0**log_tau
+        r = relevance_regime(regime, m, np.random.default_rng(seed))
+        t, residual = find_threshold(r, rho, tau, cfg)
+        assert residual <= cfg.residual_tol * m
+        keep = sigmoid_values((r - t) / tau).sum()
+        assert residual == pytest.approx(abs(keep - rho * m), abs=1e-9 * m)
+        # The oracle only searches [min r - 10 tau, max r + 10 tau]; for
+        # rho within ~5e-5 of 1 the root lies below that bracket.
+        if sigmoid_values((r - (r.min() - 10 * tau)) / tau).sum() > rho * m:
+            assert abs(t - criterion_1_oracle(r, rho, tau)) <= 1e-9
+
+
+def relevance_stream(m=20_000, seed=0):
+    """Seeded-model relevance of a generated stream: a softmax over M."""
+    wl = generate_workload(WorkloadSpec(m=m, d=32, l=8, k=8), np.random.default_rng(seed))
+    return relevance(wl.x, wl.q, ScoringWeights.seeded(32, 4, 1, np.random.default_rng(seed)))
+
+
+class TestThresholdPassCount:
+    """Each sigmoid pass costs a full sweep over M; count them."""
+
+    @pytest.mark.parametrize("regime", ["raw", "log"])
+    def test_at_most_five_passes_without_fallback(self, monkeypatch, regime):
+        r = relevance_stream()
+        r = np.log(r) if regime == "log" else r
+        passes = 0
+
+        def counted(x):
+            nonlocal passes
+            passes += 1
+            return sigmoid_values(x)
+
+        def no_fallback(*args):
+            raise AssertionError("bisection fallback ran")
+
+        monkeypatch.setattr(gate, "sigmoid_values", counted)
+        monkeypatch.setattr(gate, "_bisect_threshold", no_fallback)
+        for rho in np.linspace(0.05, 0.5, 10):
+            passes = 0
+            _, residual = find_threshold(r, float(rho), CFG.tau_s, CFG)
+            assert residual <= CFG.residual_tol * r.size
+            assert passes <= 5, (rho, passes)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_relevance_rejected(self, bad):
+        r = np.random.default_rng(14).uniform(0, 1, 8)
+        r[3] = bad
+        with pytest.raises(ParameterError):
+            hard_top_n(r, 5)
+        with pytest.raises(ParameterError):
+            find_threshold(r, 0.25, 0.5, CFG)
+        with pytest.raises(ParameterError):
+            threshold_gradients(r, 0.25, 0.5, 0.5)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_temperature_rejected(self, tau):
+        with pytest.raises(ParameterError):
+            find_threshold(np.linspace(0, 1, 8), 0.25, tau, CFG)
 
 
 class TestThresholdGradients:
