@@ -30,7 +30,7 @@ from .harness import (
 )
 from .objective import DualState, PenaltyWeights, compute_penalties, dual_ascent, dual_penalty, total_loss
 from .reencoder import ReencoderStack, reencode
-from .scoring import AttentionMap, ScoringWeights, normalize_relevance, score
+from .scoring import ScoringWeights, normalize_relevance, score
 from .selector import (
     DiagnosticsRecord,
     SelectionResult,
@@ -44,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AblationVariant",
-    "AttentionMap",
     "BudgetDecision",
     "BudgetFeatures",
     "BudgetHead",

@@ -110,30 +110,6 @@ class Var:
             raise ShapeError(f"item() needs a single-entry matrix, got {self.value.shape}")
         return float(self.value[0, 0])
 
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __matmul__(self, other):
-        return matmul(self, _coerce(other))
-
-    def __neg__(self):
-        return smul(self, -1.0)
-
-
-def any_tracked(tensors) -> bool:
-    """Whether any of ``tensors`` is a Var recorded on a tape.
-
-    Callers with a tape-free kernel run it only when this is false, so
-    the kernel never has to produce gradients.
-    """
-    return any(isinstance(t, Var) and t.tape is not None for t in tensors)
-
 
 def const(x, name: str = "const") -> Var:
     """An untracked matrix constant."""
@@ -142,14 +118,6 @@ def const(x, name: str = "const") -> Var:
 
 def scalar(v: float) -> Var:
     return Var(np.array([[float(v)]]))
-
-
-def _coerce(x) -> Var:
-    if isinstance(x, Var):
-        return x
-    if np.isscalar(x):
-        return scalar(x)
-    return const(x)
 
 
 def apply(value: Array, inputs: tuple[Var, ...], backward: BackwardFn) -> Var:
@@ -450,17 +418,6 @@ def hcat(parts: Sequence[Var]) -> Var:
         return tuple(np.split(g, splits, axis=1))
 
     return apply(np.concatenate([p.value for p in parts], axis=1), parts, backward)
-
-
-def vcat(parts: Sequence[Var]) -> Var:
-    parts = tuple(parts)
-    heights = [p.shape[0] for p in parts]
-    splits = np.cumsum(heights)[:-1]
-
-    def backward(g):
-        return tuple(np.split(g, splits, axis=0))
-
-    return apply(np.concatenate([p.value for p in parts], axis=0), parts, backward)
 
 
 def straight_through(soft: Var, hard: Array) -> Var:

@@ -76,11 +76,14 @@ def find_threshold(
     A safeguarded Newton iteration (Numerical Recipes' ``rtsafe``).  It
     starts at the closed form t0 = mean(r) + tau_s*ln((1 - rho)/rho),
     the exact root when all scores are equal, clamped to the bracket
-    [lo, hi] = [min r - margin*tau, max r + margin*tau] (at rho = 1,
-    where t0 is -inf, at lo).  Every evaluation narrows the sign
+    [lo, hi] = [min r - max(margin, -o)*tau, max r + max(margin, o)*tau]
+    with o = ln((1 - rho)/rho), which holds the root.  At rho = 1
+    there is no finite root; t = min r - tau*ln(1/residual_tol) already
+    meets the residual and is returned.  Every evaluation narrows the sign
     bracket, and a Newton step that would leave it bisects it instead.
     The solve stops at the evaluated point once the residual is within
-    ``residual_tol*M`` and the next Newton step is below ``STEP_TOL``.
+    ``residual_tol*M`` and the next Newton step is below ``STEP_TOL``
+    (relative) or below the step that rounding in the residual causes.
     After ``newton_iters`` evaluations without that, a bisection of the
     narrowed bracket finishes the job (the residual is strictly
     decreasing in t).  Returns (t, |residual|).
@@ -96,12 +99,19 @@ def find_threshold(
 
     target = rho * m
     tol = cfg.residual_tol * m
-    lo = float(r.min()) - cfg.clamp_margin * tau_s
-    hi = float(r.max()) + cfg.clamp_margin * tau_s
+    if rho == 1.0:
+        # No finite root.  At this t each token's drop probability is
+        # sigmoid(ln residual_tol) < residual_tol, so the residual is in tol.
+        t = float(r.min()) - tau_s * math.log(1.0 / cfg.residual_tol)
+        return t, abs(_keep_sum(r, t, tau_s) - target)
+    # The root lies within tau_s*|ln((1 - rho)/rho)| outside [min r, max r]:
+    # the clamp bracket widens to reach it when rho is near 0 or 1.
+    log_odds = math.log((1.0 - rho) / rho)
+    lo = float(r.min()) - max(cfg.clamp_margin, -log_odds) * tau_s
+    hi = float(r.max()) + max(cfg.clamp_margin, log_odds) * tau_s
     lo_ok = hi_ok = False  # has an evaluation confirmed the bracket end's sign?
 
-    t = lo if rho == 1.0 else float(r.mean()) + tau_s * math.log((1.0 - rho) / rho)
-    t = min(max(t, lo), hi)
+    t = min(max(float(r.mean()) + tau_s * log_odds, lo), hi)
     for _ in range(cfg.newton_iters):
         s = sigmoid_values((r - t) / tau_s)
         keep = float(s.sum())
@@ -113,7 +123,10 @@ def find_threshold(
         slope = keep - float(s @ s)  # tau_s * |du/dt| = sum s_i(1 - s_i)
         if slope > SATURATION_GUARD:
             step = u * tau_s / slope
-            if abs(u) <= tol and abs(step) <= STEP_TOL * max(1.0, abs(t)):
+            # A nearly saturated gate has so flat a slope that u's rounding
+            # error (about eps*M) alone moves t by more than STEP_TOL.
+            noise = m * np.finfo(float).eps * tau_s / slope
+            if abs(u) <= tol and abs(step) <= max(STEP_TOL * max(1.0, abs(t)), noise):
                 return t, abs(u)
             t += step
         if not lo < t < hi:  # saturated, or Newton left the bracket

@@ -266,6 +266,10 @@ def train_desk_scale(
     fresh) so the per-epoch loss is comparable; gradients are clipped at
     a global norm.  Divergence (a non-finite loss) aborts with a
     diagnostic dump.
+
+    Neither loss term reaches the re-encoded rows z (the task loss reads
+    the soft gate, the penalty rho), so every re-encoder tensor gets a
+    gradient of exactly zero and stays at its seed.
     """
     params = model.parameters()
     velocity = {name: np.zeros_like(p) for name, p in params.items()}

@@ -1,8 +1,9 @@
-"""Transformer building blocks: RMSNorm, scaled dot-product multi-head
-attention, position-wise feed-forward, and absolute-time encodings.
+"""Transformer building blocks: weight containers for packed multi-head
+attention and the position-wise feed-forward, the RMSNorm stabilizer,
+and absolute-time encodings.
 
 Weight containers hold plain float64 arrays (or tape variables after
-``bind``); the forward functions accept either.
+``bind``); the scoring and re-encoder kernels accept either.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Array, Var
-from .errors import ConfigError, InputError, ShapeError
+from .errors import ConfigError, InputError
 
 EPS_NORM = 1e-6
 
@@ -36,17 +37,6 @@ def uniform_init(rng: np.random.Generator, rows: int, cols: int) -> Array:
     """Scaled-uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)]."""
     bound = 1.0 / math.sqrt(rows)
     return rng.uniform(-bound, bound, size=(rows, cols))
-
-
-def rmsnorm(x: Var | Array, gain: Tensor, eps: float = EPS_NORM) -> Var:
-    """Row-wise RMS normalization: out_ij = gain_j * x_ij / sqrt(mean_j(x_ij^2) + eps)."""
-    x = as_var(x)
-    gain = as_var(gain)
-    if gain.shape != (1, x.shape[1]):
-        raise ShapeError(f"rmsnorm gain {gain.shape} does not match row width {x.shape[1]}")
-    mean_sq = ad.row_means(ad.mul(x, x))
-    inv_rms = ad.pow_const(ad.add_const(mean_sq, eps), -0.5)
-    return ad.mul(ad.mul(x, inv_rms), gain)
 
 
 def time_encode(timestamps, d: int) -> Array:
@@ -121,58 +111,6 @@ class AttentionWeights:
         )
 
 
-def attention_heads(
-    q_in: Var,
-    kv_in: Var,
-    wq: Tensor,
-    wk: Tensor,
-    heads: int,
-) -> Iterator[tuple[Array, Var]]:
-    """Per-head maps softmax((q_in W_q^h)(kv_in W_k^h)^T / sqrt(d_h)).
-
-    Yields (columns, map) for each head h in turn, ``columns`` being the
-    packed columns h*d_h:(h+1)*d_h that head owns, so a caller can finish
-    one head's work before the next map is built.  The one attention
-    kernel: ``multi_head_attention`` and ``scoring.score`` both use it.
-    """
-    d = q_in.shape[1]
-    if kv_in.shape[1] != d:
-        raise ShapeError(f"query dim {d} vs key/value dim {kv_in.shape[1]}")
-    if d % heads != 0:
-        raise ConfigError(f"model dim {d} not divisible by {heads} heads")
-    wq, wk = as_var(wq), as_var(wk)
-    d_h = wq.shape[1] // heads
-    for h in range(heads):
-        cols = np.arange(h * d_h, (h + 1) * d_h)
-        q = ad.matmul(q_in, ad.take_cols(wq, cols))
-        k = ad.matmul(kv_in, ad.take_cols(wk, cols))
-        logits = ad.smul(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(d_h))
-        yield cols, ad.softmax_rows(logits, 1.0)
-
-
-def multi_head_attention(
-    q_in: Var | Array,
-    kv_in: Var | Array,
-    w: AttentionWeights,
-) -> tuple[Var, list[Var]]:
-    """Scaled dot-product attention of q_in rows over kv_in rows.
-
-    Returns the projected output (same row count as q_in) and the
-    per-head attention maps.  Self-attention is the kv_in == q_in case.
-    """
-    q_in = as_var(q_in)
-    kv_in = as_var(kv_in)
-    wv = as_var(w.wv)
-    attn_maps: list[Var] = []
-    head_outs: list[Var] = []
-    for cols, attn in attention_heads(q_in, kv_in, w.wq, w.wk, w.heads):
-        attn_maps.append(attn)
-        head_outs.append(ad.matmul(attn, ad.matmul(kv_in, ad.take_cols(wv, cols))))
-    merged = head_outs[0] if len(head_outs) == 1 else ad.hcat(head_outs)
-    out = ad.matmul(merged, as_var(w.wo))
-    return out, attn_maps
-
-
 @dataclass
 class FeedForwardWeights:
     """Two-layer position-wise transform, hidden width 4*d, SiLU activation."""
@@ -205,17 +143,3 @@ class FeedForwardWeights:
             w2=fn(f"{prefix}.w2", self.w2),
             b2=fn(f"{prefix}.b2", self.b2),
         )
-
-
-def silu(x: Var) -> Var:
-    return ad.mul(x, ad.sigmoid(x))
-
-
-def feed_forward(x: Var | Array, w: FeedForwardWeights) -> Var:
-    """Shape-preserving position-wise feed-forward block."""
-    x = as_var(x)
-    w1, b1, w2, b2 = as_var(w.w1), as_var(w.b1), as_var(w.w2), as_var(w.b2)
-    if x.shape[1] != w1.shape[0]:
-        raise ShapeError(f"feed_forward input width {x.shape[1]} vs {w1.shape[0]}")
-    hidden = silu(ad.add(ad.matmul(x, w1), b1))
-    return ad.add(ad.matmul(hidden, w2), b2)

@@ -2,11 +2,9 @@
 
 Queries come from the text stream, keys from the visual stream; the
 per-token relevance is the maximum attention weight any head at any
-query position places on that token.
-
-``score`` runs on the gradient tape and returns the attention maps;
-``relevance`` computes the same r without the tape, streaming the tokens
-in chunks so its memory does not grow with heads x query length x M.
+query position places on that token.  ``score`` streams the tokens in
+chunks, so its memory does not grow with heads x query length x M, for
+inference and training alike.
 """
 
 from __future__ import annotations
@@ -20,42 +18,16 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Array, Var
 from .errors import InputError, ShapeError
-from .layers import AttentionWeights, MapFn, Tensor, as_var, attention_heads
+from .layers import AttentionWeights, MapFn, Tensor, as_var
 
 # Stabilizer in the relevance normalization p_i = r_i / (sum_j r_j + EPS_REL).
 EPS_REL = 1e-8
 
-# Tokens per chunk in ``relevance``.  A chunk's logits take heads*L*chunk
+# Tokens per chunk in ``score``.  A chunk's logits take heads*L*chunk
 # floats (4 MiB at 4 heads x 16 query rows); smaller chunks pay the BLAS
 # call overhead more often (2048 rows ran ~1.35x slower at M = 180k, 4 heads
 # x 16 rows, 2-vCPU x86 with OpenBLAS 0.3.31).
 RELEVANCE_CHUNK = 8192
-
-
-@dataclass
-class AttentionMap:
-    """Per-head attention weights, shape (heads, query_len, token_count)."""
-
-    weights: Array
-
-    @property
-    def heads(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def query_len(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def token_count(self) -> int:
-        return self.weights.shape[2]
-
-    def validate(self, atol: float = 1e-9) -> None:
-        if np.any(self.weights < 0) or np.any(self.weights > 1):
-            raise InputError("attention weights outside [0, 1]")
-        sums = self.weights.sum(axis=2)
-        if np.any(np.abs(sums - 1.0) > atol):
-            raise InputError("attention rows do not sum to 1")
 
 
 @dataclass
@@ -111,27 +83,31 @@ class ScoringWeights:
         )
 
 
-def score(x: Var | Array, q: Var | Array, w: ScoringWeights) -> tuple[AttentionMap, Var]:
-    """Score visual tokens against the query.
+def score(x: Var | Array, q: Var | Array, w: ScoringWeights) -> Var:
+    """Relevance r in [0, 1]^M of every visual token, a (1, M) row.
 
-    Returns the final layer's attention map and the relevance row vector
-    r in [0, 1]^M, r_i = max over heads and query positions of the
-    attention weight on token i.  Ties route the gradient to the first
-    maximal (head-major, then query-position) slot.
+    r_i is the largest attention weight any head at any query position
+    places on token i.  Every layer before the last only feeds
+    hcat(x W_v^h) W_o forward, which is linear, so the final-layer
+    logits of all (head, query) pairs are x @ A.T for one (heads*L, d)
+    matrix A, built from q and the weights by a few small tape
+    operations.  Pass 1 streams row chunks of x and keeps a running max
+    and sum-exp per (head, query) row (online softmax, arXiv
+    1805.02867), giving its log-sum-exp lse.  Pass 2 recomputes each
+    chunk and takes r_i = exp(max_{h,l}(logit - lse)): one exp per
+    token, O(RELEVANCE_CHUNK * heads * L) memory, no attention map.
+
+    When x or A is tracked, the M-sized part records one tape operation
+    that keeps only lse.  Its backward recomputes each chunk's logits
+    twice, routing token i's adjoint to its first maximal (head-major,
+    then query-position) row.  Raw arrays are checked for finiteness
+    here; Vars are not rescanned (``select`` passes x and q already
+    checked at its boundary).
     """
     x = as_var(x)
     q = as_var(q)
     _check_streams(x.value, q.value)
-
-    keys = x
-    for wv, wo in w.carry:
-        keys = ad.matmul(ad.matmul(keys, as_var(wv)), as_var(wo))
-    attn_vars = [attn for _, attn in attention_heads(q, keys, w.wq, w.wk, w.heads)]
-
-    stacked = attn_vars[0] if len(attn_vars) == 1 else ad.vcat(attn_vars)
-    relevance = ad.colmax(stacked)
-    amap = AttentionMap(np.stack([a.value for a in attn_vars], axis=0))
-    return amap, relevance
+    return _max_attention(x, _logit_matrix(q, w))
 
 
 def _check_streams(x: Array, q: Array) -> None:
@@ -141,37 +117,47 @@ def _check_streams(x: Array, q: Array) -> None:
         raise ShapeError(f"query dim {q.shape[1]} does not match token dim {x.shape[1]}")
 
 
-def relevance(x: Var | Array, q: Var | Array, w: ScoringWeights) -> Array:
-    """Tape-free relevance r in [0, 1]^M, equal to ``score``'s up to rounding.
+def _logit_matrix(q: Var, w: ScoringWeights) -> Var:
+    """The (heads*L, d) matrix A whose product with token row x_i gives
+    token i's final-layer logits for every (head, query) pair, head-major.
 
-    Every layer before the last only feeds hcat(x W_v^h) W_o forward,
-    which is linear, so the final-layer logits of all (head, query)
-    pairs are x @ A.T for one (heads*L, d) matrix A.  Pass 1 streams row
-    chunks of x and keeps a running max and sum-exp per (head, query)
-    row (online softmax, arXiv 1805.02867), giving its log-sum-exp lse.
-    Pass 2 recomputes each chunk and takes r_i = exp(max_{h,l}(logit -
-    lse)): one exp per token, O(RELEVANCE_CHUNK * heads * L) memory.
-    Raw arrays are checked for finiteness here; Vars are not rescanned
-    (``select`` passes x and q already checked at its boundary).
+    Row (h, l) is query row l projected by W_q, zeroed outside head h's
+    columns, times the key projection: the zeros let one product serve
+    every head.
     """
-    x = as_var(x).value
-    q = as_var(q).value
-    _check_streams(x, q)
+    wq, keys = as_var(w.wq), as_var(w.wk)
+    if wq.shape[0] != q.shape[1]:
+        raise ShapeError(f"token dim {q.shape[1]} does not match scoring weights {wq.shape}")
+    for wv, wo in reversed(w.carry):  # x -> final-layer keys
+        keys = ad.matmul(ad.matmul(as_var(wv), as_var(wo)), keys)
+    d_h = wq.shape[1] // w.heads
+    rows = np.tile(np.arange(q.shape[0]), w.heads)
+    own = np.kron(np.eye(w.heads), np.ones((q.shape[0], d_h)))  # head h's columns
+    per_head = ad.mul(ad.take_rows(ad.matmul(q, wq), rows), ad.const(own))
+    return ad.smul(ad.matmul(per_head, ad.transpose(keys)), 1.0 / math.sqrt(d_h))
+
+
+def _chunks(x: Array, a: Array) -> Iterator[tuple[slice, Array]]:
+    """(rows, a @ x[rows].T) over the stream, a fresh logits array each.
+
+    Every chunk has RELEVANCE_CHUNK rows unless the whole stream is
+    shorter (the last one overlaps its predecessor and drops the
+    repeated columns): each token's logits then come from a GEMM of one
+    shape, so identical tokens tie exactly.
+    """
     m = x.shape[0]
-    a = _logit_matrix(q, w)
+    for start in range(0, m, RELEVANCE_CHUNK):
+        lo = max(0, min(start, m - RELEVANCE_CHUNK))
+        logits = (a @ x[lo : lo + RELEVANCE_CHUNK].T)[:, start - lo :]
+        yield slice(start, start + logits.shape[1]), logits
 
-    def chunks() -> Iterator[tuple[int, Array]]:
-        # Every chunk has RELEVANCE_CHUNK rows unless the whole stream is
-        # shorter (the last one overlaps its predecessor and drops the
-        # repeated columns): each token's logits then come from a GEMM of
-        # one shape, so identical tokens tie exactly.
-        for start in range(0, m, RELEVANCE_CHUNK):
-            lo = max(0, min(start, m - RELEVANCE_CHUNK))
-            yield start, (a @ x[lo : lo + RELEVANCE_CHUNK].T)[:, start - lo :]
 
-    run_max = np.full(a.shape[0], -np.inf)
-    run_sum = np.zeros(a.shape[0])
-    for _, logits in chunks():
+def _max_attention(x: Var, a: Var) -> Var:
+    """r_i = max_k softmax_i(a @ x.T)[k, i], streamed; see ``score``."""
+    xv, av = x.value, a.value
+    run_max = np.full(av.shape[0], -np.inf)
+    run_sum = np.zeros(av.shape[0])
+    for _, logits in _chunks(xv, av):
         new_max = np.maximum(run_max, logits.max(axis=1))
         logits -= new_max[:, None]
         np.exp(logits, out=logits)
@@ -179,30 +165,35 @@ def relevance(x: Var | Array, q: Var | Array, w: ScoringWeights) -> Array:
         run_max = new_max
     lse = run_max + np.log(run_sum)
 
-    r = np.empty(m)
-    for start, logits in chunks():
+    r = np.empty(xv.shape[0])
+    for rows, logits in _chunks(xv, av):
         logits -= lse[:, None]
-        r[start : start + logits.shape[1]] = logits.max(axis=0)
-    return np.exp(r, out=r)
+        r[rows] = logits.max(axis=0)
+    np.exp(r, out=r)
 
+    def backward(g):
+        # With p = softmax rows and k_i token i's max row, dr_i/dlogit[k, j]
+        # = r_i (delta_ij - p[k, j]) for k = k_i, so the logit adjoint is
+        # G[k, j] = [k_j = k] g_j r_j - p[k, j] c_k, c_k = sum_{k_i = k} g_i r_i.
+        gr = g.ravel() * r
+        c = np.zeros(av.shape[0])
+        for rows, logits in _chunks(xv, av):
+            logits -= lse[:, None]
+            c += np.bincount(logits.argmax(axis=0), gr[rows], c.size)
+        da = np.zeros_like(av)
+        dx = None if x.nid is None else np.empty_like(xv)
+        for rows, logits in _chunks(xv, av):
+            logits -= lse[:, None]
+            top = logits.argmax(axis=0)
+            np.exp(logits, out=logits)
+            logits *= -c[:, None]
+            logits[top, np.arange(top.size)] += gr[rows]
+            da += logits @ xv[rows]
+            if dx is not None:
+                dx[rows] = logits.T @ av
+        return dx, da
 
-def _logit_matrix(q: Array, w: ScoringWeights) -> Array:
-    """The (heads*L, d) matrix A whose product with token row x_i gives
-    token i's final-layer logits for every (head, query) pair, head-major."""
-    wq, wk = as_var(w.wq).value, as_var(w.wk).value
-    if wq.shape[0] != q.shape[1]:
-        raise ShapeError(f"token dim {q.shape[1]} does not match scoring weights {wq.shape}")
-    proj = None  # x -> final-layer key source; None is the identity
-    for wv, wo in w.carry:
-        step = as_var(wv).value @ as_var(wo).value
-        proj = step if proj is None else proj @ step
-    d_h = wq.shape[1] // w.heads
-    blocks = []
-    for h in range(w.heads):
-        cols = slice(h * d_h, (h + 1) * d_h)
-        keys = wk[:, cols] if proj is None else proj @ wk[:, cols]
-        blocks.append(((q @ wq[:, cols]) @ keys.T) * (1.0 / math.sqrt(d_h)))
-    return np.vstack(blocks)
+    return ad.apply(r.reshape(1, -1), (x, a), backward)
 
 
 def normalize_relevance(r) -> tuple[Array, float]:

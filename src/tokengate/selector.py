@@ -37,8 +37,8 @@ from .errors import (
 )
 from .gate import hard_top_n, sample_gumbel_pairs, soft_gate_apply, threshold_var
 from .layers import MapFn, Tensor, as_var
-from .reencoder import ReencoderStack, reencode, reencode_values
-from .scoring import ScoringWeights, relevance, score
+from .reencoder import ReencoderStack, reencode
+from .scoring import ScoringWeights, score
 
 
 @dataclass
@@ -155,12 +155,7 @@ def select(
     exactly n = max(1, min(ceil(rho*M), n_max, M)) tokens via hard
     Top-n.  Both modes preserve original token order and re-encode the
     kept tokens with their absolute timestamps.  Train mode needs an
-    ``rng`` for the Gumbel noise.  When neither the inputs nor the
-    scoring weights are tape-tracked, relevance comes from the tape-free
-    ``relevance`` kernel instead of ``score``; when neither the kept rows
-    nor the re-encoder weights are, z comes from ``reencode_values``
-    instead of ``reencode`` (equal to it within 1e-12 in the tests).  A
-    model bound to a tape takes both tape paths.
+    ``rng`` for the Gumbel noise.
 
     Every timestamp, kept or not, must be a finite, nonnegative number of
     seconds (``InputError`` otherwise).  Timestamps need not be sorted:
@@ -181,11 +176,7 @@ def select(
     if not np.all(np.isfinite(ts)) or np.any(ts < 0):
         raise InputError("timestamps must be finite, nonnegative seconds")
 
-    scoring_inputs = [x_var, q_var, *(t for _, t in model.scoring.named_tensors())]
-    if ad.any_tracked(scoring_inputs):
-        _, r_var = score(x_var, q_var, model.scoring)
-    else:
-        r_var = Var(relevance(x_var, q_var, model.scoring).reshape(1, -1))
+    r_var = score(x_var, q_var, model.scoring)
     features = extract_features(q_var, r_var, m)
     rho_var = predict_rho(features, model.budget)
     rho = rho_var.item()
@@ -205,10 +196,7 @@ def select(
         idx = mask.indices
         z_sel = ad.take_rows(x_var, idx)
 
-    if ad.any_tracked([z_sel, *(t for _, t in model.reencoder.named_tensors())]):
-        z_var = reencode(z_sel, ts[idx], model.reencoder)
-    else:
-        z_var = Var(reencode_values(z_sel.value, ts[idx], model.reencoder))
+    z_var = reencode(z_sel, ts[idx], model.reencoder)
 
     r_values = r_var.value.ravel()
     record = DiagnosticsRecord(

@@ -1,0 +1,161 @@
+"""Tape compositions of the scoring and re-encoder forwards: test oracles.
+
+``tokengate.scoring.score`` and ``tokengate.reencoder.reencode`` are
+streaming kernels with hand-written backward passes.  The functions here
+compute the same quantities from the tape's primitive operations, with
+every attention map built in full, so the tape derives their gradients
+on its own.  The tests hold the kernels' values and gradients to these,
+and these to central finite differences.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Iterator, Sequence
+
+import numpy as np
+
+from tokengate import autodiff as ad
+from tokengate.autodiff import Array, Var
+from tokengate.errors import ConfigError, InputError, ShapeError
+from tokengate.layers import (
+    EPS_NORM,
+    AttentionWeights,
+    FeedForwardWeights,
+    Tensor,
+    as_var,
+    time_encode,
+)
+from tokengate.reencoder import ReencoderStack
+from tokengate.scoring import ScoringWeights
+
+
+def vcat(parts: Sequence[Var]) -> Var:
+    """Row-wise concatenation."""
+    parts = tuple(parts)
+    splits = np.cumsum([p.shape[0] for p in parts])[:-1]
+
+    def backward(g):
+        return tuple(np.split(g, splits, axis=0))
+
+    return ad.apply(np.concatenate([p.value for p in parts], axis=0), parts, backward)
+
+
+@dataclass
+class AttentionMap:
+    """Per-head attention weights, shape (heads, query_len, token_count)."""
+
+    weights: Array
+
+    @property
+    def heads(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def query_len(self) -> int:
+        return self.weights.shape[1]
+
+    @property
+    def token_count(self) -> int:
+        return self.weights.shape[2]
+
+    def validate(self, atol: float = 1e-9) -> None:
+        if np.any(self.weights < 0) or np.any(self.weights > 1):
+            raise InputError("attention weights outside [0, 1]")
+        sums = self.weights.sum(axis=2)
+        if np.any(np.abs(sums - 1.0) > atol):
+            raise InputError("attention rows do not sum to 1")
+
+
+def attention_heads(
+    q_in: Var, kv_in: Var, wq: Tensor, wk: Tensor, heads: int
+) -> Iterator[tuple[Array, Var]]:
+    """Per-head maps softmax((q_in W_q^h)(kv_in W_k^h)^T / sqrt(d_h)),
+    yielded as (packed columns of head h, map)."""
+    d = q_in.shape[1]
+    if kv_in.shape[1] != d:
+        raise ShapeError(f"query dim {d} vs key/value dim {kv_in.shape[1]}")
+    if d % heads != 0:
+        raise ConfigError(f"model dim {d} not divisible by {heads} heads")
+    wq, wk = as_var(wq), as_var(wk)
+    d_h = wq.shape[1] // heads
+    for h in range(heads):
+        cols = np.arange(h * d_h, (h + 1) * d_h)
+        q = ad.matmul(q_in, ad.take_cols(wq, cols))
+        k = ad.matmul(kv_in, ad.take_cols(wk, cols))
+        logits = ad.smul(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(d_h))
+        yield cols, ad.softmax_rows(logits, 1.0)
+
+
+def score(x, q, w: ScoringWeights) -> tuple[AttentionMap, Var]:
+    """The final layer's attention map and r = colmax of the stacked maps;
+    ties route the gradient to the first maximal (head, query) row."""
+    x = as_var(x)
+    q = as_var(q)
+    if x.shape[0] == 0 or q.shape[0] == 0:
+        raise InputError("scoring requires nonempty visual and query streams")
+    keys = x
+    for wv, wo in w.carry:
+        keys = ad.matmul(ad.matmul(keys, as_var(wv)), as_var(wo))
+    maps = [attn for _, attn in attention_heads(q, keys, w.wq, w.wk, w.heads)]
+    r = ad.colmax(maps[0] if len(maps) == 1 else vcat(maps))
+    return AttentionMap(np.stack([a.value for a in maps], axis=0)), r
+
+
+def multi_head_attention(q_in, kv_in, w: AttentionWeights) -> tuple[Var, list[Var]]:
+    """Attention of q_in rows over kv_in rows: (projected output, per-head maps)."""
+    q_in = as_var(q_in)
+    kv_in = as_var(kv_in)
+    wv = as_var(w.wv)
+    maps: list[Var] = []
+    outs: list[Var] = []
+    for cols, attn in attention_heads(q_in, kv_in, w.wq, w.wk, w.heads):
+        maps.append(attn)
+        outs.append(ad.matmul(attn, ad.matmul(kv_in, ad.take_cols(wv, cols))))
+    merged = outs[0] if len(outs) == 1 else ad.hcat(outs)
+    return ad.matmul(merged, as_var(w.wo)), maps
+
+
+def rmsnorm(x, gain: Tensor, eps: float = EPS_NORM) -> Var:
+    """out_ij = gain_j * x_ij / sqrt(mean_j(x_ij^2) + eps)."""
+    x = as_var(x)
+    gain = as_var(gain)
+    if gain.shape != (1, x.shape[1]):
+        raise ShapeError(f"rmsnorm gain {gain.shape} does not match row width {x.shape[1]}")
+    mean_sq = ad.row_means(ad.mul(x, x))
+    inv_rms = ad.pow_const(ad.add_const(mean_sq, eps), -0.5)
+    return ad.mul(ad.mul(x, inv_rms), gain)
+
+
+def silu(x: Var) -> Var:
+    return ad.mul(x, ad.sigmoid(x))
+
+
+def feed_forward(x, w: FeedForwardWeights) -> Var:
+    """Position-wise SiLU feed-forward."""
+    x = as_var(x)
+    w1, b1, w2, b2 = as_var(w.w1), as_var(w.b1), as_var(w.w2), as_var(w.b2)
+    if x.shape[1] != w1.shape[0]:
+        raise ShapeError(f"feed_forward input width {x.shape[1]} vs {w1.shape[0]}")
+    hidden = silu(ad.add(ad.matmul(x, w1), b1))
+    return ad.add(ad.matmul(hidden, w2), b2)
+
+
+def reencode(z, timestamps, stack: ReencoderStack, add_time: bool = True) -> Var:
+    """The re-encoder as a tape graph of pre-norm residual blocks."""
+    z = as_var(z)
+    if stack.depth == 0:
+        return z
+    n, d = z.shape
+    ts = np.asarray(timestamps, dtype=np.float64).ravel()
+    if ts.size != n:
+        raise ShapeError(f"{ts.size} timestamps for {n} kept tokens")
+    if add_time:
+        z = ad.add(z, ad.const(time_encode(ts, d)))
+    for block in stack.blocks:
+        normed = rmsnorm(z, block.gain_attn)
+        attn_out, _ = multi_head_attention(normed, normed, block.attn)
+        z = ad.add(z, attn_out)
+        z = ad.add(z, feed_forward(rmsnorm(z, block.gain_ffn), block.ffn))
+    return z

@@ -120,7 +120,7 @@ def test_criterion_3_monotone_gate():
 def _soft_pipeline_loss(model, x_var, q_var, timestamps, noise, kept, probe, gate_cfg):
     """The differentiable surrogate the straight-through estimator trains:
     soft keep probabilities scale the kept rows before re-encoding."""
-    _, r = score(x_var, q_var, model.scoring)
+    r = score(x_var, q_var, model.scoring)
     feats = extract_features(q_var, r, x_var.shape[0])
     rho = predict_rho(feats, model.budget)
     t = threshold_var(r, rho, gate_cfg.tau_s, gate_cfg)

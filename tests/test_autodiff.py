@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import rel_err, tape_vs_fd
+from oracles import vcat
 from tokengate import autodiff as ad
 from tokengate.autodiff import Tape, Var, as_matrix, finite_difference_gradient
 from tokengate.errors import InputError, NumericError, ParameterError, ShapeError
@@ -258,7 +259,7 @@ def test_concat_gradients_match_fd():
         return _weighted_sum(np.random.default_rng(0), ad.hcat([v, ad.const(other)]))
 
     def build_v(v):
-        return _weighted_sum(np.random.default_rng(0), ad.vcat([v, ad.const(vother)]))
+        return _weighted_sum(np.random.default_rng(0), vcat([v, ad.const(vother)]))
 
     for build in (build_h, build_v):
         analytic, numeric = tape_vs_fd(build, x0)

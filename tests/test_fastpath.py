@@ -1,8 +1,8 @@
-"""The tape-free inference path against the tape path it replaces.
+"""The streaming kernels against the tape compositions in ``oracles``.
 
-``relevance`` must agree with ``score``, ``reencode_values`` with
-``reencode``, and ``select`` on an unbound model (tape-free scoring and
-re-encoding) with the same model bound to a tape (the tape paths).
+``score`` must agree with ``oracles.score``, ``reencode`` with
+``oracles.reencode``, and ``select`` on an unbound model with the same
+model bound to a tape.
 ``hard_top_n`` must agree with a full stable sort, and ``sigmoid_values``
 bit for bit with the masked two-branch form it replaced.
 """
@@ -12,13 +12,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from tokengate import scoring
 from tokengate.autodiff import Tape, sigmoid_values
 from tokengate.config import RunConfig
 from tokengate.errors import InputError, ShapeError
 from tokengate.gate import hard_top_n
-from tokengate.reencoder import ReencoderStack, reencode, reencode_values
-from tokengate.scoring import ScoringWeights, relevance, score
+from tokengate.reencoder import ReencoderStack, reencode
+from tokengate.scoring import ScoringWeights, score
 from tokengate.selector import SelectorModel, select
 
 TOL = 1e-12
@@ -40,8 +41,8 @@ class TestRelevanceMatchesScore:
         w = ScoringWeights.seeded(8, heads, depth, rng)
         for _ in range(60):
             x, q = _fuzz_instance(rng)
-            _, r_tape = score(x, q, w)
-            np.testing.assert_allclose(relevance(x, q, w), r_tape.value.ravel(), rtol=0, atol=TOL)
+            _, r_tape = oracles.score(x, q, w)
+            np.testing.assert_allclose(score(x, q, w).value.ravel(), r_tape.value.ravel(), rtol=0, atol=TOL)
 
     def test_chunk_boundaries(self, monkeypatch):
         """Streams spanning many chunks, including a ragged last chunk."""
@@ -50,13 +51,13 @@ class TestRelevanceMatchesScore:
         w = ScoringWeights.seeded(8, 2, 2, rng)
         for _ in range(60):
             x, q = _fuzz_instance(rng)
-            _, r_tape = score(x, q, w)
-            np.testing.assert_allclose(relevance(x, q, w), r_tape.value.ravel(), rtol=0, atol=TOL)
+            _, r_tape = oracles.score(x, q, w)
+            np.testing.assert_allclose(score(x, q, w).value.ravel(), r_tape.value.ravel(), rtol=0, atol=TOL)
 
     def test_single_token_gets_full_relevance(self):
         rng = np.random.default_rng(1200)
         w = ScoringWeights.seeded(8, 4, 2, rng)
-        r = relevance(rng.standard_normal((1, 8)), rng.standard_normal((3, 8)), w)
+        r = score(rng.standard_normal((1, 8)), rng.standard_normal((3, 8)), w).value.ravel()
         np.testing.assert_array_equal(r, [1.0])
 
     @pytest.mark.parametrize("chunk", [3, scoring.RELEVANCE_CHUNK])
@@ -68,22 +69,22 @@ class TestRelevanceMatchesScore:
         for m in (3, 7, 48):
             x = np.tile(rng.standard_normal((1, 8)), (m, 1))
             q = rng.standard_normal((2, 8))
-            r = relevance(x, q, w)
+            r = score(x, q, w).value.ravel()
             assert np.all(r == r[0])
-            _, r_tape = score(x, q, w)
+            _, r_tape = oracles.score(x, q, w)
             np.testing.assert_allclose(r, r_tape.value.ravel(), rtol=0, atol=TOL)
             np.testing.assert_array_equal(hard_top_n(r, 3).indices, [0, 1, 2])
 
     def test_empty_and_mismatched_inputs_rejected(self):
         w = ScoringWeights.seeded(8, 2, 1, np.random.default_rng(1400))
         with pytest.raises(InputError):
-            relevance(np.zeros((0, 8)), np.ones((2, 8)), w)
+            score(np.zeros((0, 8)), np.ones((2, 8)), w).value.ravel()
         with pytest.raises(InputError):
-            relevance(np.ones((2, 8)), np.zeros((0, 8)), w)
+            score(np.ones((2, 8)), np.zeros((0, 8)), w).value.ravel()
         with pytest.raises(ShapeError):
-            relevance(np.ones((2, 8)), np.ones((2, 6)), w)
+            score(np.ones((2, 8)), np.ones((2, 6)), w).value.ravel()
         with pytest.raises(ShapeError):
-            relevance(np.ones((2, 6)), np.ones((2, 6)), w)
+            score(np.ones((2, 6)), np.ones((2, 6)), w).value.ravel()
 
 
 class TestSelectMatchesTapePath:
@@ -138,8 +139,8 @@ def _reencode_case(case, rng):
 def test_reencode_values_matches_tape(case):
     z, ts, stack = _reencode_case(case, np.random.default_rng(1700))
     z_before = z.copy()
-    got = reencode_values(z, ts, stack)
-    np.testing.assert_allclose(got, reencode(z, ts, stack).value, rtol=0, atol=TOL)
+    got = reencode(z, ts, stack).value
+    np.testing.assert_allclose(got, oracles.reencode(z, ts, stack).value, rtol=0, atol=TOL)
     np.testing.assert_array_equal(z, z_before)
     if case == "tied_rows":
         assert np.all(got == got[0])

@@ -15,7 +15,7 @@ from tokengate.autodiff import Tape, finite_difference_gradient, sigmoid_values
 from tokengate.config import RunConfig
 from tokengate.errors import ParameterError
 from tokengate.harness import WorkloadSpec, generate_workload
-from tokengate.scoring import ScoringWeights, relevance
+from tokengate.scoring import ScoringWeights, score
 from tokengate.gate import (
     find_threshold,
     hard_top_n,
@@ -156,7 +156,7 @@ class TestThresholdBracketInvariant:
 def relevance_stream(m=20_000, seed=0):
     """Seeded-model relevance of a generated stream: a softmax over M."""
     wl = generate_workload(WorkloadSpec(m=m, d=32, l=8, k=8), np.random.default_rng(seed))
-    return relevance(wl.x, wl.q, ScoringWeights.seeded(32, 4, 1, np.random.default_rng(seed)))
+    return score(wl.x, wl.q, ScoringWeights.seeded(32, 4, 1, np.random.default_rng(seed))).value.ravel()
 
 
 class TestThresholdPassCount:
@@ -183,6 +183,23 @@ class TestThresholdPassCount:
             _, residual = find_threshold(r, float(rho), CFG.tau_s, CFG)
             assert residual <= CFG.residual_tol * r.size
             assert passes <= 5, (rho, passes)
+
+    @pytest.mark.parametrize("rho", [0.99999, 1.0])
+    def test_rho_near_one_in_few_passes(self, monkeypatch, rho):
+        """At rho = 0.99999 the root lies below min r - clamp_margin*tau_s,
+        and at rho = 1 there is none: both once took 50+ passes."""
+        r = np.random.default_rng(15).uniform(0.0, 1.0, 1000)
+        passes = 0
+
+        def counted(x):
+            nonlocal passes
+            passes += 1
+            return sigmoid_values(x)
+
+        monkeypatch.setattr(gate, "sigmoid_values", counted)
+        _, residual = find_threshold(r, rho, 0.5, CFG)
+        assert residual <= CFG.residual_tol * r.size
+        assert passes <= 8, passes
 
 
 class TestNonFiniteInputs:

