@@ -181,17 +181,23 @@ def threshold_gradients(r, rho: float, t: float, tau_s: float) -> tuple[float, A
     return dt_drho, dt_dr
 
 
-def threshold_var(r: Var, rho: Var, tau_s: float, cfg: RunConfig = RunConfig()) -> Var:
-    """Tape-aware threshold solve; backward uses the implicit gradients."""
+def threshold_var(
+    r: Var, rho: Var, tau_s: float, cfg: RunConfig = RunConfig()
+) -> tuple[Var, float]:
+    """Tape-aware threshold solve; backward uses the implicit gradients.
+
+    Returns (t, |residual|), the residual as ``find_threshold`` evaluated
+    it at the returned t.
+    """
     r_values = r.value.ravel()
-    t, _ = find_threshold(r_values, rho.item(), tau_s, cfg)
+    t, residual = find_threshold(r_values, rho.item(), tau_s, cfg)
 
     def backward(g):
         dt_drho, dt_dr = threshold_gradients(r_values, rho.item(), t, tau_s)
         g0 = g[0, 0]
         return (g0 * dt_dr.reshape(1, -1), np.array([[g0 * dt_drho]]))
 
-    return ad.apply(np.array([[t]]), (r, rho), backward)
+    return ad.apply(np.array([[t]]), (r, rho), backward), residual
 
 
 def sample_gumbel_pairs(m: int, rng: np.random.Generator) -> Array:

@@ -258,7 +258,7 @@ def train_desk_scale(
     dual: DualState | None = None,
     seed: int = 0,
 ) -> tuple[SelectorModel, list[EpochStats]]:
-    """SGD-with-momentum training of the full differentiable path.
+    """SGD-with-momentum training of the scoring and budget tensors.
 
     Per instance the loss is the planted-mass task loss plus the
     compute-aware penalty on rho (batch expectation is the arithmetic
@@ -267,11 +267,15 @@ def train_desk_scale(
     a global norm.  Divergence (a non-finite loss) aborts with a
     diagnostic dump.
 
-    Neither loss term reaches the re-encoded rows z (the task loss reads
-    the soft gate, the penalty rho), so every re-encoder tensor gets a
-    gradient of exactly zero and stays at its seed.
+    Each step selects with the re-encoder removed: neither loss term
+    reads the re-encoded rows z (the task loss reads the soft gate, the
+    penalty rho), so the re-encoder would only add zero gradients, and
+    its tensors are returned as they came in.  Training the re-encoder
+    needs a loss that reads ``z_var`` from a ``select`` on the full
+    bound model.
     """
-    params = model.parameters()
+    trainable = model.without_reencoder()
+    params = trainable.parameters()
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
     pool = [
         generate_workload(spec, np.random.default_rng([seed, item]))
@@ -286,7 +290,7 @@ def train_desk_scale(
         for item, wl in enumerate(pool):
             rng = np.random.default_rng([seed, epoch, item])
             tape = Tape()
-            bound, tracked = model.with_parameters(params).bind(tape)
+            bound, tracked = trainable.with_parameters(params).bind(tape)
             res = select(bound, wl.x, wl.timestamps, wl.q, mode="train", rng=rng)
             task = planted_mass_loss(res, wl.planted)
             loss = total_loss(
@@ -328,7 +332,7 @@ def train_desk_scale(
                 mean_n=float(np.mean(kept)),
             )
         )
-    return model.with_parameters(params), trajectory
+    return model.with_parameters({**model.parameters(), **params}), trajectory
 
 
 # ---------------------------------------------------------------------------

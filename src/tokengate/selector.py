@@ -181,7 +181,7 @@ def select(
     rho_var = predict_rho(features, model.budget)
     rho = rho_var.item()
     n_target = compute_budget(rho, m, model.cfg.n_max)
-    t_var = threshold_var(r_var, rho_var, model.cfg.tau_s, model.cfg)
+    t_var, residual = threshold_var(r_var, rho_var, model.cfg.tau_s, model.cfg)
     t = t_var.item()
 
     soft_var = st_var = None
@@ -230,12 +230,16 @@ def select(
         z_var=z_var,
         features=features,
     )
-    _check_boundary(model, result, r_values)
+    _check_boundary(model, result, residual)
     return result
 
 
-def _check_boundary(model: SelectorModel, res: SelectionResult, r_values: Array) -> None:
-    """Re-verify the budget and gate contracts at the module boundary."""
+def _check_boundary(model: SelectorModel, res: SelectionResult, residual: float) -> None:
+    """Re-verify the budget and gate contracts at the module boundary.
+
+    ``residual`` is |keep-sum - rho*M| as the threshold solve evaluated
+    it at the returned t.
+    """
     rec = res.record
     rec.validate()
     res.decision.validate(model.budget, model.cfg.n_max)
@@ -249,11 +253,8 @@ def _check_boundary(model: SelectorModel, res: SelectionResult, r_values: Array)
         raise NumericError("selection kept zero tokens")
     if np.any(np.diff(res.indices) <= 0):
         raise NumericError("kept indices are not strictly ascending")
-    keep_sum = float(ad.sigmoid_values((r_values - rec.t) / model.cfg.tau_s).sum())
-    if abs(keep_sum - res.rho_m) > model.cfg.residual_tol * rec.m:
-        raise NumericError(
-            f"threshold residual {abs(keep_sum - res.rho_m)} violates tolerance"
-        )
+    if not residual <= model.cfg.residual_tol * rec.m:
+        raise NumericError(f"threshold residual {residual} violates tolerance")
     if not np.all(np.isfinite(res.z)):
         raise NumericError("re-encoded output contains non-finite values")
 

@@ -123,7 +123,7 @@ def _soft_pipeline_loss(model, x_var, q_var, timestamps, noise, kept, probe, gat
     r = score(x_var, q_var, model.scoring)
     feats = extract_features(q_var, r, x_var.shape[0])
     rho = predict_rho(feats, model.budget)
-    t = threshold_var(r, rho, gate_cfg.tau_s, gate_cfg)
+    t, _ = threshold_var(r, rho, gate_cfg.tau_s, gate_cfg)
     soft, _, _ = soft_gate_apply(r, t, gate_cfg.tau_s, noise)
     soft_col = ad.transpose(ad.take_cols(soft, kept))
     z = ad.mul(ad.take_rows(x_var, kept), soft_col)
@@ -148,7 +148,7 @@ def test_criterion_4_straight_through_gradient_fidelity():
 
             tape = Tape()
             rv = tape.var(r0.reshape(1, -1))
-            tv = threshold_var(rv, ad.scalar(rho), gate_cfg.tau_s, gate_cfg)
+            tv, _ = threshold_var(rv, ad.scalar(rho), gate_cfg.tau_s, gate_cfg)
             soft, _, _ = soft_gate_apply(rv, tv, gate_cfg.tau_s, noise)
             loss = ad.sum_all(ad.mul(soft, ad.const(probe.reshape(1, -1))))
             (analytic,) = tape.gradients(loss, [rv])

@@ -9,8 +9,17 @@ import pytest
 
 import tokengate
 from conftest import save_per_head_weights
+from tokengate import cli
 from tokengate.cli import main
 from tokengate.config import RunConfig, SCHEMA
+from tokengate.errors import (
+    ConfigError,
+    InputError,
+    MissingResourceError,
+    NumericError,
+    ParameterError,
+    ShapeError,
+)
 from tokengate.harness import BenchRecord, CorrelationRow, from_csv
 from tokengate.selector import DiagnosticsRecord, SelectorModel, save_weights
 from tokengate.tensorio import write_tensor
@@ -262,6 +271,32 @@ class TestOtherCommands:
 
     def test_missing_records_file_exits_4(self, tmp_path):
         assert main(["diag", "--records", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o.csv")]) == 4
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (ConfigError("unknown key"), 6),
+        (ShapeError("width mismatch"), 3),
+        (MissingResourceError("no weights"), 4),
+        (FileNotFoundError("no such file"), 4),
+        (NumericError("diverged", dump={"epoch": 3, "rho": 0.5}), 5),
+        (InputError("bad tensor"), 2),
+        (ParameterError("bad budget"), 2),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_exit_code_per_error_class(monkeypatch, tmp_path, capsys, exc, code):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_diag", fail)
+    args = ["diag", "--records", str(tmp_path / "r.csv"), "--out", str(tmp_path / "o.csv")]
+    assert main(args) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert str(exc) in err[0]
+    if isinstance(exc, NumericError):
+        assert json.loads(err[1]) == exc.dump
 
 
 class TestHelp:

@@ -327,7 +327,7 @@ class TestSoftGate:
 
         tape = Tape()
         rv = tape.var(r0.reshape(1, -1))
-        tv = threshold_var(rv, ad.scalar(rho), tau, CFG)
+        tv, _ = threshold_var(rv, ad.scalar(rho), tau, CFG)
         soft, _, _ = soft_gate_apply(rv, tv, tau, noise)
         loss = ad.sum_all(ad.mul(soft, ad.const(probe.reshape(1, -1))))
         (analytic,) = tape.gradients(loss, [rv])

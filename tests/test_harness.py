@@ -5,6 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from tokengate import reencoder
+from tokengate.autodiff import Tape
 from tokengate.config import RunConfig
 from tokengate.errors import InputError
 from tokengate.harness import (
@@ -19,12 +21,13 @@ from tokengate.harness import (
     correlation_report,
     from_csv,
     generate_workload,
+    planted_mass_loss,
     run_ablation,
     to_csv,
     train_desk_scale,
     uniform_stride_indices,
 )
-from tokengate.objective import PenaltyWeights
+from tokengate.objective import PenaltyWeights, total_loss
 from tokengate.scoring import ScoringWeights, score
 from tokengate.selector import DiagnosticsRecord, SelectorModel, select
 
@@ -171,6 +174,72 @@ class TestTrainDeskScale:
         )
         losses = [s.loss for s in stats]
         assert np.mean(losses[-4:]) < np.mean(losses[:4])
+
+    def test_loss_gives_the_reencoder_no_gradient(self):
+        """The premise of training without the re-encoder: with it bound,
+        every re-encoder gradient is exactly 0 and every scoring and budget
+        gradient is bit-equal to the re-encoder-free step's.  A loss that
+        reads z fails this."""
+
+        def step(model, wl):
+            tape = Tape()
+            bound, tracked = model.bind(tape)
+            rng = np.random.default_rng(4)
+            res = select(bound, wl.x, wl.timestamps, wl.q, mode="train", rng=rng)
+            loss = total_loss(
+                planted_mass_loss(res, wl.planted),
+                res.rho_var,
+                wl.x.shape[0],
+                model.cfg.n_max,
+                PenaltyWeights(),
+            )
+            names = list(tracked)
+            return dict(zip(names, tape.gradients(loss, [tracked[n] for n in names])))
+
+        spec = WorkloadSpec(m=96, d=16, l=4, k=6, alignment=3.0, seed=11)
+        wl = generate_workload(spec, np.random.default_rng(11))
+        model = SelectorModel.build(CFG)
+        full = step(model, wl)
+        bare = step(model.without_reencoder(), wl)
+        reenc = [name for name in full if name.startswith("reencoder.")]
+        assert reenc and sorted(set(full) - set(reenc)) == sorted(bare)
+        for name in reenc:
+            assert not np.any(full[name]), name
+        for name, g in bare.items():
+            assert g.tobytes() == full[name].tobytes(), name
+        assert any(np.any(g) for g in bare.values())
+
+    def test_training_skips_the_reencoder_and_returns_it_unchanged(self, monkeypatch):
+        blocks = 0
+        block = reencoder._block
+
+        def counted(x, b):
+            nonlocal blocks
+            blocks += 1
+            return block(x, b)
+
+        monkeypatch.setattr(reencoder, "_block", counted)
+        spec = WorkloadSpec(m=48, d=16, l=4, k=4, seed=8)
+        model = SelectorModel.build(CFG)
+        before = model.parameters()
+        trained, _ = train_desk_scale(
+            spec,
+            model,
+            epochs=2,
+            opt=OptimizerConfig(lr=0.05, momentum=0.9, clip_norm=1.0, batch=2),
+            penalties=PenaltyWeights(),
+            seed=0,
+        )
+        assert blocks == 0
+        after = trained.parameters()
+        assert sorted(after) == sorted(before)
+        for name in before:
+            if name.startswith("reencoder."):
+                assert after[name].tobytes() == before[name].tobytes(), name
+        assert not np.array_equal(after["budget.w2"], before["budget.w2"])
+        wl = generate_workload(spec, np.random.default_rng(0))
+        select(trained, wl.x, wl.timestamps, wl.q, mode="infer")
+        assert blocks == CFG.reencode_depth > 0  # the counter sees the re-encoder
 
     def test_trajectory_fields_finite(self):
         spec = WorkloadSpec(m=32, d=16, l=2, k=3, seed=10)

@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 
 from conftest import save_per_head_weights
+from tokengate import autodiff, gate
 from tokengate.budget import compute_budget
 from tokengate.config import RunConfig
-from tokengate.errors import InputError, MissingResourceError, ParameterError, ShapeError
+from tokengate.errors import (
+    InputError,
+    MissingResourceError,
+    NumericError,
+    ParameterError,
+    ShapeError,
+)
 from tokengate.harness import WorkloadSpec, generate_workload
 from tokengate.selector import SelectorModel, load_weights, save_weights, select
 from tokengate.tensorio import read_tensor, write_tensor
@@ -145,6 +152,43 @@ class TestSelect:
         wl = _workload()
         with pytest.raises(ParameterError, match="rng"):
             select(model, wl.x, wl.timestamps, wl.q, mode="train")
+
+
+class TestBoundaryCheck:
+    def test_residual_check_adds_no_sigmoid_pass(self, model, monkeypatch):
+        """The check reads the residual the solve evaluated at t: every
+        sigmoid over the M relevance values is one of the solver's passes."""
+        m = 300
+        wl = _workload(m=m)
+        solver_sizes, other_sizes = [], []
+
+        def counted(sizes, sigmoid):
+            def wrapped(x):
+                sizes.append(np.size(x))
+                return sigmoid(x)
+
+            return wrapped
+
+        monkeypatch.setattr(gate, "sigmoid_values", counted(solver_sizes, gate.sigmoid_values))
+        monkeypatch.setattr(
+            autodiff, "sigmoid_values", counted(other_sizes, autodiff.sigmoid_values)
+        )
+        select(model, wl.x, wl.timestamps, wl.q, mode="infer")
+        assert solver_sizes and set(solver_sizes) == {m}
+        assert m not in other_sizes
+
+    def test_off_root_threshold_still_raises(self, model, monkeypatch):
+        wl = _workload()
+        solve = gate.find_threshold
+
+        def off_root(r, rho, tau_s, cfg):
+            t = solve(r, rho, tau_s, cfg)[0] + tau_s
+            keep = float(autodiff.sigmoid_values((r - t) / tau_s).sum())
+            return t, abs(keep - rho * r.size)
+
+        monkeypatch.setattr(gate, "find_threshold", off_root)
+        with pytest.raises(NumericError, match="threshold residual"):
+            select(model, wl.x, wl.timestamps, wl.q, mode="infer")
 
 
 class TestSerialization:
