@@ -33,7 +33,12 @@ def as_matrix(x, name: str = "matrix") -> Array:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    # Any NaN or inf entry makes the sum non-finite and a finite sum
+    # proves every entry finite, so only an overflowing sum needs the
+    # entrywise scan (and its M x d boolean temporary).
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite_sum = np.isfinite(arr.sum())
+    if not finite_sum and not np.all(np.isfinite(arr)):
         raise InputError(f"{name} contains non-finite entries")
     return arr
 
@@ -245,9 +250,16 @@ def transpose(a: Var) -> Var:
 
 def sigmoid_values(x: Array) -> Array:
     """Overflow-free logistic: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below,
-    both from the one exponential e = exp(-|x|)."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    both from the one exponential e = exp(-|x|).  The numerator is
+    max(e, [x >= 0]): e <= 1 picks 1 for x >= 0 and e below (NaN stays
+    NaN), without a select over the array."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, x >= 0)
+    e += 1.0
+    out /= e
+    return out
 
 
 def sigmoid(a: Var) -> Var:

@@ -23,7 +23,7 @@ from .layers import AttentionWeights, MapFn, Tensor, as_var
 # Stabilizer in the relevance normalization p_i = r_i / (sum_j r_j + EPS_REL).
 EPS_REL = 1e-8
 
-# Tokens per chunk in ``score``.  A chunk's logits take heads*L*chunk
+# Tokens per chunk in ``score``.  Its one logits buffer takes heads*L*chunk
 # floats (4 MiB at 4 heads x 16 query rows); smaller chunks pay the BLAS
 # call overhead more often (2048 rows ran ~1.35x slower at M = 180k, 4 heads
 # x 16 rows, 2-vCPU x86 with OpenBLAS 0.3.31).
@@ -95,14 +95,16 @@ def score(x: Var | Array, q: Var | Array, w: ScoringWeights) -> Var:
     and sum-exp per (head, query) row (online softmax, arXiv
     1805.02867), giving its log-sum-exp lse.  Pass 2 recomputes each
     chunk and takes r_i = exp(max_{h,l}(logit - lse)): one exp per
-    token, O(RELEVANCE_CHUNK * heads * L) memory, no attention map.
+    token and no attention map.  Every chunk of both passes is computed
+    into one (heads*L, min(M, RELEVANCE_CHUNK)) buffer, allocated once
+    per call, so beyond r the call holds a single chunk of logits.
 
     When x or A is tracked, the M-sized part records one tape operation
     that keeps only lse.  Its backward recomputes each chunk's logits
-    twice, routing token i's adjoint to its first maximal (head-major,
-    then query-position) row.  Raw arrays are checked for finiteness
-    here; Vars are not rescanned (``select`` passes x and q already
-    checked at its boundary).
+    twice into a buffer of its own, routing token i's adjoint to its
+    first maximal (head-major, then query-position) row.  Raw arrays
+    are checked for finiteness here; Vars are not rescanned (``select``
+    passes x and q already checked at its boundary).
     """
     x = as_var(x)
     q = as_var(q)
@@ -137,27 +139,42 @@ def _logit_matrix(q: Var, w: ScoringWeights) -> Var:
     return ad.smul(ad.matmul(per_head, ad.transpose(keys)), 1.0 / math.sqrt(d_h))
 
 
-def _chunks(x: Array, a: Array) -> Iterator[tuple[slice, Array]]:
-    """(rows, a @ x[rows].T) over the stream, a fresh logits array each.
+def _chunks(x: Array, a: Array, buf: Array) -> Iterator[tuple[slice, Array]]:
+    """(rows, a @ x[rows].T) over the stream, each a view of ``buf``.
 
-    Every chunk has RELEVANCE_CHUNK rows unless the whole stream is
-    shorter (the last one overlaps its predecessor and drops the
-    repeated columns): each token's logits then come from a GEMM of one
-    shape, so identical tokens tie exactly.
+    ``buf`` is (rows of a, min(M, RELEVANCE_CHUNK)); every chunk is
+    computed into it, so the caller must be done with one chunk before
+    asking for the next.  Every chunk fills the whole buffer (the last
+    one overlaps its predecessor and drops the repeated columns): each
+    token's logits then come from a GEMM of one shape, so identical
+    tokens tie exactly.
     """
-    m = x.shape[0]
-    for start in range(0, m, RELEVANCE_CHUNK):
-        lo = max(0, min(start, m - RELEVANCE_CHUNK))
-        logits = (a @ x[lo : lo + RELEVANCE_CHUNK].T)[:, start - lo :]
+    m, size = x.shape[0], buf.shape[1]
+    for start in range(0, m, size):
+        lo = max(0, min(start, m - size))
+        np.matmul(a, x[lo : lo + size].T, out=buf)
+        logits = buf[:, start - lo :]
         yield slice(start, start + logits.shape[1]), logits
+
+
+def _logit_buffer(x: Array, a: Array) -> Array:
+    return np.empty((a.shape[0], min(x.shape[0], RELEVANCE_CHUNK)))
+
+
+def _top_rows(logits: Array) -> Array:
+    """Each column's first maximal row; unlike ``argmax(axis=0)``, which
+    copies the whole chunk to make the axis contiguous, this copies only
+    a boolean mask of it."""
+    return (logits == logits.max(axis=0)).argmax(axis=0)
 
 
 def _max_attention(x: Var, a: Var) -> Var:
     """r_i = max_k softmax_i(a @ x.T)[k, i], streamed; see ``score``."""
     xv, av = x.value, a.value
+    buf = _logit_buffer(xv, av)
     run_max = np.full(av.shape[0], -np.inf)
     run_sum = np.zeros(av.shape[0])
-    for _, logits in _chunks(xv, av):
+    for _, logits in _chunks(xv, av, buf):
         new_max = np.maximum(run_max, logits.max(axis=1))
         logits -= new_max[:, None]
         np.exp(logits, out=logits)
@@ -166,31 +183,32 @@ def _max_attention(x: Var, a: Var) -> Var:
     lse = run_max + np.log(run_sum)
 
     r = np.empty(xv.shape[0])
-    for rows, logits in _chunks(xv, av):
+    for rows, logits in _chunks(xv, av, buf):
         logits -= lse[:, None]
-        r[rows] = logits.max(axis=0)
+        np.max(logits, axis=0, out=r[rows])
     np.exp(r, out=r)
 
     def backward(g):
         # With p = softmax rows and k_i token i's max row, dr_i/dlogit[k, j]
         # = r_i (delta_ij - p[k, j]) for k = k_i, so the logit adjoint is
         # G[k, j] = [k_j = k] g_j r_j - p[k, j] c_k, c_k = sum_{k_i = k} g_i r_i.
-        gr = g.ravel() * r
+        g = g.ravel()
+        grad_buf = _logit_buffer(xv, av)
         c = np.zeros(av.shape[0])
-        for rows, logits in _chunks(xv, av):
+        for rows, logits in _chunks(xv, av, grad_buf):
             logits -= lse[:, None]
-            c += np.bincount(logits.argmax(axis=0), gr[rows], c.size)
+            c += np.bincount(_top_rows(logits), g[rows] * r[rows], c.size)
         da = np.zeros_like(av)
         dx = None if x.nid is None else np.empty_like(xv)
-        for rows, logits in _chunks(xv, av):
+        for rows, logits in _chunks(xv, av, grad_buf):
             logits -= lse[:, None]
-            top = logits.argmax(axis=0)
+            top = _top_rows(logits)
             np.exp(logits, out=logits)
             logits *= -c[:, None]
-            logits[top, np.arange(top.size)] += gr[rows]
+            logits[top, np.arange(top.size)] += g[rows] * r[rows]
             da += logits @ xv[rows]
             if dx is not None:
-                dx[rows] = logits.T @ av
+                np.matmul(logits.T, av, out=dx[rows])
         return dx, da
 
     return ad.apply(r.reshape(1, -1), (x, a), backward)

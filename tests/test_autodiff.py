@@ -1,5 +1,7 @@
 """Tape primitives against hand values and the finite-difference oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,19 @@ class TestMatrixValidation:
     def test_inf_rejected(self):
         with pytest.raises(InputError):
             as_matrix(np.array([[np.inf, 0.0]]))
+
+    def test_overflowing_sum_accepted(self):
+        """The sum check overflows; the entrywise scan then passes it."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(as_matrix([[1e308, 1e308]]), [[1e308, 1e308]])
+
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]])
+    def test_non_finite_rejected_without_warning(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError):
+                as_matrix([[1.0] + bad])
 
     def test_rank3_rejected(self):
         with pytest.raises(ShapeError):

@@ -118,6 +118,14 @@ class TestSelectCommand:
         assert main(_select_args(workspace)) == 2
         assert not (workspace / "out_z.qtn").exists()
 
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]])
+    def test_non_finite_tokens_exit_2_without_outputs(self, workspace, bad):
+        x = np.random.default_rng(0).standard_normal((16, 16))
+        x[3, : len(bad)] = bad
+        write_tensor(workspace / "x.qtn", x)
+        assert main(_select_args(workspace)) == 2
+        assert not (workspace / "out_z.qtn").exists()
+
     def test_non_finite_weights_exit_2(self, workspace, capsys):
         model = SelectorModel.build(RunConfig(d=16, heads=2, budget_hidden=16, n_max=64))
         params = model.parameters()

@@ -4,7 +4,7 @@
 ``oracles.reencode``, and ``select`` on an unbound model with the same
 model bound to a tape.
 ``hard_top_n`` must agree with a full stable sort, and ``sigmoid_values``
-bit for bit with the masked two-branch form it replaced.
+bit for bit with the masked two-branch form it replaced (NaN sign aside).
 """
 
 import numpy as np
@@ -171,9 +171,22 @@ def _masked_sigmoid(x):
     return out
 
 
+def _where_sigmoid(x):
+    """The one-exp form with a select over the array, before max(e, x >= 0)."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def test_sigmoid_values_bit_identical_to_masked_form():
+    """Bit for bit with the masked form except the sign of a NaN, which
+    only the one-exp forms share (their NaN comes out of exp(-|x|))."""
     rng = np.random.default_rng(1600)
     for scale in (1e-300, 1e-8, 1.0, 40.0, 800.0, 1e300):
         x = scale * rng.standard_normal((3, 1000))
-        x[0, :4] = [0.0, -0.0, np.inf, -np.inf]
-        assert sigmoid_values(x).tobytes() == _masked_sigmoid(x).tobytes()
+        edges = [0.0, np.inf, np.nan, 5e-324, 709.8, 745.2, 1e308]
+        x[0, : 2 * len(edges)] = edges + [-v for v in edges]
+        got, want = sigmoid_values(x), _masked_sigmoid(x)
+        assert got.tobytes() == _where_sigmoid(x).tobytes()
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()

@@ -1,6 +1,7 @@
 """Relevance scoring: max-over-heads-and-query reduction of cross attention."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from oracles import score as oracle_score
 from tokengate import autodiff as ad
 from tokengate.autodiff import Tape
 from tokengate.errors import InputError
-from tokengate.scoring import ScoringWeights, normalize_relevance, score
+from tokengate.scoring import RELEVANCE_CHUNK, ScoringWeights, normalize_relevance, score
 
 
 def _single_head_relevance(x, q, wq, wk):
@@ -151,6 +152,37 @@ class TestScore:
         amap, r = oracle_score(rng.standard_normal((12, 8)), rng.standard_normal((3, 8)), w)
         amap.validate()
         assert np.all(r.value >= 0) and np.all(r.value <= 1)
+
+
+def _peak_bytes(fn) -> int:
+    """Peak traced allocation above the start of ``fn()``."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("pass_", ["forward", "backward"])
+def test_score_holds_one_logits_chunk(pass_):
+    """A 3-chunk stream: every chunk of both passes reuses one logits
+    buffer, so the peak stays under 1.5 chunks plus r, untracked and in
+    the backward of a tracked call (the query is tracked, x is not)."""
+    d, heads, l, m = 32, 4, 4, 3 * RELEVANCE_CHUNK - 100
+    rng = np.random.default_rng(12)
+    x, q = rng.standard_normal((m, d)), rng.standard_normal((l, d))
+    w = ScoringWeights.seeded(d, heads, 1, rng)
+    if pass_ == "forward":
+        peak = _peak_bytes(lambda: score(x, q, w))
+    else:
+        tape = Tape()
+        qv = tape.var(q)
+        loss = ad.sum_all(score(x, qv, w))
+        peak = _peak_bytes(lambda: tape.gradients(loss, [qv]))
+    chunk = heads * l * RELEVANCE_CHUNK * 8
+    assert peak < 1.5 * chunk + m * 8
 
 
 class TestNormalizeRelevance:
