@@ -193,20 +193,6 @@ def mul(a: Var, b: Var) -> Var:
     return apply(value, (a, b), backward)
 
 
-def div(a: Var, b: Var) -> Var:
-    _check_broadcast(a, b, "div")
-    value = a.value / b.value
-    av, bv = a.value, b.value
-
-    def backward(g):
-        return (
-            _unbroadcast(g / bv, a.shape),
-            _unbroadcast(-g * av / (bv * bv), b.shape),
-        )
-
-    return apply(value, (a, b), backward)
-
-
 def smul(a: Var, c: float) -> Var:
     c = float(c)
 
@@ -313,21 +299,6 @@ def pow_const(a: Var, p: float) -> Var:
     return apply(y, (a,), backward)
 
 
-def xlogx(a: Var) -> Var:
-    """Elementwise x*log(x) with the 0*log(0) := 0 convention."""
-    av = a.value
-    if np.any(av < 0):
-        raise InputError("xlogx requires nonnegative entries")
-    safe = np.where(av > 0, av, 1.0)
-    y = np.where(av > 0, av * np.log(safe), 0.0)
-
-    def backward(g):
-        # subgradient 0 at exactly zero entries
-        return (np.where(av > 0, np.log(safe) + 1.0, 0.0) * g,)
-
-    return apply(y, (a,), backward)
-
-
 def _softmax_row_values(x: Array, temperature: float) -> Array:
     y = x / temperature
     y -= y.max(axis=1, keepdims=True)
@@ -378,20 +349,6 @@ def col_means(a: Var) -> Var:
         return (np.repeat(g, n, axis=0) / n,)
 
     return apply(a.value.mean(axis=0, keepdims=True), (a,), backward)
-
-
-def colmax(a: Var) -> Var:
-    """Column-wise maximum; the gradient routes to the first maximal row."""
-    idx = np.argmax(a.value, axis=0)
-    cols = np.arange(a.shape[1])
-    shape = a.shape
-
-    def backward(g):
-        out = np.zeros(shape)
-        out[idx, cols] = g[0]
-        return (out,)
-
-    return apply(a.value[idx, cols].reshape(1, -1), (a,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .autodiff import Var
 from .errors import ConfigError, InputError, ParameterError, ShapeError
 from .layers import MapFn, Tensor, as_var, uniform_init
-from .scoring import EPS_REL
+from .scoring import EPS_REL, normalize_relevance
 
 # Fixed affine scalings applied to the scalar features before the MLP so
 # no single input dominates at random init: log M is divided by LOG_M_SCALE,
@@ -126,8 +126,12 @@ class BudgetHead:
 def extract_features(q: Var, r: Var, m: int) -> BudgetFeatures:
     """Budget-head inputs from the query matrix and relevance vector.
 
-    s_q is the exact column mean of q; r_max and entropy come from the
-    relevance vector and stay on the tape.
+    s_q is the exact column mean of q.  r_max and the entropy of
+    p = r / (sum r + EPS_REL) come from one pass over r
+    (``scoring.normalize_relevance``) and stay on the tape as one
+    operation each, whose backward recomputes what it needs; beyond r
+    the call holds p, p*log p and a boolean mask, about 2.1 M floats.
+    Negative entries of r raise ``InputError``.
     """
     q = as_var(q)
     r = as_var(r)
@@ -135,12 +139,41 @@ def extract_features(q: Var, r: Var, m: int) -> BudgetFeatures:
         raise InputError("cannot extract features from an empty query")
     if r.shape != (1, m):
         raise ShapeError(f"relevance shape {r.shape} does not match token count {m}")
-    s_q = ad.col_means(q)
-    r_max = ad.colmax(ad.transpose(r))
-    total = ad.sum_all(r)
-    p = ad.div(r, ad.add_const(total, EPS_REL))
-    entropy = ad.smul(ad.sum_all(ad.xlogx(p)), -1.0)
-    return BudgetFeatures(s_q=s_q, log_m=math.log(m), r_max=r_max, entropy=entropy, m=m)
+    r_max, entropy = _peak_and_entropy(r)
+    return BudgetFeatures(s_q=ad.col_means(q), log_m=math.log(m), r_max=r_max, entropy=entropy, m=m)
+
+
+def _peak_and_entropy(r: Var) -> tuple[Var, Var]:
+    """r_max and H(p) of a (1, M) relevance row as two tape operations.
+
+    The r_max adjoint goes to the first maximal entry.  The entropy
+    adjoint is dH/dr_j = (c - a_j) / s with s = sum r + EPS_REL,
+    a_j = log p_j + 1 (0 where p_j = 0, the subgradient of 0*log 0) and
+    c = sum_i a_i p_i.
+    """
+    rv = r.value
+    top = int(rv.argmax())
+    entropy = normalize_relevance(rv)[1]
+
+    def peak_backward(g):
+        out = np.zeros(rv.shape)
+        out[0, top] = g[0, 0]
+        return (out,)
+
+    def entropy_backward(g):
+        s = rv.sum() + EPS_REL
+        p = rv / s
+        positive = p > 0
+        a = np.where(positive, p, 1.0)
+        np.log(a, out=a)
+        np.add(a, 1.0, out=a, where=positive)
+        c = np.vdot(a, p)
+        np.subtract(c, a, out=a)
+        a *= g[0, 0] / s
+        return (a,)
+
+    r_max = ad.apply(rv[:, top : top + 1].copy(), (r,), peak_backward)
+    return r_max, ad.apply(np.array([[entropy]]), (r,), entropy_backward)
 
 
 def predict_rho(features: BudgetFeatures, head: BudgetHead) -> Var:

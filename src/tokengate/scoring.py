@@ -218,11 +218,15 @@ def normalize_relevance(r) -> tuple[Array, float]:
     """Normalized relevance p_i = r_i / (sum r + eps) and its entropy H(p).
 
     H uses the 0*log(0) := 0 convention; an all-zero r yields p = 0, H = 0.
+    Beyond p the call holds one M-sized array, p*log p, and a boolean
+    mask; ``budget.extract_features`` takes its entropy feature from here.
     """
     r = np.asarray(r, dtype=np.float64).ravel()
-    if np.any(r < 0) or not np.all(np.isfinite(r)):
+    if not (r.min(initial=0.0) >= 0.0 and np.isfinite(r.max(initial=0.0))):
         raise InputError("relevance values must be finite and nonnegative")
     p = r / (r.sum() + EPS_REL)
     positive = p > 0
-    entropy = float(-(p[positive] * np.log(p[positive])).sum())
-    return p, entropy
+    plogp = np.where(positive, p, 1.0)
+    np.log(plogp, out=plogp)
+    np.multiply(plogp, p, out=plogp, where=positive)  # 0 where p = 0: log 1 = 0
+    return p, float(-plogp.sum())

@@ -1,11 +1,14 @@
-"""Tape compositions of the scoring and re-encoder forwards: test oracles.
+"""Tape compositions of the scoring, budget-feature and re-encoder
+forwards: test oracles.
 
-``tokengate.scoring.score`` and ``tokengate.reencoder.reencode`` are
-streaming kernels with hand-written backward passes.  The functions here
-compute the same quantities from the tape's primitive operations, with
-every attention map built in full, so the tape derives their gradients
-on its own.  The tests hold the kernels' values and gradients to these,
-and these to central finite differences.
+``tokengate.scoring.score``, the r_max/entropy operation inside
+``tokengate.budget.extract_features`` and ``tokengate.reencoder.reencode``
+are fused kernels with hand-written backward passes.  The functions here
+compute the same quantities from primitive tape operations (a few of
+them, such as ``colmax`` and ``xlogx``, defined here because only the
+oracles use them), with every attention map built in full, so the tape
+derives their gradients on its own.  The tests hold the kernels' values
+and gradients to these, and these to central finite differences.
 """
 
 from __future__ import annotations
@@ -28,7 +31,59 @@ from tokengate.layers import (
     time_encode,
 )
 from tokengate.reencoder import ReencoderStack
-from tokengate.scoring import ScoringWeights
+from tokengate.scoring import EPS_REL, ScoringWeights
+
+
+def div(a: Var, b: Var) -> Var:
+    """Elementwise a / b under numpy broadcasting."""
+    ad._check_broadcast(a, b, "div")
+    value = a.value / b.value
+    av, bv = a.value, b.value
+
+    def backward(g):
+        return (
+            ad._unbroadcast(g / bv, a.shape),
+            ad._unbroadcast(-g * av / (bv * bv), b.shape),
+        )
+
+    return ad.apply(value, (a, b), backward)
+
+
+def xlogx(a: Var) -> Var:
+    """Elementwise x*log(x) with the 0*log(0) := 0 convention."""
+    av = a.value
+    if np.any(av < 0):
+        raise InputError("xlogx requires nonnegative entries")
+    safe = np.where(av > 0, av, 1.0)
+    y = np.where(av > 0, av * np.log(safe), 0.0)
+
+    def backward(g):
+        # subgradient 0 at exactly zero entries
+        return (np.where(av > 0, np.log(safe) + 1.0, 0.0) * g,)
+
+    return ad.apply(y, (a,), backward)
+
+
+def colmax(a: Var) -> Var:
+    """Column-wise maximum; the gradient routes to the first maximal row."""
+    idx = np.argmax(a.value, axis=0)
+    cols = np.arange(a.shape[1])
+    shape = a.shape
+
+    def backward(g):
+        out = np.zeros(shape)
+        out[idx, cols] = g[0]
+        return (out,)
+
+    return ad.apply(a.value[idx, cols].reshape(1, -1), (a,), backward)
+
+
+def features_oracle(r: Var) -> tuple[Var, Var]:
+    """r_max and the entropy of p = r / (sum r + EPS_REL) of a (1, M) row,
+    composed of eight tape operations."""
+    r_max = colmax(ad.transpose(r))
+    p = div(r, ad.add_const(ad.sum_all(r), EPS_REL))
+    return r_max, ad.smul(ad.sum_all(xlogx(p)), -1.0)
 
 
 def vcat(parts: Sequence[Var]) -> Var:
@@ -99,7 +154,7 @@ def score(x, q, w: ScoringWeights) -> tuple[AttentionMap, Var]:
     for wv, wo in w.carry:
         keys = ad.matmul(ad.matmul(keys, as_var(wv)), as_var(wo))
     maps = [attn for _, attn in attention_heads(q, keys, w.wq, w.wk, w.heads)]
-    r = ad.colmax(maps[0] if len(maps) == 1 else vcat(maps))
+    r = colmax(maps[0] if len(maps) == 1 else vcat(maps))
     return AttentionMap(np.stack([a.value for a in maps], axis=0)), r
 
 

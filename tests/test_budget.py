@@ -1,11 +1,14 @@
 """Budget features, retention prediction, and the kept-count arithmetic."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import rel_err
+from oracles import features_oracle
 from tokengate import autodiff as ad
 from tokengate.autodiff import Tape, finite_difference_gradient
 from tokengate.budget import (
@@ -16,6 +19,7 @@ from tokengate.budget import (
     predict_rho,
 )
 from tokengate.errors import ConfigError, InputError, ParameterError
+from tokengate.scoring import EPS_REL
 
 
 def _features(q, r):
@@ -57,6 +61,101 @@ class TestExtractFeatures:
     def test_empty_query_rejected(self):
         with pytest.raises(InputError):
             extract_features(ad.const(np.zeros((0, 4))), ad.const(np.ones((1, 3))), 3)
+
+    def test_negative_relevance_rejected(self):
+        with pytest.raises(InputError):
+            _features(np.ones((2, 3)), [0.5, -1e-300, 0.2])
+
+    def test_holds_no_temporary_per_operation(self):
+        """At M = 2^17 the call holds p, p*log p and a mask beyond r: at most
+        2.5 M-sized float arrays (one temporary per tape operation took ~4.1)."""
+        m = 2**17
+        q = ad.const(np.ones((4, 8)))
+        r = ad.const(np.random.default_rng(13).uniform(0, 1, (1, m)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            extract_features(q, r, m)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * m * 8
+
+
+def _relevance(case):
+    rng = np.random.default_rng(14)
+    r = rng.uniform(0.05, 1.0, 40) ** 2
+    if case == "exact_zeros":
+        r[[0, 7, 8, 39]] = 0.0
+    elif case == "tied_max":
+        r[[3, 17, 30]] = 1.5
+    elif case == "one_token":
+        r = r[:1]
+    elif case == "all_zero":
+        r = np.zeros(6)
+    return r.reshape(1, -1)
+
+
+def _fused(r):
+    features = extract_features(ad.const(np.ones((2, 3))), r, r.shape[1])
+    return features.r_max, features.entropy
+
+
+def _probed(forward, r, w_max, w_entropy):
+    """(r_max, entropy, d(w_max*r_max + w_entropy*entropy)/dr) through ``forward``."""
+    tape = Tape()
+    rv = tape.var(r)
+    r_max, entropy = forward(rv)
+    loss = ad.add(ad.smul(r_max, w_max), ad.smul(entropy, w_entropy))
+    (grad,) = tape.gradients(loss, [rv])
+    return r_max.item(), entropy.item(), grad
+
+
+class TestFusedPeakAndEntropy:
+    """The r_max/entropy tape operations of ``extract_features`` against the
+    eight-operation composition in ``oracles`` and central differences."""
+
+    @pytest.mark.parametrize("case", ["random", "exact_zeros", "tied_max", "one_token", "all_zero"])
+    @pytest.mark.parametrize("weights", [(1.0, 0.0), (0.0, 1.0), (0.7, -1.3)])
+    def test_matches_oracle(self, case, weights):
+        r = _relevance(case)
+        r_max, entropy, grad = _probed(_fused, r, *weights)
+        want_max, want_entropy, want_grad = _probed(features_oracle, r, *weights)
+        assert (r_max, entropy) == (want_max, want_entropy)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
+
+    def test_tied_max_routes_to_first_index(self):
+        _, _, grad = _probed(_fused, _relevance("tied_max"), 1.0, 0.0)
+        expected = np.zeros((1, 40))
+        expected[0, 3] = 1.0
+        np.testing.assert_array_equal(grad, expected)
+
+    def test_zero_entries_take_only_the_normalizer_gradient(self):
+        """Where p = 0 the subgradient of p*log p is 0, so dH/dr_j is the
+        same for every zero entry: sum_i (log p_i + 1) r_i / s^2."""
+        r = _relevance("exact_zeros")
+        _, _, grad = _probed(_fused, r, 0.0, 1.0)
+        s = r.sum() + EPS_REL
+        p = r[r > 0] / s
+        np.testing.assert_allclose(grad[0, [0, 7, 8, 39]], ((np.log(p) + 1.0) * p).sum() / s, rtol=1e-12)
+
+    @pytest.mark.parametrize("case", ["random", "one_token"])
+    def test_gradient_matches_fd(self, case):
+        r = _relevance(case)
+        _, _, grad = _probed(_fused, r, 0.7, -1.3)
+
+        def f(flat):
+            r_max, entropy = _fused(ad.const(flat.reshape(1, -1)))
+            return 0.7 * r_max.item() - 1.3 * entropy.item()
+
+        numeric = finite_difference_gradient(f, r.ravel(), step=1e-6)
+        assert rel_err(grad, numeric) <= 1e-6
+
+    def test_all_zero_relevance(self):
+        r_max, entropy, grad = _probed(_fused, _relevance("all_zero"), 0.7, -1.3)
+        assert r_max == 0.0 and entropy == 0.0
+        np.testing.assert_array_equal(grad, [[0.7, 0, 0, 0, 0, 0]])
 
 
 class TestPredictRho:

@@ -18,6 +18,7 @@ from tokengate.errors import (
     ShapeError,
 )
 from tokengate.harness import WorkloadSpec, generate_workload
+from tokengate.scoring import RELEVANCE_CHUNK
 from tokengate.selector import SelectorModel, load_weights, save_weights, select
 from tokengate.tensorio import read_tensor, write_tensor
 
@@ -116,6 +117,22 @@ class TestSelect:
             )
         for a, b in zip(sequential, parallel):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("m", [300, RELEVANCE_CHUNK + 1500])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_permuting_dropped_rows_keeps_selection(self, model, m, seed):
+        """Dropped rows, moved with their timestamps among their own
+        positions, leave the kept set and z bit-identical."""
+        wl = _workload(m=m, seed=seed)
+        res = select(model, wl.x, wl.timestamps, wl.q, mode="infer")
+        dropped = np.setdiff1d(np.arange(m), res.indices)
+        moved = np.random.default_rng(seed).permutation(dropped)
+        assert np.any(moved != dropped)
+        x, ts = wl.x.copy(), wl.timestamps.copy()
+        x[dropped], ts[dropped] = wl.x[moved], wl.timestamps[moved]
+        again = select(model, x, ts, wl.q, mode="infer")
+        assert again.indices.tobytes() == res.indices.tobytes()
+        assert again.z.tobytes() == res.z.tobytes()
 
     def test_empty_stream_rejected(self, model):
         with pytest.raises(InputError):

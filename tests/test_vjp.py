@@ -196,7 +196,7 @@ class TestEdgeCases:
 # Tape records of one train-mode select + total_loss + backward at the
 # `tokengate train` defaults; each stage forward records one operation
 # (one per re-encoder block), the rest are small budget and gate ops.
-TRAIN_STEP_RECORDS = 49
+TRAIN_STEP_RECORDS = 43
 
 
 def test_train_step_tape_size(monkeypatch):
