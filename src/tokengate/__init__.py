@@ -7,17 +7,10 @@ Top-n at inference), and re-encodes the survivors with absolute-time
 information.
 """
 
-from .autodiff import Tape, Var, finite_difference_gradient
-from .budget import (
-    BudgetDecision,
-    BudgetFeatures,
-    BudgetHead,
-    compute_budget,
-    extract_features,
-    predict_rho,
-)
+from .autodiff import Tape, Var
+from .budget import BudgetFeatures, BudgetHead, compute_budget, extract_features, predict_rho
 from .config import RunConfig, load_config, parse_config_text
-from .gate import KeepMask, find_threshold, hard_top_n, soft_gate_train, threshold_gradients
+from .gate import KeepMask, find_threshold, hard_top_n, threshold_gradients
 from .harness import (
     AblationVariant,
     OptimizerConfig,
@@ -28,7 +21,7 @@ from .harness import (
     run_ablation,
     train_desk_scale,
 )
-from .objective import DualState, PenaltyWeights, compute_penalties, dual_ascent, dual_penalty, total_loss
+from .objective import DualState, PenaltyWeights, compute_penalties, dual_ascent, total_loss
 from .reencoder import ReencoderStack, reencode
 from .scoring import ScoringWeights, normalize_relevance, score
 from .selector import (
@@ -44,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AblationVariant",
-    "BudgetDecision",
     "BudgetFeatures",
     "BudgetHead",
     "DiagnosticsRecord",
@@ -65,10 +57,8 @@ __all__ = [
     "compute_penalties",
     "correlation_report",
     "dual_ascent",
-    "dual_penalty",
     "extract_features",
     "find_threshold",
-    "finite_difference_gradient",
     "generate_workload",
     "hard_top_n",
     "load_config",
@@ -81,7 +71,6 @@ __all__ = [
     "save_weights",
     "score",
     "select",
-    "soft_gate_train",
     "threshold_gradients",
     "total_loss",
     "train_desk_scale",

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError, NumericError, ParameterError, ShapeError
+from .errors import InputError, ShapeError
 
 Array = np.ndarray
 BackwardFn = Callable[[Array], tuple]
@@ -266,15 +266,6 @@ def tanh(a: Var) -> Var:
     return apply(y, (a,), backward)
 
 
-def exp(a: Var) -> Var:
-    y = np.exp(a.value)
-
-    def backward(g):
-        return (g * y,)
-
-    return apply(y, (a,), backward)
-
-
 def log(a: Var) -> Var:
     if np.any(a.value <= 0):
         raise InputError("log requires strictly positive entries")
@@ -284,41 +275,6 @@ def log(a: Var) -> Var:
         return (g / av,)
 
     return apply(np.log(av), (a,), backward)
-
-
-def pow_const(a: Var, p: float) -> Var:
-    p = float(p)
-    if p != int(p) and np.any(a.value < 0):
-        raise InputError("fractional power of a negative entry")
-    av = a.value
-    y = av ** p
-
-    def backward(g):
-        return (g * p * av ** (p - 1.0),)
-
-    return apply(y, (a,), backward)
-
-
-def _softmax_row_values(x: Array, temperature: float) -> Array:
-    y = x / temperature
-    y -= y.max(axis=1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=1, keepdims=True)
-    return y
-
-
-def softmax_rows(a: Var, temperature: float = 1.0) -> Var:
-    """Row-wise softmax with max-subtraction for stability."""
-    t = float(temperature)
-    if t <= 0:
-        raise ParameterError(f"softmax temperature must be positive, got {t}")
-    y = _softmax_row_values(a.value, t)
-
-    def backward(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        return ((y * (g - dot)) / t,)
-
-    return apply(y, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +287,6 @@ def sum_all(a: Var) -> Var:
         return (np.full(shape, g[0, 0]),)
 
     return apply(np.array([[a.value.sum()]]), (a,), backward)
-
-
-def row_means(a: Var) -> Var:
-    n, k = a.shape
-
-    def backward(g):
-        return (np.repeat(g, k, axis=1) / k,)
-
-    return apply(a.value.mean(axis=1, keepdims=True), (a,), backward)
 
 
 def col_means(a: Var) -> Var:
@@ -399,28 +346,3 @@ def straight_through(soft: Var, hard: Array) -> Var:
         return (g,)
 
     return apply(hard.copy(), (soft,), backward)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle
-
-def finite_difference_gradient(f: Callable[[Array], float], x, step: float = 1e-6) -> Array:
-    """Central-difference gradient of a scalar function of a flat vector.
-
-    The oracle against which every tape gradient in this package is
-    checked; it never touches the tape.
-    """
-    if step <= 0:
-        raise ParameterError(f"finite-difference step must be positive, got {step}")
-    x = np.asarray(x, dtype=np.float64).ravel()
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xp[i] += step
-        xm = x.copy()
-        xm[i] -= step
-        fp, fm = f(xp), f(xm)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericError(f"oracle evaluation non-finite at coordinate {i}")
-        grad[i] = (fp - fm) / (2.0 * step)
-    return grad

@@ -204,22 +204,3 @@ def compute_budget(rho: float, m: int, n_max: int) -> int:
     target = math.ceil(round(rho * m, 9))
     return max(1, min(target, n_max, m))
 
-
-@dataclass
-class BudgetDecision:
-    """Everything the budget head and threshold solver produce for one call."""
-
-    features: BudgetFeatures
-    rho: float
-    n: int
-    t: float = math.nan  # filled once the gate module solves the threshold
-
-    def validate(self, head: BudgetHead, n_max: int) -> None:
-        if not (head.rho_min <= self.rho <= head.rho_max):
-            raise ParameterError(
-                f"rho {self.rho} outside [{head.rho_min}, {head.rho_max}]"
-            )
-        if not (1 <= self.n <= min(n_max, self.features.m)):
-            raise ParameterError(
-                f"budget {self.n} outside [1, min({n_max}, {self.features.m})]"
-            )

@@ -98,7 +98,7 @@ def cmd_select(args) -> int:
     diag = asdict(result.record)
     diag["mode"] = result.mode
     diag["n_target"] = result.n_target
-    diag["rho_m"] = result.rho_m
+    diag["rho_m"] = result.record.rho * result.record.m
     line = json.dumps(diag, sort_keys=True)
     atomic_write_text(args.out_diag, line + "\n")
     print(line)

@@ -65,34 +65,41 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for keys, ok, rule in _RULES:
+            for key in keys:
+                if not ok(getattr(self, key)):
+                    raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)!r}")
         if not (0.0 < self.rho_min < self.rho_max <= 1.0):
             raise ConfigError(
                 f"retention bounds must satisfy 0 < rho_min < rho_max <= 1, "
                 f"got [{self.rho_min}, {self.rho_max}]"
             )
-        if self.d < 1 or self.heads < 1 or self.d % self.heads != 0:
+        if self.d % self.heads != 0:
             raise ConfigError(f"model dim {self.d} not divisible by {self.heads} heads")
-        if self.budget_hidden < 1:
-            raise ConfigError(f"budget_hidden must be >= 1, got {self.budget_hidden}")
-        if self.scoring_depth < 1:
-            raise ConfigError(f"scoring_depth must be >= 1, got {self.scoring_depth}")
-        if self.reencode_depth < 0:
-            raise ConfigError(f"reencode_depth must be >= 0, got {self.reencode_depth}")
-        if self.n_max < 1:
-            raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
-        if not 0.0 < self.tau_s < math.inf:  # also rejects NaN
-            raise ConfigError(f"tau_s must be positive and finite, got {self.tau_s}")
-        if self.newton_iters < 1:
-            raise ConfigError(f"newton_iters must be >= 1, got {self.newton_iters}")
-        if not self.residual_tol > 0:
-            raise ConfigError(f"residual_tol must be positive, got {self.residual_tol}")
-        if not 0.0 <= self.clamp_margin < math.inf:
-            raise ConfigError(f"clamp_margin must be finite and >= 0, got {self.clamp_margin}")
-        if self.train_epochs < 0:
-            raise ConfigError(f"train_epochs must be >= 0, got {self.train_epochs}")
-        if self.train_batch < 1:
-            raise ConfigError(f"train_batch must be >= 1, got {self.train_batch}")
 
+
+# (keys, test, rule): the range each numeric key must lie in; every test
+# also rejects NaN.  The workload keys not listed (wl_tokens, wl_frames,
+# wl_query_len, wl_planted, wl_alignment, wl_noise) are checked where the
+# workload is built and selected from; wl_tokens or wl_frames 0 means "unset".
+_RULES = (
+    (
+        ("d", "heads", "scoring_depth", "budget_hidden", "n_max", "newton_iters", "train_batch",
+         "wl_sample_interval", "wl_frame_height", "wl_frame_width", "wl_patch"),
+        lambda v: v >= 1,
+        ">= 1",
+    ),
+    (("reencode_depth", "train_epochs", "seed"), lambda v: v >= 0, ">= 0"),
+    (("tau_s", "wl_frame_rate"), lambda v: 0.0 < v < math.inf, "positive and finite"),
+    (("residual_tol",), lambda v: v > 0, "positive"),
+    (
+        ("clamp_margin", "lambda_t", "lambda_m", "lambda_s"),
+        lambda v: 0.0 <= v < math.inf,
+        "finite and >= 0",
+    ),
+    (("rho_bar",), lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    (("train_lr", "train_momentum", "clip_norm"), math.isfinite, "finite"),
+)
 
 _PARSERS = {int: int, float: float, bool: _parse_bool, str: str}
 

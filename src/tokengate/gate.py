@@ -38,14 +38,12 @@ STEP_TOL = 1e-12
 
 @dataclass
 class KeepMask:
-    """Binary keep decisions with the kept indices in ascending order."""
+    """The kept token indices, nonempty and strictly ascending."""
 
-    keep: Array
     indices: Array
-    noise: Array | None = None  # frozen Gumbel pair (2, M), training only
 
     def __post_init__(self) -> None:
-        if self.keep.sum() < 1:
+        if self.indices.size < 1:
             raise ParameterError("keep mask must retain at least one token")
         if np.any(np.diff(self.indices) <= 0):
             raise ParameterError("kept indices must be strictly ascending")
@@ -226,20 +224,7 @@ def soft_gate_apply(
     if hard.sum() < 1:
         hard[int(np.argmax(r.value.ravel()))] = 1.0
     st = ad.straight_through(soft, hard.reshape(1, -1))
-    mask = KeepMask(keep=hard.astype(bool), indices=np.flatnonzero(hard), noise=noise)
-    return soft, st, mask
-
-
-def soft_gate_train(
-    r, t: float, cfg: RunConfig, rng: np.random.Generator
-) -> tuple[KeepMask, Array]:
-    """Value-level training gate: sample noise, return (mask, soft scores)."""
-    r = _as_relevance(r)
-    noise = sample_gumbel_pairs(r.size, rng)
-    soft, _, mask = soft_gate_apply(
-        ad.const(r.reshape(1, -1)), ad.scalar(t), cfg.tau_s, noise
-    )
-    return mask, soft.value.ravel()
+    return soft, st, KeepMask(np.flatnonzero(hard))
 
 
 def hard_top_n(r, n: int) -> KeepMask:
@@ -257,7 +242,4 @@ def hard_top_n(r, n: int) -> KeepMask:
     v = np.partition(r, m - n)[m - n]
     above = np.flatnonzero(r > v)
     tied = np.flatnonzero(r == v)[: n - above.size]
-    indices = np.sort(np.concatenate([above, tied]))
-    keep = np.zeros(m, dtype=bool)
-    keep[indices] = True
-    return KeepMask(keep=keep, indices=indices)
+    return KeepMask(np.sort(np.concatenate([above, tied])))

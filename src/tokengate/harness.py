@@ -298,6 +298,7 @@ def train_desk_scale(
             )
             loss_value = loss.item()
             if not math.isfinite(loss_value):
+                r = res.r_var.value
                 raise NumericError(
                     "training diverged: non-finite loss",
                     dump={
@@ -305,7 +306,7 @@ def train_desk_scale(
                         "item": item,
                         "rho": res.record.rho,
                         "t": res.record.t,
-                        "r_stats": res.r_stats,
+                        "r_stats": {"min": r.min(), "mean": r.mean(), "max": r.max()},
                     },
                 )
             names = list(tracked)

@@ -81,11 +81,6 @@ def penalty_var(rho: Var, m: int, n_max: int, w: PenaltyWeights) -> Var:
     return ad.apply(np.array([[value]]), (rho,), backward)
 
 
-def dual_penalty(rho: float, m: int, dual: DualState) -> float:
-    """alpha * (rho*M - n_bar), the Lagrangian term for the budget target."""
-    return dual.alpha * (rho * m - dual.n_bar)
-
-
 def dual_ascent(dual: DualState, rho: float, m: int) -> DualState:
     """Projected ascent: alpha <- max(0, alpha + step*(rho*M - n_bar))."""
     return replace(dual, alpha=max(0.0, dual.alpha + dual.step * (rho * m - dual.n_bar)))

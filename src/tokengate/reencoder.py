@@ -85,18 +85,12 @@ class ReencoderStack:
         )
 
 
-def reencode(
-    z: Var | ad.Array,
-    timestamps,
-    stack: ReencoderStack,
-    add_time: bool = True,
-) -> Var:
+def reencode(z: Var | ad.Array, timestamps, stack: ReencoderStack) -> Var:
     """Re-encode kept tokens, preserving shape and row order.
 
     Time encodings of the tokens' original absolute timestamps are added
-    once before the first block.  ``add_time=False`` drops the
-    positional term (used by permutation-equivariance checks).  Each
-    block is one tape operation (``_block``); ``z`` is not modified.
+    once before the first block.  Each block is one tape operation
+    (``_block``); ``z`` is not modified.
     """
     z = as_var(z)
     if stack.depth == 0:
@@ -105,8 +99,7 @@ def reencode(
     ts = np.asarray(timestamps, dtype=np.float64).ravel()
     if ts.size != n:
         raise ShapeError(f"{ts.size} timestamps for {n} kept tokens")
-    if add_time:
-        z = ad.add(z, ad.const(time_encode(ts, d)))
+    z = ad.add(z, ad.const(time_encode(ts, d)))
     for block in stack.blocks:
         z = _block(z, block)
     return z

@@ -19,14 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from . import tensorio
 from .autodiff import Array, Tape, Var
-from .budget import (
-    BudgetDecision,
-    BudgetFeatures,
-    BudgetHead,
-    compute_budget,
-    extract_features,
-    predict_rho,
-)
+from .budget import BudgetHead, compute_budget, extract_features, predict_rho
 from .config import RunConfig, config_text, load_config
 from .errors import (
     InputError,
@@ -125,11 +118,8 @@ class SelectionResult:
     z: Array
     indices: Array
     record: DiagnosticsRecord
-    decision: BudgetDecision
     mode: str
     n_target: int            # budget the arithmetic asked for
-    rho_m: float             # expected kept count rho*M (train-mode target)
-    r_stats: dict[str, float]
     # differentiable handles, populated when the forward pass is tracked
     r_var: Var | None = None
     rho_var: Var | None = None
@@ -137,7 +127,6 @@ class SelectionResult:
     soft_var: Var | None = None
     st_var: Var | None = None
     z_var: Var | None = None
-    features: BudgetFeatures | None = None
 
 
 def select(
@@ -197,8 +186,6 @@ def select(
         z_sel = ad.take_rows(x_var, idx)
 
     z_var = reencode(z_sel, ts[idx], model.reencoder)
-
-    r_values = r_var.value.ravel()
     record = DiagnosticsRecord(
         sq_mean=features.sq_mean,
         log_m=features.log_m,
@@ -213,22 +200,14 @@ def select(
         z=z_var.value,
         indices=idx,
         record=record,
-        decision=BudgetDecision(features=features, rho=rho, n=n_target, t=t),
         mode=mode,
         n_target=n_target,
-        rho_m=rho * m,
-        r_stats={
-            "min": float(r_values.min()),
-            "mean": float(r_values.mean()),
-            "max": float(r_values.max()),
-        },
         r_var=r_var,
         rho_var=rho_var,
         t_var=t_var,
         soft_var=soft_var,
         st_var=st_var,
         z_var=z_var,
-        features=features,
     )
     _check_boundary(model, result, residual)
     return result
@@ -240,11 +219,12 @@ def _check_boundary(model: SelectorModel, res: SelectionResult, residual: float)
     ``residual`` is |keep-sum - rho*M| as the threshold solve evaluated
     it at the returned t.
     """
-    rec = res.record
+    rec, head = res.record, model.budget
     rec.validate()
-    res.decision.validate(model.budget, model.cfg.n_max)
+    if not head.rho_min <= rec.rho <= head.rho_max:
+        raise NumericError(f"rho {rec.rho} outside [{head.rho_min}, {head.rho_max}]")
     if res.mode == "infer":
-        cap = min(model.cfg.n_max, math.ceil(round(model.budget.rho_max * rec.m, 9)))
+        cap = min(model.cfg.n_max, math.ceil(round(head.rho_max * rec.m, 9)))
         if rec.n > cap:
             raise NumericError(f"kept count {rec.n} exceeds compression bound {cap}")
         if rec.n != res.n_target:
@@ -268,13 +248,18 @@ def save_weights(model: SelectorModel, path: str | Path) -> list[tuple[str, str,
     full run config the model was built from.
 
     Returns the manifest entries (name, shape, checksum, filename).
+    A tensor with NaN or inf entries raises ``NumericError`` before any
+    file is written, since ``load_weights`` would refuse it.
     """
+    tensors = [(name, np.asarray(t, dtype=np.float64)) for name, t in model.named_tensors()]
+    for name, arr in tensors:
+        if not np.all(np.isfinite(arr)):
+            raise NumericError(f"tensor {name} has non-finite values")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     tensorio.atomic_write_text(path / "model.cfg", config_text(model.cfg))
     entries = []
-    for name, tensor in model.named_tensors():
-        arr = np.asarray(tensor, dtype=np.float64)
+    for name, arr in tensors:
         filename = f"{name}.qtn"
         tensorio.write_tensor(path / filename, arr)
         entries.append(

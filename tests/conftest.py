@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from tokengate.autodiff import Tape, Var, finite_difference_gradient
+from oracles import finite_difference_gradient
+from tokengate.autodiff import Tape, Var
 
 
 def rel_err(analytic, numeric) -> float:
@@ -59,3 +60,19 @@ def save_per_head_weights(model, path):
         write_tensor(path / f"{name}.qtn", arr)
         entries.append((name, shape_token(arr), file_sha256(path / f"{name}.qtn"), f"{name}.qtn"))
     write_manifest(path / "manifest.txt", entries)
+
+
+def poke_tensor(path, name, index, value):
+    """Set one entry of tensor ``name`` in a saved weights directory and
+    re-checksum its file, as a writer other than ``save_weights`` could."""
+    from tokengate.tensorio import file_sha256, read_manifest, read_tensor, write_manifest, write_tensor
+
+    entries = read_manifest(path / "manifest.txt")
+    filename = next(f for n, _, _, f in entries if n == name)
+    arr = read_tensor(path / filename)
+    arr[index] = value
+    write_tensor(path / filename, arr)
+    write_manifest(
+        path / "manifest.txt",
+        [(n, s, file_sha256(path / f) if n == name else c, f) for n, s, c, f in entries],
+    )

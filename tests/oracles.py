@@ -1,27 +1,33 @@
 """Tape compositions of the scoring, budget-feature and re-encoder
-forwards: test oracles.
+forwards, and the other helpers only tests call: test oracles.
 
 ``tokengate.scoring.score``, the r_max/entropy operation inside
 ``tokengate.budget.extract_features`` and ``tokengate.reencoder.reencode``
 are fused kernels with hand-written backward passes.  The functions here
 compute the same quantities from primitive tape operations (a few of
-them, such as ``colmax`` and ``xlogx``, defined here because only the
-oracles use them), with every attention map built in full, so the tape
-derives their gradients on its own.  The tests hold the kernels' values
-and gradients to these, and these to central finite differences.
+them, such as ``colmax``, ``xlogx``, ``softmax_rows``, ``row_means`` and
+``pow_const``, defined here because only the oracles use them), with
+every attention map built in full, so the tape derives their gradients
+on its own.  The tests hold the kernels' values and gradients to these,
+and these to central finite differences (``finite_difference_gradient``).
+``exp``, ``dual_penalty`` and ``soft_gate_train`` are value-level
+references some tests still exercise; nothing in ``tokengate`` calls them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from tokengate import autodiff as ad
+from tokengate import gate
 from tokengate.autodiff import Array, Var
-from tokengate.errors import ConfigError, InputError, ShapeError
+from tokengate.config import RunConfig
+from tokengate.errors import ConfigError, InputError, NumericError, ParameterError, ShapeError
+from tokengate.gate import KeepMask
 from tokengate.layers import (
     EPS_NORM,
     AttentionWeights,
@@ -30,6 +36,7 @@ from tokengate.layers import (
     as_var,
     time_encode,
 )
+from tokengate.objective import DualState
 from tokengate.reencoder import ReencoderStack
 from tokengate.scoring import EPS_REL, ScoringWeights
 
@@ -76,6 +83,98 @@ def colmax(a: Var) -> Var:
         return (out,)
 
     return ad.apply(a.value[idx, cols].reshape(1, -1), (a,), backward)
+
+
+def exp(a: Var) -> Var:
+    y = np.exp(a.value)
+
+    def backward(g):
+        return (g * y,)
+
+    return ad.apply(y, (a,), backward)
+
+
+def pow_const(a: Var, p: float) -> Var:
+    p = float(p)
+    if p != int(p) and np.any(a.value < 0):
+        raise InputError("fractional power of a negative entry")
+    av = a.value
+    y = av ** p
+
+    def backward(g):
+        return (g * p * av ** (p - 1.0),)
+
+    return ad.apply(y, (a,), backward)
+
+
+def _softmax_row_values(x: Array, temperature: float) -> Array:
+    y = x / temperature
+    y -= y.max(axis=1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=1, keepdims=True)
+    return y
+
+
+def softmax_rows(a: Var, temperature: float = 1.0) -> Var:
+    """Row-wise softmax with max-subtraction for stability."""
+    t = float(temperature)
+    if t <= 0:
+        raise ParameterError(f"softmax temperature must be positive, got {t}")
+    y = _softmax_row_values(a.value, t)
+
+    def backward(g):
+        dot = (g * y).sum(axis=1, keepdims=True)
+        return ((y * (g - dot)) / t,)
+
+    return ad.apply(y, (a,), backward)
+
+
+def row_means(a: Var) -> Var:
+    n, k = a.shape
+
+    def backward(g):
+        return (np.repeat(g, k, axis=1) / k,)
+
+    return ad.apply(a.value.mean(axis=1, keepdims=True), (a,), backward)
+
+
+def finite_difference_gradient(f: Callable[[Array], float], x, step: float = 1e-6) -> Array:
+    """Central-difference gradient of a scalar function of a flat vector.
+
+    The oracle against which every tape gradient in this package is
+    checked; it never touches the tape.
+    """
+    if step <= 0:
+        raise ParameterError(f"finite-difference step must be positive, got {step}")
+    x = np.asarray(x, dtype=np.float64).ravel()
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        xp = x.copy()
+        xp[i] += step
+        xm = x.copy()
+        xm[i] -= step
+        fp, fm = f(xp), f(xm)
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise NumericError(f"oracle evaluation non-finite at coordinate {i}")
+        grad[i] = (fp - fm) / (2.0 * step)
+    return grad
+
+
+def dual_penalty(rho: float, m: int, dual: DualState) -> float:
+    """alpha * (rho*M - n_bar), the Lagrangian term for the budget target."""
+    return dual.alpha * (rho * m - dual.n_bar)
+
+
+def soft_gate_train(
+    r, t: float, cfg: RunConfig, rng: np.random.Generator
+) -> tuple[KeepMask, Array]:
+    """Value-level training gate: sample noise, return (mask, soft scores)."""
+    r = gate._as_relevance(r)
+    noise = gate.sample_gumbel_pairs(r.size, rng)
+    soft, _, mask = gate.soft_gate_apply(
+        ad.const(r.reshape(1, -1)), ad.scalar(t), cfg.tau_s, noise
+    )
+    return mask, soft.value.ravel()
 
 
 def features_oracle(r: Var) -> tuple[Var, Var]:
@@ -140,7 +239,7 @@ def attention_heads(
         q = ad.matmul(q_in, ad.take_cols(wq, cols))
         k = ad.matmul(kv_in, ad.take_cols(wk, cols))
         logits = ad.smul(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(d_h))
-        yield cols, ad.softmax_rows(logits, 1.0)
+        yield cols, softmax_rows(logits, 1.0)
 
 
 def score(x, q, w: ScoringWeights) -> tuple[AttentionMap, Var]:
@@ -178,8 +277,8 @@ def rmsnorm(x, gain: Tensor, eps: float = EPS_NORM) -> Var:
     gain = as_var(gain)
     if gain.shape != (1, x.shape[1]):
         raise ShapeError(f"rmsnorm gain {gain.shape} does not match row width {x.shape[1]}")
-    mean_sq = ad.row_means(ad.mul(x, x))
-    inv_rms = ad.pow_const(ad.add_const(mean_sq, eps), -0.5)
+    mean_sq = row_means(ad.mul(x, x))
+    inv_rms = pow_const(ad.add_const(mean_sq, eps), -0.5)
     return ad.mul(ad.mul(x, inv_rms), gain)
 
 
@@ -197,7 +296,7 @@ def feed_forward(x, w: FeedForwardWeights) -> Var:
     return ad.add(ad.matmul(hidden, w2), b2)
 
 
-def reencode(z, timestamps, stack: ReencoderStack, add_time: bool = True) -> Var:
+def reencode(z, timestamps, stack: ReencoderStack) -> Var:
     """The re-encoder as a tape graph of pre-norm residual blocks."""
     z = as_var(z)
     if stack.depth == 0:
@@ -206,8 +305,7 @@ def reencode(z, timestamps, stack: ReencoderStack, add_time: bool = True) -> Var
     ts = np.asarray(timestamps, dtype=np.float64).ravel()
     if ts.size != n:
         raise ShapeError(f"{ts.size} timestamps for {n} kept tokens")
-    if add_time:
-        z = ad.add(z, ad.const(time_encode(ts, d)))
+    z = ad.add(z, ad.const(time_encode(ts, d)))
     for block in stack.blocks:
         normed = rmsnorm(z, block.gain_attn)
         attn_out, _ = multi_head_attention(normed, normed, block.attn)

@@ -8,16 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
-from oracles import features_oracle
+from oracles import features_oracle, finite_difference_gradient
 from tokengate import autodiff as ad
-from tokengate.autodiff import Tape, finite_difference_gradient
-from tokengate.budget import (
-    BudgetDecision,
-    BudgetHead,
-    compute_budget,
-    extract_features,
-    predict_rho,
-)
+from tokengate.autodiff import Tape
+from tokengate.budget import BudgetHead, compute_budget, extract_features, predict_rho
 from tokengate.errors import ConfigError, InputError, ParameterError
 from tokengate.scoring import EPS_REL
 
@@ -277,20 +271,3 @@ class TestComputeBudget:
         with pytest.raises(ParameterError):
             compute_budget(1.5, 10, 10)
 
-
-class TestBudgetDecision:
-    def test_valid_decision_passes(self):
-        rng = np.random.default_rng(10)
-        head = BudgetHead.seeded(4, rng, hidden=8)
-        feats = _features(np.ones((2, 4)), [0.2, 0.8, 0.5])
-        decision = BudgetDecision(features=feats, rho=0.3, n=1, t=0.6)
-        decision.validate(head, n_max=2)
-
-    def test_out_of_range_fields_rejected(self):
-        rng = np.random.default_rng(11)
-        head = BudgetHead.seeded(4, rng, hidden=8)
-        feats = _features(np.ones((2, 4)), [0.2, 0.8, 0.5])
-        with pytest.raises(ParameterError):
-            BudgetDecision(feats, rho=0.9, n=1, t=0.6).validate(head, n_max=2)
-        with pytest.raises(ParameterError):
-            BudgetDecision(feats, rho=0.3, n=5, t=0.6).validate(head, n_max=2)

@@ -2,14 +2,16 @@
 
 import json
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tokengate
-from conftest import save_per_head_weights
+from conftest import poke_tensor, save_per_head_weights
 from tokengate import cli
+from tokengate.budget import compute_budget
 from tokengate.cli import main
 from tokengate.config import RunConfig, SCHEMA
 from tokengate.errors import (
@@ -22,7 +24,7 @@ from tokengate.errors import (
 )
 from tokengate.harness import BenchRecord, CorrelationRow, from_csv
 from tokengate.selector import DiagnosticsRecord, SelectorModel, save_weights
-from tokengate.tensorio import write_tensor
+from tokengate.tensorio import read_tensor, write_tensor
 
 CFG_TEXT = "d = 16\nheads = 2\nbudget_hidden = 16\nn_max = 64\n"
 
@@ -69,6 +71,36 @@ class TestSelectCommand:
         assert diag["n"] == len(indices)
         printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert printed == diag
+
+    @pytest.mark.parametrize("mode", ["infer", "train"])
+    def test_out_diag_json_is_pinned(self, workspace, mode):
+        """--out-diag holds the diagnostics record, the mode, the asked-for
+        budget n_target and the expected kept count rho*M, and no more."""
+        args = _select_args(workspace)
+        args[args.index("--mode") + 1] = mode
+        assert main(args) == 0
+        text = (workspace / "out_diag.json").read_text()
+        diag = json.loads(text)
+        assert set(diag) == {
+            "entropy", "log_m", "m", "mode", "n", "n_target", "r_max", "rho", "rho_m", "sq_mean", "t",
+        }
+        cfg = RunConfig(d=16, heads=2, budget_hidden=16, n_max=64)
+        res = tokengate.select(
+            tokengate.load_weights(workspace / "weights"),
+            read_tensor(workspace / "x.qtn"),
+            read_tensor(workspace / "ts.qtn"),
+            read_tensor(workspace / "q.qtn"),
+            mode=mode,
+            rng=np.random.default_rng(cfg.seed),
+        )
+        want = {**asdict(res.record), "mode": mode, "n_target": res.n_target}
+        want["rho_m"] = res.record.rho * res.record.m
+        assert diag == want
+        assert diag["m"] == 16
+        assert diag["n_target"] == compute_budget(diag["rho"], 16, cfg.n_max)
+        if mode == "infer":
+            assert diag["n"] == diag["n_target"]
+        assert text == json.dumps(want, sort_keys=True) + "\n"
 
     def test_reruns_byte_identical(self, workspace):
         assert main(_select_args(workspace, "a")) == 0
@@ -128,9 +160,8 @@ class TestSelectCommand:
 
     def test_non_finite_weights_exit_2(self, workspace, capsys):
         model = SelectorModel.build(RunConfig(d=16, heads=2, budget_hidden=16, n_max=64))
-        params = model.parameters()
-        params["budget.w2"][0, 0] = np.nan
-        save_weights(model.with_parameters(params), workspace / "nan")
+        save_weights(model, workspace / "nan")
+        poke_tensor(workspace / "nan", "budget.w2", (0, 0), np.nan)
         assert main(["weights-inspect", "--weights", str(workspace / "nan")]) == 2
         assert "budget.w2" in capsys.readouterr().err
 
@@ -242,6 +273,21 @@ class TestOtherCommands:
             ("clamp_margin=-5", 6),
             ("clamp_margin=nan", 6),
             ("clamp_margin=inf", 6),
+            ("train_lr=nan", 6),
+            ("train_momentum=inf", 6),
+            ("clip_norm=nan", 6),
+            ("lambda_t=-1", 6),
+            ("lambda_m=-0.5", 6),
+            ("lambda_s=nan", 6),
+            ("rho_bar=1.5", 6),
+            ("rho_bar=0", 6),
+            ("wl_sample_interval=0", 6),
+            ("wl_patch=0", 6),
+            ("wl_frame_height=0", 6),
+            ("wl_frame_width=-3", 6),
+            ("wl_frame_rate=0", 6),
+            ("wl_frame_rate=inf", 6),
+            ("seed=-1", 6),
             ("wl_planted=0", 2),
         ],
     )

@@ -9,19 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rel_err
+from oracles import finite_difference_gradient, soft_gate_train
 from tokengate import autodiff as ad
 from tokengate import gate
-from tokengate.autodiff import Tape, finite_difference_gradient, sigmoid_values
+from tokengate.autodiff import Tape, sigmoid_values
 from tokengate.config import RunConfig
 from tokengate.errors import ParameterError
 from tokengate.harness import WorkloadSpec, generate_workload
 from tokengate.scoring import ScoringWeights, score
 from tokengate.gate import (
+    KeepMask,
     find_threshold,
     hard_top_n,
     sample_gumbel_pairs,
     soft_gate_apply,
-    soft_gate_train,
     threshold_gradients,
     threshold_var,
 )
@@ -278,7 +279,7 @@ class TestSoftGate:
         r = np.full(m, 0.5)
         for _ in range(trials):
             mask, _ = soft_gate_train(r, 0.5, CFG, rng)
-            keeps += int(mask.keep.sum())
+            keeps += mask.count
         rate = keeps / (m * trials)
         assert abs(rate - 0.5) <= 0.01
 
@@ -288,7 +289,7 @@ class TestSoftGate:
         m, trials = 100, 1000  # 1e5 samples
         r = np.full(m, 0.9)
         t = 0.9 - 4 * CFG.tau_s
-        keeps = sum(int(soft_gate_train(r, t, CFG, rng)[0].keep.sum()) for _ in range(trials))
+        keeps = sum(soft_gate_train(r, t, CFG, rng)[0].count for _ in range(trials))
         rate = keeps / (m * trials)
         expected = 1.0 / (1.0 + math.exp(-4.0))
         assert abs(rate - expected) <= 0.005
@@ -312,7 +313,7 @@ class TestSoftGate:
         r = np.random.default_rng(0).uniform(0, 1, m)
         t, _ = find_threshold(r, rho, CFG.tau_s, CFG)
         probs = sigmoid_values((r - t) / CFG.tau_s)
-        counts = [int(soft_gate_train(r, t, CFG, rng)[0].keep.sum()) for _ in range(trials)]
+        counts = [soft_gate_train(r, t, CFG, rng)[0].count for _ in range(trials)]
         se = math.sqrt(float((probs * (1 - probs)).sum()) / trials)
         assert abs(np.mean(counts) - rho * m) <= 3 * se
 
@@ -384,3 +385,13 @@ class TestHardTopN:
             mask = hard_top_n(rng.uniform(0, 1, m), n)
             assert mask.count == min(n, m)
             assert np.all(np.diff(mask.indices) > 0)
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [[], [3, 1], [2, 2], [0, 4, 4, 7]],
+    ids=["empty", "descending", "repeated", "repeat-inside"],
+)
+def test_keep_mask_rejects_empty_or_non_ascending(indices):
+    with pytest.raises(ParameterError):
+        KeepMask(np.array(indices, dtype=np.int64))

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
+from oracles import dual_penalty, finite_difference_gradient
 from tokengate import autodiff as ad
-from tokengate.autodiff import Tape, finite_difference_gradient
+from tokengate.autodiff import Tape
 from tokengate.errors import ParameterError
 from tokengate.objective import (
     DualState,
     PenaltyWeights,
     compute_penalties,
     dual_ascent,
-    dual_penalty,
     penalty_var,
     total_loss,
 )

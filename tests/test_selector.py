@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import save_per_head_weights
-from tokengate import autodiff, gate
+from conftest import poke_tensor, save_per_head_weights
+from tokengate import autodiff, gate, selector
 from tokengate.budget import compute_budget
 from tokengate.config import RunConfig
 from tokengate.errors import (
@@ -78,15 +78,6 @@ class TestSelect:
         wl = _workload(seed=4)
         res = select(model, wl.x, wl.timestamps, wl.q, "train", np.random.default_rng(0))
         assert res.record.n == res.indices.size
-        assert res.rho_m == pytest.approx(res.record.rho * 120)
-
-    def test_decision_tuple_is_consistent(self, model):
-        wl = _workload(seed=4)
-        res = select(model, wl.x, wl.timestamps, wl.q, mode="infer")
-        assert res.decision.rho == res.record.rho
-        assert res.decision.n == res.n_target == res.record.n
-        assert res.decision.t == res.record.t
-        assert res.decision.features.m == 120
 
     def test_kept_timestamps_nondecreasing(self, model):
         wl = _workload(seed=5)
@@ -207,6 +198,17 @@ class TestBoundaryCheck:
         with pytest.raises(NumericError, match="threshold residual"):
             select(model, wl.x, wl.timestamps, wl.q, mode="infer")
 
+    @pytest.mark.parametrize("mode", ["infer", "train"])
+    def test_rho_above_head_bound_raises(self, model, monkeypatch, mode):
+        """A rho outside the head's [rho_min, rho_max] but inside (0, 1],
+        so the budget and the threshold solve still accept it."""
+        wl = _workload()
+        monkeypatch.setattr(
+            selector, "predict_rho", lambda features, head: autodiff.scalar(head.rho_max + 0.01)
+        )
+        with pytest.raises(NumericError, match=r"rho 0\.51 outside \[0\.05, 0\.5\]"):
+            select(model, wl.x, wl.timestamps, wl.q, mode=mode, rng=np.random.default_rng(0))
+
 
 class TestSerialization:
     @pytest.mark.parametrize("s_depth", [1, 2])
@@ -273,11 +275,19 @@ class TestSerialization:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_tensor_named(self, model, tmp_path, bad):
         """Checksums match a NaN/inf payload, so only a value scan catches it."""
-        params = model.parameters()
-        params["reencoder.b1.ffn.w1"][2, 3] = bad
-        save_weights(model.with_parameters(params), tmp_path / "w")
+        save_weights(model, tmp_path / "w")
+        poke_tensor(tmp_path / "w", "reencoder.b1.ffn.w1", (2, 3), bad)
         with pytest.raises(InputError, match=r"reencoder\.b1\.ffn\.w1"):
             load_weights(tmp_path / "w")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_save_refuses_non_finite_tensor(self, model, tmp_path, bad):
+        """No file is written that load_weights would reject."""
+        params = model.parameters()
+        params["budget.w_out"][1, 0] = bad
+        with pytest.raises(NumericError, match=r"budget\.w_out"):
+            save_weights(model.with_parameters(params), tmp_path / "w")
+        assert not (tmp_path / "w").exists()
 
     def test_missing_tensor_file(self, model, tmp_path):
         entries = save_weights(model, tmp_path / "w")
