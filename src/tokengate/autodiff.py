@@ -234,15 +234,17 @@ def transpose(a: Var) -> Var:
 # ---------------------------------------------------------------------------
 # nonlinearities
 
-def sigmoid_values(x: Array) -> Array:
+def sigmoid_values(x: Array, out: Array | None = None) -> Array:
     """Overflow-free logistic: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below,
     both from the one exponential e = exp(-|x|).  The numerator is
     max(e, [x >= 0]): e <= 1 picks 1 for x >= 0 and e below (NaN stays
-    NaN), without a select over the array."""
+    NaN), without a select over the array.  The result goes to ``out``
+    when given, which may be ``x`` itself: the mask is taken before
+    ``out`` is written."""
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.maximum(e, x >= 0)
+    out = np.maximum(e, x >= 0, out=out)
     e += 1.0
     out /= e
     return out

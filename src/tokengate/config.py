@@ -79,9 +79,9 @@ class RunConfig:
 
 
 # (keys, test, rule): the range each numeric key must lie in; every test
-# also rejects NaN.  The workload keys not listed (wl_tokens, wl_frames,
-# wl_query_len, wl_planted, wl_alignment, wl_noise) are checked where the
-# workload is built and selected from; wl_tokens or wl_frames 0 means "unset".
+# also rejects NaN.  wl_tokens or wl_frames 0 means "unset".  The workload
+# keys not listed (wl_query_len, wl_planted, wl_alignment, wl_noise) are
+# checked where the workload is built and selected from.
 _RULES = (
     (
         ("d", "heads", "scoring_depth", "budget_hidden", "n_max", "newton_iters", "train_batch",
@@ -89,7 +89,11 @@ _RULES = (
         lambda v: v >= 1,
         ">= 1",
     ),
-    (("reencode_depth", "train_epochs", "seed"), lambda v: v >= 0, ">= 0"),
+    (
+        ("reencode_depth", "train_epochs", "seed", "wl_tokens", "wl_frames"),
+        lambda v: v >= 0,
+        ">= 0",
+    ),
     (("tau_s", "wl_frame_rate"), lambda v: 0.0 < v < math.inf, "positive and finite"),
     (("residual_tol",), lambda v: v > 0, "positive"),
     (

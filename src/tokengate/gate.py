@@ -62,8 +62,15 @@ def _as_relevance(r) -> Array:
     return r
 
 
-def _keep_sum(r: Array, t: float, tau: float) -> float:
-    return float(sigmoid_values((r - t) / tau).sum())
+def _keep_probs(r: Array, t: float, tau: float, buf: Array) -> Array:
+    """Fill the M-sized ``buf`` with sigmoid((r - t)/tau) and return it."""
+    np.subtract(r, t, out=buf)
+    buf /= tau
+    return sigmoid_values(buf, out=buf)
+
+
+def _keep_sum(r: Array, t: float, tau: float, buf: Array) -> float:
+    return float(_keep_probs(r, t, tau, buf).sum())
 
 
 def find_threshold(
@@ -84,7 +91,8 @@ def find_threshold(
     (relative) or below the step that rounding in the residual causes.
     After ``newton_iters`` evaluations without that, a bisection of the
     narrowed bracket finishes the job (the residual is strictly
-    decreasing in t).  Returns (t, |residual|).
+    decreasing in t).  Every pass reuses one M-sized buffer.  Returns
+    (t, |residual|).
     """
     r = _as_relevance(r)
     m = r.size
@@ -97,11 +105,12 @@ def find_threshold(
 
     target = rho * m
     tol = cfg.residual_tol * m
+    buf = np.empty(m)
     if rho == 1.0:
         # No finite root.  At this t each token's drop probability is
         # sigmoid(ln residual_tol) < residual_tol, so the residual is in tol.
         t = float(r.min()) - tau_s * math.log(1.0 / cfg.residual_tol)
-        return t, abs(_keep_sum(r, t, tau_s) - target)
+        return t, abs(_keep_sum(r, t, tau_s, buf) - target)
     # The root lies within tau_s*|ln((1 - rho)/rho)| outside [min r, max r]:
     # the clamp bracket widens to reach it when rho is near 0 or 1.
     log_odds = math.log((1.0 - rho) / rho)
@@ -111,7 +120,7 @@ def find_threshold(
 
     t = min(max(float(r.mean()) + tau_s * log_odds, lo), hi)
     for _ in range(cfg.newton_iters):
-        s = sigmoid_values((r - t) / tau_s)
+        s = _keep_probs(r, t, tau_s, buf)
         keep = float(s.sum())
         u = keep - target
         if u > 0:
@@ -130,27 +139,27 @@ def find_threshold(
         if not lo < t < hi:  # saturated, or Newton left the bracket
             t = 0.5 * (lo + hi)
 
-    t = _bisect_threshold(r, target, tau_s, lo, hi, lo_ok, hi_ok)
-    return t, abs(_keep_sum(r, t, tau_s) - target)
+    t = _bisect_threshold(r, target, tau_s, lo, hi, lo_ok, hi_ok, buf)
+    return t, abs(_keep_sum(r, t, tau_s, buf) - target)
 
 
 def _bisect_threshold(
-    r: Array, target: float, tau: float, lo: float, hi: float, lo_ok: bool, hi_ok: bool
+    r: Array, target: float, tau: float, lo: float, hi: float, lo_ok: bool, hi_ok: bool, buf: Array
 ) -> float:
     # keep-sum is strictly decreasing in t: u(lo) > 0 > u(hi) for any
     # attainable target; expand an end no evaluation has confirmed
     # until saturation no longer spoils it
     for _ in range(0 if lo_ok else 60):
-        if _keep_sum(r, lo, tau) - target > 0:
+        if _keep_sum(r, lo, tau, buf) - target > 0:
             break
         lo -= 10.0 * tau
     for _ in range(0 if hi_ok else 60):
-        if _keep_sum(r, hi, tau) - target <= 0:
+        if _keep_sum(r, hi, tau, buf) - target <= 0:
             break
         hi += 10.0 * tau
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _keep_sum(r, mid, tau) - target > 0:
+        if _keep_sum(r, mid, tau, buf) - target > 0:
             lo = mid
         else:
             hi = mid
@@ -168,7 +177,7 @@ def threshold_gradients(r, rho: float, t: float, tau_s: float) -> tuple[float, A
     """
     r = _as_relevance(r)
     m = r.size
-    s = sigmoid_values((r - t) / tau_s)
+    s = _keep_probs(r, t, tau_s, np.empty(m))
     weights = s * (1.0 - s)
     denom = float(weights.sum())
     if denom < SATURATION_GUARD:

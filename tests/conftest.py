@@ -1,5 +1,8 @@
 """Shared test utilities."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 
 from oracles import finite_difference_gradient
@@ -12,6 +15,19 @@ def rel_err(analytic, numeric) -> float:
     b = np.asarray(numeric, dtype=np.float64).ravel()
     denom = max(np.linalg.norm(a), np.linalg.norm(b), 1e-12)
     return float(np.linalg.norm(a - b) / denom)
+
+
+def peak_bytes(fn) -> int:
+    """Peak traced allocation of ``fn()`` above the memory in use before it,
+    with earlier garbage collected first."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def tape_vs_fd(build, x0, step=1e-6):

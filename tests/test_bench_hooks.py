@@ -40,5 +40,7 @@ def test_trace_hooks_record_select_and_training_spans():
     metrics = spans.layer_metrics(tracer, cfg.newton_iters)
     for key in ("scoring.score_ms", "gate.threshold_ms", "autodiff.tape_records"):
         assert metrics[key][0] > 0, key
+    assert metrics["gate.sigmoid_evals"][0] >= 1
+    assert metrics["gate.fallback_frac"][0] == 0
     _, gap = spans.select_gap_ns(tracer.spans, spans.self_times(tracer.spans))
     assert gap == 0

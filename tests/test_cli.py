@@ -288,6 +288,8 @@ class TestOtherCommands:
             ("wl_frame_rate=0", 6),
             ("wl_frame_rate=inf", 6),
             ("seed=-1", 6),
+            ("wl_tokens=-5", 6),
+            ("wl_frames=-1", 6),
             ("wl_planted=0", 2),
         ],
     )

@@ -177,16 +177,36 @@ def _where_sigmoid(x):
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
+def _sigmoid_probes(rng):
+    """Normal draws at scales from 1e-300 to 1e300, the first row led by
+    NaN, +-0, +-inf, +-5e-324, +-709.8, +-745.2 and +-1e308."""
+    edges = [0.0, np.inf, np.nan, 5e-324, 709.8, 745.2, 1e308]
+    for scale in (1e-300, 1e-8, 1.0, 40.0, 800.0, 1e300):
+        x = scale * rng.standard_normal((3, 1000))
+        x[0, : 2 * len(edges)] = edges + [-v for v in edges]
+        yield x
+
+
 def test_sigmoid_values_bit_identical_to_masked_form():
     """Bit for bit with the masked form except the sign of a NaN, which
     only the one-exp forms share (their NaN comes out of exp(-|x|))."""
-    rng = np.random.default_rng(1600)
-    for scale in (1e-300, 1e-8, 1.0, 40.0, 800.0, 1e300):
-        x = scale * rng.standard_normal((3, 1000))
-        edges = [0.0, np.inf, np.nan, 5e-324, 709.8, 745.2, 1e308]
-        x[0, : 2 * len(edges)] = edges + [-v for v in edges]
+    for x in _sigmoid_probes(np.random.default_rng(1600)):
         got, want = sigmoid_values(x), _masked_sigmoid(x)
         assert got.tobytes() == _where_sigmoid(x).tobytes()
         nan = np.isnan(want)
         np.testing.assert_array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def test_sigmoid_values_out_bit_identical_to_allocating_form():
+    """out=None returns a new array and leaves x alone; a separate out
+    buffer and out=x itself receive the same bits."""
+    for x in _sigmoid_probes(np.random.default_rng(1601)):
+        want, x0 = _where_sigmoid(x).tobytes(), x.tobytes()
+        got = sigmoid_values(x)
+        assert got is not x and got.tobytes() == want and x.tobytes() == x0
+        buf = np.empty_like(x)
+        assert sigmoid_values(x, out=buf) is buf
+        assert buf.tobytes() == want and x.tobytes() == x0
+        assert sigmoid_values(x, out=x) is x
+        assert x.tobytes() == want

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rel_err
+from conftest import peak_bytes, rel_err
 from oracles import finite_difference_gradient, soft_gate_train
 from tokengate import autodiff as ad
 from tokengate import gate
@@ -169,10 +169,10 @@ class TestThresholdPassCount:
         r = np.log(r) if regime == "log" else r
         passes = 0
 
-        def counted(x):
+        def counted(x, out=None):
             nonlocal passes
             passes += 1
-            return sigmoid_values(x)
+            return sigmoid_values(x, out=out)
 
         def no_fallback(*args):
             raise AssertionError("bisection fallback ran")
@@ -192,15 +192,30 @@ class TestThresholdPassCount:
         r = np.random.default_rng(15).uniform(0.0, 1.0, 1000)
         passes = 0
 
-        def counted(x):
+        def counted(x, out=None):
             nonlocal passes
             passes += 1
-            return sigmoid_values(x)
+            return sigmoid_values(x, out=out)
 
         monkeypatch.setattr(gate, "sigmoid_values", counted)
         _, residual = find_threshold(r, rho, 0.5, CFG)
         assert residual <= CFG.residual_tol * r.size
         assert passes <= 8, passes
+
+
+class TestThresholdMemory:
+    @pytest.mark.parametrize(
+        "rho, cfg",
+        [(0.25, CFG), (1.0, CFG), (0.25, RunConfig(newton_iters=1))],
+        ids=["newton", "rho_one", "bisection"],
+    )
+    def test_passes_share_one_buffer(self, rho, cfg):
+        """At M = 2^17 every sigmoid pass writes into one M-sized buffer and
+        holds only exp(-|x|) and a bool mask beside it: at most 2.2 M-sized
+        float arrays above the start (a fresh buffer per pass took 3.2-4.2)."""
+        m = 2**17
+        r = np.random.default_rng(16).uniform(0.0, 1.0, m)
+        assert peak_bytes(lambda: find_threshold(r, rho, CFG.tau_s, cfg)) <= 2.2 * m * 8
 
 
 class TestNonFiniteInputs:

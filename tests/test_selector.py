@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import poke_tensor, save_per_head_weights
+from conftest import peak_bytes, poke_tensor, save_per_head_weights
 from tokengate import autodiff, gate, selector
 from tokengate.budget import compute_budget
 from tokengate.config import RunConfig
@@ -18,7 +18,7 @@ from tokengate.errors import (
     ShapeError,
 )
 from tokengate.harness import WorkloadSpec, generate_workload
-from tokengate.scoring import RELEVANCE_CHUNK
+from tokengate.scoring import RELEVANCE_CHUNK, score
 from tokengate.selector import SelectorModel, load_weights, save_weights, select
 from tokengate.tensorio import read_tensor, write_tensor
 
@@ -162,6 +162,18 @@ class TestSelect:
             select(model, wl.x, wl.timestamps, wl.q, mode="train")
 
 
+def test_scoring_sets_the_infer_peak():
+    """At M = 2^17 with L = 16 no stage after scoring holds more than
+    scoring's chunk buffer: select peaks within 0.05 MiB of score alone.
+    The threshold solve takes two passes on this input."""
+    cfg = RunConfig()
+    model = SelectorModel.build(cfg)
+    wl = generate_workload(WorkloadSpec(m=2**17, d=cfg.d, l=16, k=8), np.random.default_rng(1))
+    score_peak = peak_bytes(lambda: score(wl.x, wl.q, model.scoring))
+    select_peak = peak_bytes(lambda: select(model, wl.x, wl.timestamps, wl.q, mode="infer"))
+    assert abs(select_peak - score_peak) <= 0.05 * 2**20
+
+
 class TestBoundaryCheck:
     def test_residual_check_adds_no_sigmoid_pass(self, model, monkeypatch):
         """The check reads the residual the solve evaluated at t: every
@@ -171,9 +183,9 @@ class TestBoundaryCheck:
         solver_sizes, other_sizes = [], []
 
         def counted(sizes, sigmoid):
-            def wrapped(x):
+            def wrapped(x, out=None):
                 sizes.append(np.size(x))
-                return sigmoid(x)
+                return sigmoid(x, out=out)
 
             return wrapped
 
