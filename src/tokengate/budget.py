@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
 from .errors import ConfigError, InputError, ParameterError, ShapeError
-from .layers import MapFn, Tensor, as_var, uniform_init
+from .layers import Tensor, as_var, uniform_init
 from .scoring import EPS_REL, normalize_relevance
 
 # Fixed affine scalings applied to the scalar features before the MLP so
@@ -100,26 +99,6 @@ class BudgetHead:
             b_out=np.zeros((1, 1)),
             rho_min=rho_min,
             rho_max=rho_max,
-        )
-
-    def named_tensors(self, prefix: str = "budget") -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}.w1", self.w1
-        yield f"{prefix}.b1", self.b1
-        yield f"{prefix}.w2", self.w2
-        yield f"{prefix}.b2", self.b2
-        yield f"{prefix}.w_out", self.w_out
-        yield f"{prefix}.b_out", self.b_out
-
-    def map_tensors(self, fn: MapFn, prefix: str = "budget") -> "BudgetHead":
-        return BudgetHead(
-            w1=fn(f"{prefix}.w1", self.w1),
-            b1=fn(f"{prefix}.b1", self.b1),
-            w2=fn(f"{prefix}.w2", self.w2),
-            b2=fn(f"{prefix}.b2", self.b2),
-            w_out=fn(f"{prefix}.w_out", self.w_out),
-            b_out=fn(f"{prefix}.b_out", self.b_out),
-            rho_min=self.rho_min,
-            rho_max=self.rho_max,
         )
 
 

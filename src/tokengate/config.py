@@ -14,15 +14,6 @@ from pathlib import Path
 from .errors import ConfigError
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     # model
@@ -105,11 +96,10 @@ _RULES = (
     (("train_lr", "train_momentum", "clip_norm"), math.isfinite, "finite"),
 )
 
-_PARSERS = {int: int, float: float, bool: _parse_bool, str: str}
-
+# Every key is an int or a float; under ``from __future__ import
+# annotations`` each field's type is its annotation text.
 SCHEMA: dict[str, tuple[type, object]] = {
-    f.name: (f.type if isinstance(f.type, type) else {"int": int, "float": float, "bool": bool, "str": str}[f.type], f.default)
-    for f in fields(RunConfig)
+    f.name: ({"int": int, "float": float}[f.type], f.default) for f in fields(RunConfig)
 }
 
 
@@ -137,7 +127,7 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
         typ, _ = SCHEMA[key]
         try:
-            values[key] = _PARSERS[typ](val)
+            values[key] = typ(val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
     merged = {**(_as_dict(base) if base else {}), **values}

@@ -1,6 +1,7 @@
 """Transformer building blocks: weight containers for packed multi-head
-attention and the position-wise feed-forward, the RMSNorm stabilizer,
-and absolute-time encodings.
+attention and the position-wise feed-forward, the tensor walk that names
+and maps their weights, the RMSNorm stabilizer, and absolute-time
+encodings.
 
 Weight containers hold plain float64 arrays (or tape variables after
 ``bind``); the scoring and re-encoder kernels accept either.
@@ -9,8 +10,8 @@ Weight containers hold plain float64 arrays (or tape variables after
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -27,6 +28,7 @@ TIME_WAVELENGTH_MAX = 1.0e4
 
 Tensor = Array | Var
 MapFn = Callable[[str, Tensor], Tensor]
+C = TypeVar("C")
 
 
 def as_var(x: Tensor) -> Var:
@@ -66,16 +68,17 @@ def time_encode(timestamps, d: int) -> Array:
     return out
 
 
-@dataclass
+@dataclass(kw_only=True)
 class AttentionWeights:
     """Packed multi-head projections: ``wq``, ``wk``, ``wv`` and ``wo`` are
     each d x d, and head h owns columns h*d_h:(h+1)*d_h of ``wq``, ``wk``
-    and ``wv`` (d_h = d / heads); ``wo`` maps the concatenated heads back."""
+    and ``wv`` (d_h = d / heads); ``wo`` maps the concatenated heads back.
+    A projection that reaches no output is ``None``."""
 
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
-    wo: Tensor
+    wq: Tensor | None = None
+    wk: Tensor | None = None
+    wv: Tensor | None = None
+    wo: Tensor | None = None
     heads: int
 
     @classmethod
@@ -94,21 +97,6 @@ class AttentionWeights:
         """Single head with identity projections, for oracle tests."""
         eye = np.eye(d)
         return cls(wq=eye.copy(), wk=eye.copy(), wv=eye.copy(), wo=eye.copy(), heads=1)
-
-    def named_tensors(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}.wq", self.wq
-        yield f"{prefix}.wk", self.wk
-        yield f"{prefix}.wv", self.wv
-        yield f"{prefix}.wo", self.wo
-
-    def map_tensors(self, prefix: str, fn: MapFn) -> "AttentionWeights":
-        return AttentionWeights(
-            wq=fn(f"{prefix}.wq", self.wq),
-            wk=fn(f"{prefix}.wk", self.wk),
-            wv=fn(f"{prefix}.wv", self.wv),
-            wo=fn(f"{prefix}.wo", self.wo),
-            heads=self.heads,
-        )
 
 
 @dataclass
@@ -130,16 +118,43 @@ class FeedForwardWeights:
             b2=np.zeros((1, d)),
         )
 
-    def named_tensors(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}.w1", self.w1
-        yield f"{prefix}.b1", self.b1
-        yield f"{prefix}.w2", self.w2
-        yield f"{prefix}.b2", self.b2
 
-    def map_tensors(self, prefix: str, fn: MapFn) -> "FeedForwardWeights":
-        return FeedForwardWeights(
-            w1=fn(f"{prefix}.w1", self.w1),
-            b1=fn(f"{prefix}.b1", self.b1),
-            w2=fn(f"{prefix}.w2", self.w2),
-            b2=fn(f"{prefix}.b2", self.b2),
-        )
+def named_tensors(container, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+    """Every tensor in a weight container, with its manifest name, in
+    field order.
+
+    A tensor field is named ``prefix.field`` and a nested container puts
+    its tensors under its field name.  Item i of a list field is named
+    ``prefix.<tag>i``, the tag coming from the field's ``metadata``.
+    Fields holding no tensor (head counts, bounds, a ``None`` projection)
+    yield nothing; so does a field whose metadata sets ``weights`` to
+    False, which the walk never enters.
+    """
+    for f in fields(container):
+        value = getattr(container, f.name)
+        name = f"{prefix}.{f.name}" if prefix else f.name
+        if isinstance(value, (np.ndarray, Var)):  # a Var is a dataclass too
+            yield name, value
+        elif "tag" in f.metadata:
+            for i, item in enumerate(value):
+                yield from named_tensors(item, f"{prefix}.{f.metadata['tag']}{i}")
+        elif is_dataclass(value) and f.metadata.get("weights", True):
+            yield from named_tensors(value, name)
+
+
+def map_tensors(container: C, fn: MapFn, prefix: str = "") -> C:
+    """A copy of ``container`` with each tensor t replaced by fn(name, t),
+    names and order as in ``named_tensors``."""
+    kwargs = {}
+    for f in fields(container):
+        value = getattr(container, f.name)
+        name = f"{prefix}.{f.name}" if prefix else f.name
+        if isinstance(value, (np.ndarray, Var)):
+            value = fn(name, value)
+        elif "tag" in f.metadata:
+            tag = f"{prefix}.{f.metadata['tag']}"
+            value = [map_tensors(item, fn, f"{tag}{i}") for i, item in enumerate(value)]
+        elif is_dataclass(value) and f.metadata.get("weights", True):
+            value = map_tensors(value, fn, name)
+        kwargs[f.name] = value
+    return type(container)(**kwargs)

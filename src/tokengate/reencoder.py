@@ -14,15 +14,15 @@ memory is O(n * d + ATTENTION_ROWS * n) for n kept tokens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
+from . import layers
 from .autodiff import Var
 from .errors import ShapeError
-from .layers import EPS_NORM, AttentionWeights, FeedForwardWeights, MapFn, Tensor, as_var, time_encode
+from .layers import EPS_NORM, AttentionWeights, FeedForwardWeights, Tensor, as_var, time_encode
 
 # Query rows per attention tile in ``reencode``: a tile's logits take
 # ATTENTION_ROWS * n floats, so memory stays linear in the kept count n.
@@ -46,26 +46,12 @@ class ReencoderBlock:
             ffn=FeedForwardWeights.seeded(d, rng),
         )
 
-    def named_tensors(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}.gain_attn", self.gain_attn
-        yield f"{prefix}.gain_ffn", self.gain_ffn
-        yield from self.attn.named_tensors(f"{prefix}.attn")
-        yield from self.ffn.named_tensors(f"{prefix}.ffn")
-
-    def map_tensors(self, prefix: str, fn: MapFn) -> "ReencoderBlock":
-        return ReencoderBlock(
-            gain_attn=fn(f"{prefix}.gain_attn", self.gain_attn),
-            gain_ffn=fn(f"{prefix}.gain_ffn", self.gain_ffn),
-            attn=self.attn.map_tensors(f"{prefix}.attn", fn),
-            ffn=self.ffn.map_tensors(f"{prefix}.ffn", fn),
-        )
-
 
 @dataclass
 class ReencoderStack:
     """Residual re-encoding blocks; an empty stack disables re-encoding."""
 
-    blocks: list[ReencoderBlock]
+    blocks: list[ReencoderBlock] = field(metadata={"tag": "b"})
 
     @property
     def depth(self) -> int:
@@ -74,15 +60,6 @@ class ReencoderStack:
     @classmethod
     def seeded(cls, d: int, heads: int, depth: int, rng: np.random.Generator) -> "ReencoderStack":
         return cls([ReencoderBlock.seeded(d, heads, rng) for _ in range(depth)])
-
-    def named_tensors(self, prefix: str = "reencoder") -> Iterator[tuple[str, Tensor]]:
-        for i, block in enumerate(self.blocks):
-            yield from block.named_tensors(f"{prefix}.b{i}")
-
-    def map_tensors(self, fn: MapFn, prefix: str = "reencoder") -> "ReencoderStack":
-        return ReencoderStack(
-            [b.map_tensors(f"{prefix}.b{i}", fn) for i, b in enumerate(self.blocks)]
-        )
 
 
 def reencode(z: Var | ad.Array, timestamps, stack: ReencoderStack) -> Var:
@@ -115,7 +92,7 @@ def _block(x: Var, block: ReencoderBlock) -> Var:
     recomputed ATTENTION_ROWS query rows at a time, so no n x n map is
     ever stored.
     """
-    params = tuple(as_var(t) for _, t in block.named_tensors("b"))
+    params = tuple(as_var(t) for _, t in layers.named_tensors(block))
     values = tuple(p.value for p in params)  # in the order _block_forward unpacks
     heads = block.attn.heads
     width = as_var(block.attn.wq).shape[0]

@@ -10,7 +10,7 @@ inference and training alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Array, Var
 from .errors import InputError, ShapeError
-from .layers import AttentionWeights, MapFn, Tensor, as_var
+from .layers import AttentionWeights, Tensor, as_var
 
 # Stabilizer in the relevance normalization p_i = r_i / (sum_j r_j + EPS_REL).
 EPS_REL = 1e-8
@@ -37,18 +37,28 @@ class ScoringWeights:
 
     The last layer's packed ``wq``/``wk`` give the attention maps.  Each
     earlier layer only feeds the visual stream forward as the next key
-    source x W_v W_o, so ``carry`` keeps just its (wv, wo); its own maps
-    reach no output.  Depth 1 (no carry) is the default.
+    source x W_v W_o, so it keeps just its ``wv``/``wo``; its own maps
+    reach no output.  Depth 1 is the default.
     """
 
-    wq: Tensor
-    wk: Tensor
-    heads: int
-    carry: list[tuple[Tensor, Tensor]] = field(default_factory=list)
+    layers: list[AttentionWeights] = field(metadata={"tag": "l"})
 
     @property
-    def depth(self) -> int:
-        return len(self.carry) + 1
+    def heads(self) -> int:
+        return self.layers[-1].heads
+
+    @property
+    def wq(self) -> Tensor:
+        return self.layers[-1].wq
+
+    @property
+    def wk(self) -> Tensor:
+        return self.layers[-1].wk
+
+    @property
+    def carry(self) -> list[tuple[Tensor, Tensor]]:
+        """(wv, wo) of every layer before the last, first layer first."""
+        return [(a.wv, a.wo) for a in self.layers[:-1]]
 
     @classmethod
     def seeded(cls, d: int, heads: int, depth: int, rng: np.random.Generator) -> "ScoringWeights":
@@ -56,31 +66,12 @@ class ScoringWeights:
         # ones: the budget head and re-encoder draw from the same generator
         # next, so their seeded values do not depend on what is kept here.
         layers = [AttentionWeights.seeded(d, heads, rng) for _ in range(depth)]
-        return cls(layers[-1].wq, layers[-1].wk, heads, [(a.wv, a.wo) for a in layers[:-1]])
+        carry = [replace(a, wq=None, wk=None) for a in layers[:-1]]
+        return cls([*carry, replace(layers[-1], wv=None, wo=None)])
 
     @classmethod
     def identity(cls, d: int) -> "ScoringWeights":
-        eye = AttentionWeights.identity(d)
-        return cls(eye.wq, eye.wk, eye.heads)
-
-    def named_tensors(self, prefix: str = "scoring") -> Iterator[tuple[str, Tensor]]:
-        for i, (wv, wo) in enumerate(self.carry):
-            yield f"{prefix}.l{i}.wv", wv
-            yield f"{prefix}.l{i}.wo", wo
-        yield f"{prefix}.l{self.depth - 1}.wq", self.wq
-        yield f"{prefix}.l{self.depth - 1}.wk", self.wk
-
-    def map_tensors(self, fn: MapFn, prefix: str = "scoring") -> "ScoringWeights":
-        last = f"{prefix}.l{self.depth - 1}"
-        return ScoringWeights(
-            fn(f"{last}.wq", self.wq),
-            fn(f"{last}.wk", self.wk),
-            self.heads,
-            [
-                (fn(f"{prefix}.l{i}.wv", wv), fn(f"{prefix}.l{i}.wo", wo))
-                for i, (wv, wo) in enumerate(self.carry)
-            ],
-        )
+        return cls([replace(AttentionWeights.identity(d), wv=None, wo=None)])
 
 
 def score(x: Var | Array, q: Var | Array, w: ScoringWeights) -> Var:

@@ -10,14 +10,14 @@ record.  To train, bind the model's tensors to a tape first
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from . import autodiff as ad
-from . import tensorio
+from . import layers, tensorio
 from .autodiff import Array, Tape, Var
 from .budget import BudgetHead, compute_budget, extract_features, predict_rho
 from .config import RunConfig, config_text, load_config
@@ -29,7 +29,7 @@ from .errors import (
     ShapeError,
 )
 from .gate import hard_top_n, sample_gumbel_pairs, soft_gate_apply, threshold_var
-from .layers import MapFn, Tensor, as_var
+from .layers import Tensor, as_var
 from .reencoder import ReencoderStack, reencode
 from .scoring import ScoringWeights, score
 
@@ -38,7 +38,7 @@ from .scoring import ScoringWeights, score
 class SelectorModel:
     """All weights of one selector instance and the config it was built from."""
 
-    cfg: RunConfig
+    cfg: RunConfig = field(metadata={"weights": False})
     scoring: ScoringWeights
     budget: BudgetHead
     reencoder: ReencoderStack
@@ -56,17 +56,7 @@ class SelectorModel:
         )
 
     def named_tensors(self) -> Iterator[tuple[str, Tensor]]:
-        yield from self.scoring.named_tensors("scoring")
-        yield from self.budget.named_tensors("budget")
-        yield from self.reencoder.named_tensors("reencoder")
-
-    def map_tensors(self, fn: MapFn) -> "SelectorModel":
-        return replace(
-            self,
-            scoring=self.scoring.map_tensors(fn, "scoring"),
-            budget=self.budget.map_tensors(fn, "budget"),
-            reencoder=self.reencoder.map_tensors(fn, "reencoder"),
-        )
+        return layers.named_tensors(self)
 
     def parameters(self) -> dict[str, Array]:
         """Copies of every weight tensor, keyed by manifest name."""
@@ -81,10 +71,10 @@ class SelectorModel:
             bound_vars[name] = var
             return var
 
-        return self.map_tensors(wrap), bound_vars
+        return layers.map_tensors(self, wrap), bound_vars
 
     def with_parameters(self, params: dict[str, Array]) -> "SelectorModel":
-        return self.map_tensors(lambda name, _t: params[name])
+        return layers.map_tensors(self, lambda name, _t: params[name])
 
     def without_reencoder(self) -> "SelectorModel":
         return replace(
@@ -273,24 +263,26 @@ def load_weights(path: str | Path) -> SelectorModel:
     """Rebuild a model from a weights directory, verifying every checksum.
 
     Raises MissingResourceError for absent files or tensors, InputError
-    for checksum mismatches or NaN/inf values (naming the tensor),
-    ShapeError for shape conflicts.
+    for checksum mismatches, NaN/inf values or a tensor the manifest
+    lists twice (naming the tensor), ShapeError for shape conflicts.
     """
     path = Path(path)
     if not path.is_dir():
         raise MissingResourceError(f"weights directory not found: {path}")
-    cfg = load_config(path / "model.cfg") if (path / "model.cfg").exists() else None
-    if cfg is None:
+    if not (path / "model.cfg").exists():
         raise MissingResourceError(f"model config not found in {path}")
-    skeleton = SelectorModel.build(cfg)
+    skeleton = SelectorModel.build(load_config(path / "model.cfg"))
     manifest = tensorio.read_manifest(path / "manifest.txt")
-    by_name = {entry[0]: entry for entry in manifest}
+    names = [entry[0] for entry in manifest]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise InputError(f"manifest lists tensors more than once: {', '.join(repeated)}")
 
     expected = dict(skeleton.named_tensors())
-    missing = sorted(set(expected) - set(by_name))
+    missing = sorted(set(expected) - set(names))
     if missing:
         raise MissingResourceError(f"manifest missing tensors: {', '.join(missing)}")
-    extra = sorted(set(by_name) - set(expected))
+    extra = sorted(set(names) - set(expected))
     if extra:
         raise InputError(f"manifest lists unknown tensors: {', '.join(extra)}")
 

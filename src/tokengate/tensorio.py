@@ -11,6 +11,7 @@ the manifest's directory; anything with a path component is rejected.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 import tempfile
@@ -52,7 +53,7 @@ def read_tensor(path: str | Path) -> np.ndarray:
     if len(blob) < dims_end:
         raise InputError(f"{path}: truncated dimensions at offset {len(blob)}")
     dims = struct.unpack_from(f"<{rank}Q", blob, 12)
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # exact: a numpy product can wrap to 0
     expected = dims_end + 8 * count
     if len(blob) != expected:
         raise InputError(

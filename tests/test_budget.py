@@ -13,6 +13,7 @@ from tokengate import autodiff as ad
 from tokengate.autodiff import Tape
 from tokengate.budget import BudgetHead, compute_budget, extract_features, predict_rho
 from tokengate.errors import ConfigError, InputError, ParameterError
+from tokengate.layers import map_tensors, named_tensors
 from tokengate.scoring import EPS_REL
 
 
@@ -188,16 +189,16 @@ class TestPredictRho:
         q = rng.standard_normal((4, 3))
         r = rng.uniform(0.1, 0.9, 9)
 
-        for name, tensor in head.named_tensors():
+        for name, tensor in named_tensors(head):
             tape = Tape()
             tracked = tape.var(tensor)
-            bound = head.map_tensors(lambda n, t: tracked if n == name else t)
+            bound = map_tensors(head, lambda n, t: tracked if n == name else t)
             rho = predict_rho(_features(q, r), bound)
             (analytic,) = tape.gradients(rho, [tracked])
 
             def f(flat):
-                trial = head.map_tensors(
-                    lambda n, t: flat.reshape(tensor.shape) if n == name else t
+                trial = map_tensors(
+                    head, lambda n, t: flat.reshape(tensor.shape) if n == name else t
                 )
                 return predict_rho(_features(q, r), trial).item()
 

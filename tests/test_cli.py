@@ -2,6 +2,7 @@
 
 import json
 import re
+import struct
 from dataclasses import asdict
 from pathlib import Path
 
@@ -141,6 +142,21 @@ class TestSelectCommand:
         lines[0] = " ".join((name, shape, checksum, f"../{filename}"))
         manifest.write_text("\n".join(lines) + "\n")
         assert main(_select_args(workspace)) == 2
+
+    def test_manifest_listing_a_tensor_twice_exits_2(self, workspace, capsys):
+        manifest = workspace / "weights" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join([*lines, lines[0]]) + "\n")
+        assert main(_select_args(workspace)) == 2
+        assert lines[0].split()[0] in capsys.readouterr().err
+        assert not (workspace / "out_z.qtn").exists()
+
+    def test_overflowing_tensor_header_exits_2_without_outputs(self, workspace):
+        """A dimension product past 2^63 is a malformed file, not a crash."""
+        header = b"QTN1" + struct.pack("<II", 1, 2) + struct.pack("<2Q", 2**32, 2**32)
+        (workspace / "x.qtn").write_bytes(header)
+        assert main(_select_args(workspace)) == 2
+        assert not (workspace / "out_z.qtn").exists()
 
     @pytest.mark.parametrize("bad", [np.nan, -1.0])
     def test_bad_timestamp_exits_2_without_outputs(self, workspace, bad):

@@ -11,6 +11,7 @@ from oracles import score as oracle_score
 from tokengate import autodiff as ad
 from tokengate.autodiff import Tape
 from tokengate.errors import InputError
+from tokengate.layers import AttentionWeights
 from tokengate.scoring import RELEVANCE_CHUNK, ScoringWeights, normalize_relevance, score
 
 
@@ -99,7 +100,7 @@ class TestScore:
         base = ScoringWeights.seeded(d, 1, 1, rng)
         r = score(x, q, base)
         for c in (0.5, 2.0, 7.3):
-            scaled = ScoringWeights(wq=base.wq, wk=base.wk * c, heads=1)
+            scaled = ScoringWeights([AttentionWeights(wq=base.wq, wk=base.wk * c, heads=1)])
             r_scaled = score(x, q, scaled)
             assert int(np.argmax(r_scaled.value)) == int(np.argmax(r.value))
             assert not np.allclose(r_scaled.value, r.value)

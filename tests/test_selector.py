@@ -1,6 +1,7 @@
 """Pipeline orchestration and weight persistence."""
 
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -331,6 +332,20 @@ class TestSerialization:
         with pytest.raises(ShapeError):
             load_weights(tmp_path / "w")
 
+    def test_manifest_listing_a_tensor_twice(self, model, tmp_path):
+        """A second, well-formed entry for one name is refused, not loaded
+        over the first."""
+        from tokengate.tensorio import file_sha256, write_manifest
+
+        entries = save_weights(model, tmp_path / "w")
+        name, shape_txt, _, _ = entries[0]
+        rows, cols = (int(v) for v in shape_txt.split("x"))
+        write_tensor(tmp_path / "w" / "other.qtn", np.zeros((rows, cols)))
+        entries.append((name, shape_txt, file_sha256(tmp_path / "w" / "other.qtn"), "other.qtn"))
+        write_manifest(tmp_path / "w" / "manifest.txt", entries)
+        with pytest.raises(InputError, match=rf"more than once: {name}$"):
+            load_weights(tmp_path / "w")
+
     @pytest.mark.parametrize("target", ["../{}", "sub/{}", "absolute"])
     def test_manifest_filename_must_be_bare(self, model, tmp_path, target):
         """A manifest may not name a file outside its directory, even one
@@ -367,6 +382,28 @@ class TestSerialization:
         assert sum(n.startswith("reencoder.") for n in names) == expected_reencoder
         assert len(names) == expected_scoring + expected_budget + expected_reencoder
 
+    @pytest.mark.parametrize(
+        "depths, trainable",
+        [((1, 2), False), ((2, 1), False), ((3, 0), False), ((1, 2), True)],
+    )
+    def test_manifest_names_in_order(self, depths, trainable):
+        """The exact ordered names: ``reencoder._block`` unpacks a block's
+        tensors in this order, and training sums the gradient norm in it."""
+        s_depth, r_depth = depths
+        model = SelectorModel.build(RunConfig(scoring_depth=s_depth, reencode_depth=r_depth))
+        if trainable:
+            model = model.without_reencoder()
+            r_depth = 0
+        scoring = [f"scoring.l{i}.{w}" for i in range(s_depth - 1) for w in ("wv", "wo")]
+        scoring += [f"scoring.l{s_depth - 1}.wq", f"scoring.l{s_depth - 1}.wk"]
+        budget = [f"budget.{w}" for w in ("w1", "b1", "w2", "b2", "w_out", "b_out")]
+        block = ["gain_attn", "gain_ffn", "attn.wq", "attn.wk", "attn.wv", "attn.wo",
+                 "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2"]
+        reencoder = [f"reencoder.b{i}.{w}" for i in range(r_depth) for w in block]
+        expected = scoring + budget + reencoder
+        assert [name for name, _ in model.named_tensors()] == expected
+        assert list(model.parameters()) == expected
+
     def test_per_head_layout_is_missing_resource(self, model, tmp_path):
         save_per_head_weights(model, tmp_path / "w")
         with pytest.raises(MissingResourceError, match=r"scoring\.l0\.wq"):
@@ -388,6 +425,14 @@ class TestTensorFormat:
         (tmp_path / "bad.qtn").write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(InputError, match="offset 0"):
             read_tensor(tmp_path / "bad.qtn")
+
+    def test_dimension_product_beyond_int64(self, tmp_path):
+        """dims (2^32, 2^32) and no payload: the element count 2^64 is
+        taken exactly, so the length check names the mismatch."""
+        header = b"QTN1" + struct.pack("<II", 1, 2) + struct.pack("<2Q", 2**32, 2**32)
+        (tmp_path / "big.qtn").write_bytes(header)
+        with pytest.raises(InputError, match="payload length mismatch"):
+            read_tensor(tmp_path / "big.qtn")
 
     def test_truncated_payload(self, tmp_path):
         arr = np.ones((3, 3))

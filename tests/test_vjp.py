@@ -14,6 +14,7 @@ from tokengate import reencoder, scoring, selector
 from tokengate.autodiff import Tape
 from tokengate.config import RunConfig
 from tokengate.harness import WorkloadSpec, generate_workload, planted_mass_loss
+from tokengate.layers import AttentionWeights, map_tensors, named_tensors
 from tokengate.objective import PenaltyWeights, total_loss
 from tokengate.reencoder import ReencoderStack, reencode
 from tokengate.scoring import ScoringWeights, score
@@ -103,7 +104,8 @@ def test_score_gradients_with_tied_tokens_and_heads(monkeypatch, chunk):
         tape = Tape()
         leaves = {name: tape.var(v) for name, v in (("x", x), ("q", q), ("wq", wq), ("wk", wk))}
         carry = [(tape.var(wv), tape.var(wo)) for wv, wo in base.carry]
-        w = ScoringWeights(leaves["wq"], leaves["wk"], 4, carry)
+        layers = [AttentionWeights(wv=wv, wo=wo, heads=4) for wv, wo in carry]
+        w = ScoringWeights([*layers, AttentionWeights(wq=leaves["wq"], wk=leaves["wk"], heads=4)])
         r = forward(leaves["x"], leaves["q"], w)
         tracked = [*leaves.values(), *(t for pair in carry for t in pair)]
         return r.value, tape.gradients(ad.sum_all(ad.mul(r, ad.const(probe))), tracked)
@@ -138,10 +140,10 @@ def test_reencode_gradients_match_tape_oracle(monkeypatch, case, rows):
 
     def gradients(forward):
         tape = Tape()
-        bound = stack.map_tensors(lambda name, t: tape.var(t, name))
+        bound = map_tensors(stack, lambda name, t: tape.var(t, name))
         zv = tape.var(z)
         out = forward(zv, ts, bound)
-        tracked = [zv, *(t for _, t in bound.named_tensors())]
+        tracked = [zv, *(t for _, t in named_tensors(bound))]
         return tape.gradients(ad.sum_all(ad.mul(out, ad.const(probe))), tracked)
 
     for g, g_ref in zip(gradients(reencode), gradients(oracles.reencode)):
