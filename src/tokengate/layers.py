@@ -31,8 +31,10 @@ MapFn = Callable[[str, Tensor], Tensor]
 C = TypeVar("C")
 
 
-def as_var(x: Tensor) -> Var:
-    return x if isinstance(x, Var) else ad.const(x)
+def as_var(x: Tensor, name: str = "const") -> Var:
+    """``x`` itself if it is a Var, else an untracked constant; ``name``
+    labels the input in the error raised for a malformed array."""
+    return x if isinstance(x, Var) else ad.const(x, name)
 
 
 def uniform_init(rng: np.random.Generator, rows: int, cols: int) -> Array:
@@ -41,18 +43,29 @@ def uniform_init(rng: np.random.Generator, rows: int, cols: int) -> Array:
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
+def check_timestamps(timestamps) -> Array:
+    """The timestamps as a flat float64 array, each a finite, nonnegative
+    number of seconds at most float max / 2pi (about 2.86e307), so that
+    ``time_encode``'s angles 2pi * t / wavelength stay finite."""
+    ts = np.asarray(timestamps, dtype=np.float64).ravel()
+    limit = np.finfo(np.float64).max / (2.0 * math.pi)
+    # min and max propagate NaN, which fails both comparisons
+    if ts.size and not (ts.min() >= 0.0 and ts.max() <= limit):
+        raise InputError(
+            f"timestamps must be finite, nonnegative seconds, at most float max / 2pi = {limit:.6g}"
+        )
+    return ts
+
+
 def time_encode(timestamps, d: int) -> Array:
     """Sinusoidal encoding of absolute timestamps (seconds) into d components.
 
     Deterministic, bounded in [-1, 1], identical rows for identical
     timestamps.  Even columns carry sin, odd columns cos, over geometric
-    wavelengths spanning seconds to hours.
+    wavelengths spanning seconds to hours.  Timestamps must pass
+    ``check_timestamps``.
     """
-    ts = np.asarray(timestamps, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(ts)):
-        raise InputError("timestamps contain non-finite values")
-    if np.any(ts < 0):
-        raise InputError("timestamps must be nonnegative seconds")
+    ts = check_timestamps(timestamps)
     if d < 1:
         raise ConfigError(f"encoding dimension must be >= 1, got {d}")
     n_freq = (d + 1) // 2

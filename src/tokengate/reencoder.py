@@ -9,6 +9,17 @@ ablation and is an exact identity.
 GEMM per packed projection and a row-tiled attention, recorded on the
 tape as one operation whose backward recomputes what it needs, so its
 memory is O(n * d + ATTENTION_ROWS * n) for n kept tokens.
+
+Exp is the only elementwise pass over an attention tile.  Any shift of
+at least the row max gives the same softmax (online softmax, arXiv
+1805.02867), and s_i = |q_i| * max_j |k_j| is one by Cauchy-Schwarz;
+it rides the QK GEMM as a spare query column against a row of ones
+under the keys, e = exp([q_h | -s] @ [k_h^T ; 1]), which cannot
+overflow.  The row sums ride the PV GEMM as a column of ones beside the
+values, e @ [v_h | 1], and divide the n x d_h output (FlashAttention,
+arXiv 2205.14135).  A head whose largest s reaches SHIFT_LIMIT, where
+a row's largest term exp(-2 s) would near the subnormal range, shifts
+by the exact row max instead.
 """
 
 from __future__ import annotations
@@ -28,6 +39,16 @@ from .layers import EPS_NORM, AttentionWeights, FeedForwardWeights, Tensor, as_v
 # ATTENTION_ROWS * n floats, so memory stays linear in the kept count n.
 # At the default n_max = 256 an inference call is one tile per head.
 ATTENTION_ROWS = 256
+
+# Largest per-head shift bound s = |q_i| * max_j |k_j| that the attention
+# tiles use as their softmax shift.  Every logit of row i lies in
+# [-s_i, s_i], so the row's largest term exp(logit - s_i) is at least
+# exp(-2 s_i); at this limit that is sqrt(tiny) = 2^-511 (tiny = 2^-1022,
+# the smallest normal float64), so the row sum and the product of that
+# term with any v entry of magnitude 2^-511 or more are normal floats.
+# A head whose bound reaches the limit shifts by the exact row max
+# instead.  Seeded weights at the default width give s of about 3.
+SHIFT_LIMIT = -math.log(np.finfo(np.float64).tiny) / 4  # 1022 ln 2 / 4, about 177.1
 
 
 @dataclass
@@ -89,8 +110,8 @@ def _block(x: Var, block: ReencoderBlock) -> Var:
     The forward keeps nothing but its input for the backward, which
     runs the block forward again for its intermediates and then the
     FlashAttention backward (arXiv 2205.14135): each head's weights are
-    recomputed ATTENTION_ROWS query rows at a time, so no n x n map is
-    ever stored.
+    recomputed ATTENTION_ROWS query rows at a time by the forward's own
+    tile generator, so no n x n map is ever stored.
     """
     params = tuple(as_var(t) for _, t in layers.named_tensors(block))
     values = tuple(p.value for p in params)  # in the order _block_forward unpacks
@@ -110,31 +131,42 @@ def _block_forward(x: ad.Array, values: tuple, heads: int) -> tuple[ad.Array, tu
     """The block's output and the intermediates its backward needs.
 
     One GEMM per packed d x d projection, the 1/sqrt(d_h) scale folded
-    into the queries; the row sums divide the n x d_h head output
-    instead of the n x n weights (FlashAttention's deferred
-    normalisation).
+    into the queries.  Queries, keys and values are laid out per head
+    with one spare column (``_per_head``).  ``_attention_tiles`` writes
+    the shift -s_i into the queries' spare column (the keys' holds
+    ones), so each tile is exp of one QK GEMM; the values' column of
+    ones makes the PV GEMM yield each head's output and its row sums
+    together, and the sums divide the n x d_h output, not the n x n
+    weights (FlashAttention's deferred normalisation).  A head whose
+    largest s_i reaches SHIFT_LIMIT subtracts its exact row max from
+    each tile instead.  SiLU is pre / (1 + exp(-pre)), one exp pass too.
     """
     gain_attn, gain_ffn, wq, wk, wv, wo, w1, b1, w2, b2 = values
+    n, d = x.shape
     normed, inv_attn = _rmsnorm(x, gain_attn)
-    q = normed @ wq
-    q *= 1.0 / math.sqrt(x.shape[1] // heads)
-    k_t = np.ascontiguousarray((normed @ wk).T)  # row slices feed BLAS untransposed
-    v = normed @ wv
-    o = np.empty_like(x)
-    for cols, rows, e, sums in _attention_tiles(q, k_t, heads):
-        o[rows, cols] = e @ v[:, cols]
-        o[rows, cols] /= sums
+    q_aug = _per_head(normed @ wq, heads, 0.0)  # _attention_tiles writes -s in the spare column
+    q_aug *= 1.0 / math.sqrt(d // heads)
+    k_aug = np.ascontiguousarray(_per_head(normed @ wk, heads, 1.0).transpose(1, 2, 0))
+    v_aug = _per_head(normed @ wv, heads, 1.0)
+    ov = _attention(q_aug, k_aug, v_aug)
+    sums = ov[:, :, -1]
+    o = (ov[:, :, :-1] / ov[:, :, -1:]).reshape(n, d)
     mid = x + o @ wo
 
     normed_ffn, inv_ffn = _rmsnorm(mid, gain_ffn)
     pre = normed_ffn @ w1
     pre += b1
-    gate = ad.sigmoid_values(pre)
-    hidden = pre * gate  # SiLU
+    den = np.negative(pre)
+    with np.errstate(over="ignore"):  # den = inf makes the SiLU -0
+        np.exp(den, out=den)
+    den += 1.0
+    hidden = pre / den  # SiLU, pre * sigmoid(pre)
     out = hidden @ w2
     out += b2
     out += mid
-    saved = (normed, inv_attn, q, k_t, v, o, mid, normed_ffn, inv_ffn, pre, gate, hidden)
+    saved = (
+        normed, inv_attn, q_aug, k_aug, v_aug, o, sums, mid, normed_ffn, inv_ffn, pre, den, hidden
+    )
     return out, saved
 
 
@@ -142,24 +174,35 @@ def _block_backward(g: ad.Array, x: ad.Array, values: tuple, heads: int) -> tupl
     """Adjoints of the block input and of ``values``, in their order."""
     gain_attn, gain_ffn, wq, wk, wv, wo, w1, b1, w2, b2 = values
     _, saved = _block_forward(x, values, heads)
-    normed, inv_attn, q, k_t, v, o, mid, normed_ffn, inv_ffn, pre, gate, hidden = saved
+    (normed, inv_attn, q_aug, k_aug, v_aug, o, sums,
+     mid, normed_ffn, inv_ffn, pre, den, hidden) = saved
+    n, d = x.shape
+    d_h = d // heads
 
-    d_pre = (g @ w2.T) * (gate * (1.0 + pre * (1.0 - gate)))
+    gate = 1.0 / den  # sigmoid(pre)
+    d_pre = g @ w2.T
+    d_pre *= gate + hidden * (1.0 - gate)  # SiLU'
     d_gain_ffn, d_mid = _rmsnorm_backward(d_pre @ w1.T, mid, inv_ffn, gain_ffn)
     d_mid += g
-    d_o = d_mid @ wo.T
+    d_o = (d_mid @ wo.T).reshape(n, heads, d_h)
 
-    d_q, d_k, d_v = np.empty_like(q), np.zeros_like(q), np.zeros_like(v)
-    for cols, rows, p, sums in _attention_tiles(q, k_t, heads):
-        p /= sums
-        d_o_h = d_o[rows, cols]
-        d_v[:, cols] += p.T @ d_o_h
-        d_s = d_o_h @ v[:, cols].T
-        d_s -= (d_o_h * o[rows, cols]).sum(axis=1, keepdims=True)
-        d_s *= p
-        d_q[rows, cols] = d_s @ k_t[cols].T
-        d_k[:, cols] += d_s.T @ q[rows, cols]
-    d_q *= 1.0 / math.sqrt(x.shape[1] // heads)
+    # The logit adjoint p * (d_o_h v_h^T - rowdot(d_o_h, o_h)), p = e / sums,
+    # is e * (g_aug[:, h] @ [v_h | 1]^T) for g_aug[:, h] = [d_o_h | -rowdot] / sums:
+    # one GEMM and one product per tile.
+    g_aug = np.empty_like(v_aug)
+    g_aug[:, :, :-1] = d_o
+    g_aug[:, :, -1] = -np.einsum("nhc,nhc->nh", d_o, o.reshape(n, heads, d_h))
+    g_aug /= sums[:, :, None]
+    d_q, d_k, d_v = np.empty_like(d_o), np.zeros_like(d_o), np.zeros_like(d_o)
+    for h, rows, e in _attention_tiles(q_aug, k_aug):
+        g_h = g_aug[rows, h]
+        d_v[:, h] += e.T @ g_h[:, :-1]
+        d_s = g_h @ v_aug[:, h].T
+        d_s *= e
+        d_q[rows, h] = d_s @ k_aug[h, :-1].T
+        d_k[:, h] += d_s.T @ q_aug[rows, h, :-1]
+    d_q, d_k, d_v = d_q.reshape(n, d), d_k.reshape(n, d), d_v.reshape(n, d)
+    d_q *= 1.0 / math.sqrt(d_h)
 
     d_normed = d_q @ wq.T + d_k @ wk.T + d_v @ wv.T
     d_gain_attn, d_x = _rmsnorm_backward(d_normed, x, inv_attn, gain_attn)
@@ -179,21 +222,63 @@ def _block_backward(g: ad.Array, x: ad.Array, values: tuple, heads: int) -> tupl
     )
 
 
-def _attention_tiles(q: ad.Array, k_t: ad.Array, heads: int):
-    """(columns, rows, e, row sums) per head and per ATTENTION_ROWS query
-    rows, e = exp(logits - row max) in one buffer that every tile reuses."""
-    n, d = q.shape
-    d_h = d // heads
+def _per_head(a: ad.Array, heads: int, fill: float) -> ad.Array:
+    """The n x d projection ``a`` as (n, heads, d_h + 1): head h's columns
+    in [:, h, :d_h] and ``fill`` in the spare column [:, h, d_h]."""
+    n, d = a.shape
+    out = np.full((n, heads, d // heads + 1), fill)
+    out[:, :, :-1] = a.reshape(n, heads, d // heads)
+    return out
+
+
+def _attention(q_aug: ad.Array, k_aug: ad.Array, v_aug: ad.Array) -> ad.Array:
+    """(n, heads, d_h + 1) with [:, h] = e @ [v_h | 1] over head h's tiles:
+    the head's unnormalised output and, in the last column, its row sums.
+    The tile buffer is freed on return."""
+    ov = np.empty_like(v_aug)
+    for h, rows, e in _attention_tiles(q_aug, k_aug):
+        ov[rows, h] = e @ v_aug[:, h]
+    return ov
+
+
+def _attention_tiles(q_aug: ad.Array, k_aug: ad.Array):
+    """(head, rows, e) per head and per ATTENTION_ROWS query rows,
+    e = exp(logits - shift) in one buffer that every tile reuses.
+
+    ``q_aug`` (n, heads, d_h + 1) and ``k_aug`` (heads, d_h + 1, n) come
+    from ``_per_head``, the keys' spare row holding ones.  The queries'
+    spare column receives -s from ``_shift_bounds``, so the GEMM itself
+    yields logits - s; a flagged head gets 0 there and subtracts its
+    exact row max instead.
+    """
+    n, heads = q_aug.shape[:2]
+    shift, exact = _shift_bounds(q_aug[:, :, :-1], k_aug[:, :-1])
+    np.negative(shift, out=q_aug[:, :, -1])
     buf = np.empty((min(n, ATTENTION_ROWS), n))
     for h in range(heads):
-        cols = slice(h * d_h, (h + 1) * d_h)
         for start in range(0, n, ATTENTION_ROWS):
             rows = slice(start, min(start + ATTENTION_ROWS, n))
             e = buf[: rows.stop - start]
-            np.matmul(q[rows, cols], k_t[cols], out=e)
-            e -= e.max(axis=1, keepdims=True)
+            np.matmul(q_aug[rows, h], k_aug[h], out=e)
+            if exact[h]:
+                e -= e.max(axis=1, keepdims=True)
             np.exp(e, out=e)
-            yield cols, rows, e, e.sum(axis=1, keepdims=True)
+            yield h, rows, e
+
+
+def _shift_bounds(q3: ad.Array, k3_t: ad.Array) -> tuple[ad.Array, ad.Array]:
+    """The (n, heads) shifts s_ih = |q_ih| * max_j |k_jh|, each at least
+    every logit of its row (Cauchy-Schwarz), and the (heads,) flags of
+    the heads whose largest s reaches SHIFT_LIMIT (or is NaN); a flagged
+    head's shifts are 0, as it takes the exact row max.
+
+    ``q3`` is (n, heads, d_h) and ``k3_t`` is (heads, d_h, n).
+    """
+    shift = np.sqrt(np.einsum("nhc,nhc->nh", q3, q3))
+    shift *= np.sqrt(np.einsum("hcn,hcn->hn", k3_t, k3_t).max(axis=1, initial=0.0))
+    exact = ~(shift.max(axis=0, initial=0.0) < SHIFT_LIMIT)
+    shift[:, exact] = 0.0
+    return shift, exact
 
 
 def _rmsnorm(x: ad.Array, gain: ad.Array) -> tuple[ad.Array, ad.Array]:

@@ -137,23 +137,23 @@ def select(
     ``rng`` for the Gumbel noise.
 
     Every timestamp, kept or not, must be a finite, nonnegative number of
-    seconds (``InputError`` otherwise).  Timestamps need not be sorted:
+    seconds, at most float max / 2pi (``InputError`` otherwise), whatever
+    the re-encoder depth.  Timestamps need not be sorted:
     kept tokens stay in index order and carry their own timestamps.
     """
     if mode not in ("train", "infer"):
         raise ParameterError(f"mode must be 'train' or 'infer', got {mode!r}")
     if mode == "train" and rng is None:
         raise ParameterError("train mode needs an rng for the Gumbel noise")
-    x_var = as_var(x)
-    q_var = as_var(q)
+    x_var = as_var(x, "x")
+    q_var = as_var(q, "q")
     m = x_var.shape[0]
     if m == 0:
         raise InputError("empty visual stream")
     ts = np.asarray(timestamps, dtype=np.float64).ravel()
     if ts.size != m:
         raise ShapeError(f"{ts.size} timestamps for {m} tokens")
-    if not np.all(np.isfinite(ts)) or np.any(ts < 0):
-        raise InputError("timestamps must be finite, nonnegative seconds")
+    layers.check_timestamps(ts)
 
     r_var = score(x_var, q_var, model.scoring)
     features = extract_features(q_var, r_var, m)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 
 from oracles import finite_difference_gradient
+from tokengate import reencoder
 from tokengate.autodiff import Tape, Var
 
 
@@ -28,6 +29,21 @@ def peak_bytes(fn) -> int:
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def count_guarded_heads(monkeypatch) -> list[tuple[int, int]]:
+    """Record, per ``reencoder._shift_bounds`` call, how many heads take
+    the exact row max and how many fold the shift bound into the GEMM."""
+    calls = []
+    bounds = reencoder._shift_bounds
+
+    def counted(q3, k3_t):
+        shift, exact = bounds(q3, k3_t)
+        calls.append((int(exact.sum()), int((~exact).sum())))
+        return shift, exact
+
+    monkeypatch.setattr(reencoder, "_shift_bounds", counted)
+    return calls
 
 
 def tape_vs_fd(build, x0, step=1e-6):

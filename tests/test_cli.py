@@ -174,6 +174,23 @@ class TestSelectCommand:
         assert main(_select_args(workspace)) == 2
         assert not (workspace / "out_z.qtn").exists()
 
+    def test_timestamp_past_the_time_encoding_range_exits_2(self, workspace, capsys):
+        ts = np.arange(16.0)
+        ts[0] = 1e308
+        write_tensor(workspace / "ts.qtn", ts)
+        assert main(_select_args(workspace)) == 2
+        assert "input error: timestamps must be finite, nonnegative seconds, at most" in capsys.readouterr().err
+        assert not (workspace / "out_z.qtn").exists()
+
+    @pytest.mark.parametrize("name", ["x", "q"])
+    def test_non_finite_input_named_exit_2(self, workspace, capsys, name):
+        arr = read_tensor(workspace / f"{name}.qtn")
+        arr[0, 1] = np.inf if name == "q" else np.nan
+        write_tensor(workspace / f"{name}.qtn", arr)
+        assert main(_select_args(workspace)) == 2
+        assert f"input error: {name} contains non-finite entries" in capsys.readouterr().err
+        assert not (workspace / "out_z.qtn").exists()
+
     def test_non_finite_weights_exit_2(self, workspace, capsys):
         model = SelectorModel.build(RunConfig(d=16, heads=2, budget_hidden=16, n_max=64))
         save_weights(model, workspace / "nan")

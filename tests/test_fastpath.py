@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import count_guarded_heads
 from tokengate import scoring
 from tokengate.autodiff import Tape, sigmoid_values
 from tokengate.config import RunConfig
@@ -144,6 +145,42 @@ def test_reencode_values_matches_tape(case):
     np.testing.assert_array_equal(z, z_before)
     if case == "tied_rows":
         assert np.all(got == got[0])
+
+
+def test_default_model_never_takes_the_exact_max_guard(monkeypatch):
+    """At the ``RunConfig()`` defaults the shift bound stays far below
+    SHIFT_LIMIT, so every head of both blocks folds it into the GEMM."""
+    calls = count_guarded_heads(monkeypatch)
+    cfg = RunConfig()
+    model = SelectorModel.build(cfg)
+    rng = np.random.default_rng(1702)
+    reencode(rng.standard_normal((256, cfg.d)), np.sort(rng.uniform(0, 3600, 256)), model.reencoder)
+    assert calls == [(0, cfg.heads)] * cfg.reencode_depth
+
+
+def test_large_logits_take_the_exact_max_guard_on_every_head(monkeypatch):
+    calls = count_guarded_heads(monkeypatch)
+    z, ts, stack = _reencode_case("large_logits", np.random.default_rng(1700))
+    reencode(z, ts, stack)
+    assert calls == [(2, 0)] * stack.depth
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_reencode_matches_tape_on_both_sides_of_the_shift_limit(monkeypatch, scale):
+    """Attention gains from 1 to 40 put the largest shift bound from
+    about 1 to about 3000 (SHIFT_LIMIT is about 177): the folded shift and
+    the exact-max guard both match the tape composition."""
+    calls = count_guarded_heads(monkeypatch)
+    for gain in (1.0, 5.0, 10.0, 14.0, 40.0):
+        rng = np.random.default_rng(1703)
+        stack = ReencoderStack.seeded(8, 2, 2, rng)
+        for block in stack.blocks:
+            block.gain_attn = np.full((1, 8), gain)
+        z, ts = scale * rng.standard_normal((40, 8)), np.arange(40.0)
+        got = reencode(z, ts, stack).value
+        np.testing.assert_allclose(got, oracles.reencode(z, ts, stack).value, rtol=0, atol=TOL)
+    guarded, folded = np.sum(calls, axis=0)
+    assert guarded > 0 and folded > 0
 
 
 class TestHardTopNMatchesStableSort:

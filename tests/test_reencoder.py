@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import rel_err, tape_vs_fd
+from conftest import count_guarded_heads, peak_bytes, rel_err, tape_vs_fd
 from tokengate import autodiff as ad
 from tokengate.errors import ShapeError
 from tokengate.layers import time_encode
-from tokengate.reencoder import ReencoderBlock, ReencoderStack, reencode
+from tokengate.reencoder import ATTENTION_ROWS, ReencoderBlock, ReencoderStack, reencode
 
 
 def _zero_residual_stack(d, heads, depth, rng):
@@ -98,3 +98,48 @@ class TestReencode:
 
         analytic, numeric = tape_vs_fd(build, z0)
         assert rel_err(analytic, numeric) <= 1e-5
+
+    def test_gradient_matches_fd_on_the_exact_max_guard(self, monkeypatch):
+        """Attention gains of 40 push every head's shift bound past
+        SHIFT_LIMIT, so each tile takes the exact row max."""
+        calls = count_guarded_heads(monkeypatch)
+        rng = np.random.default_rng(8)
+        d, n = 8, 6
+        stack = ReencoderStack.seeded(d, 2, 2, rng)
+        for block in stack.blocks:
+            block.gain_attn = np.full((1, d), 40.0)
+        ts = np.linspace(0.0, 12.0, n)
+        z0 = rng.standard_normal((n, d))
+        probe = rng.standard_normal((n, d))
+
+        def build(v):
+            return ad.sum_all(ad.mul(reencode(v, ts, stack), ad.const(probe)))
+
+        analytic, numeric = tape_vs_fd(build, z0)
+        assert calls and all(folded == 0 for _, folded in calls)
+        assert rel_err(analytic, numeric) <= 1e-5
+
+    def test_zero_rows(self):
+        rng = np.random.default_rng(9)
+        stack = ReencoderStack.seeded(8, 2, 2, rng)
+        assert reencode(np.zeros((0, 8)), np.zeros(0), stack).value.shape == (0, 8)
+
+
+# Allowed peak of one ``reencode`` call beyond one attention tile, in
+# n x d floats.  The peak comes in the feed-forward, once the tile is
+# freed: about a dozen n x d arrays (input, norms, per-head q, k and v,
+# attention output, residual) and three n x 4d ones, 24 n x d in all,
+# which is the tile (8 n x d at d = 32 and n >= 256) plus 16.  Four
+# heads' logits at once would add three more tiles.
+REENCODE_PEAK_ND = 20
+
+
+@pytest.mark.parametrize("n", [256, 300])
+def test_reencode_memory_is_one_tile_plus_linear_in_n(n):
+    d = 32
+    rng = np.random.default_rng(10)
+    stack = ReencoderStack.seeded(d, 4, 2, rng)
+    z, ts = rng.standard_normal((n, d)), np.sort(rng.uniform(0, 3600, n))
+    reencode(z, ts, stack)  # first-call allocations stay out of the peak
+    tile = min(n, ATTENTION_ROWS) * n
+    assert peak_bytes(lambda: reencode(z, ts, stack)) <= 8 * (tile + REENCODE_PEAK_ND * n * d)

@@ -148,6 +148,32 @@ class TestSelect:
         with pytest.raises(InputError, match="timestamps"):
             select(model, wl.x, ts, wl.q)
 
+    @pytest.mark.parametrize("reencode", [True, False])
+    def test_timestamp_past_the_time_encoding_range_rejected(self, model, reencode):
+        """2pi * t overflows past float max / 2pi; that bound is checked on
+        every timestamp, also when the re-encoder is off."""
+        model = model if reencode else model.without_reencoder()
+        wl = _workload()
+        ts = wl.timestamps.copy()
+        ts[5] = 1e308
+        with pytest.raises(InputError, match=r"^timestamps .* float max / 2pi = 2\.86112e\+307$"):
+            select(model, wl.x, ts, wl.q)
+
+    def test_largest_legal_timestamp_encodes_finitely(self, model):
+        wl = _workload()
+        ts = np.full(wl.timestamps.size, np.finfo(np.float64).max / (2.0 * math.pi))
+        res = select(model, wl.x, ts, wl.q)
+        assert np.all(np.isfinite(res.z))
+
+    @pytest.mark.parametrize("name", ["x", "q"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_named(self, model, name, bad):
+        wl = _workload()
+        inputs = {"x": wl.x.copy(), "q": wl.q.copy()}
+        inputs[name][1, 2] = bad
+        with pytest.raises(InputError, match=f"^{name} contains non-finite entries$"):
+            select(model, inputs["x"], wl.timestamps, inputs["q"])
+
     def test_unsorted_timestamps_accepted(self, model):
         """Timestamps need not be monotone; kept tokens keep their own."""
         wl = _workload()
