@@ -7,6 +7,13 @@ tracked; gradients come from replaying the records in reverse order,
 which is reverse topological order because records are appended as the
 forward pass executes.
 
+A record holds node ids, never ``Var`` objects, and no backward closure
+captures a ``Var``: every ``Var`` points at its tape, but the tape points
+back at no ``Var``.  A graph is therefore no reference cycle and lives
+exactly as long as its tape or one of its ``Var`` objects; reference
+counting frees it when the caller drops them, whether or not
+``gradients`` ran, without waiting for the cyclic collector.
+
 A tape is confined to one logical thread for the duration of a
 forward/backward pass.  Values are never mutated after construction, so
 sharing matrices across threads is safe; run concurrent passes on
@@ -46,14 +53,14 @@ def as_matrix(x, name: str = "matrix") -> Array:
 class Tape:
     """Ordered record of primitive operations for one forward pass.
 
-    Each record holds the output node id, the input variables, and a
-    backward closure mapping the output adjoint to one adjoint per
-    input.  ``gradients`` seeds the loss adjoint with exactly 1 and
-    walks the records in reverse.
+    Each record holds the output node id, the input node ids (``None``
+    for an untracked input), and a backward closure mapping the output
+    adjoint to one adjoint per input.  ``gradients`` seeds the loss
+    adjoint with exactly 1 and walks the records in reverse.
     """
 
     def __init__(self) -> None:
-        self._records: list[tuple[int, tuple["Var", ...], BackwardFn]] = []
+        self._records: list[tuple[int, tuple[int | None, ...], BackwardFn]] = []
         self._next_id = 0
 
     def _node(self) -> int:
@@ -70,9 +77,11 @@ class Tape:
 
         ``backward(grad_out)`` must return one adjoint per input (``None``
         for non-differentiable slots), each matching the input's shape.
+        It must not capture a ``Var``, or the graph becomes a reference
+        cycle through ``Var.tape``.
         """
         out = Var(value, self, self._node())
-        self._records.append((out.nid, inputs, backward))
+        self._records.append((out.nid, tuple(v.nid for v in inputs), backward))
         return out
 
     def gradients(self, output: "Var", wrt: Sequence["Var"]) -> list[Array]:
@@ -82,15 +91,15 @@ class Tape:
         if output.value.shape != (1, 1):
             raise ShapeError(f"gradients need a (1, 1) output, got {output.value.shape}")
         adjoint: dict[int, Array] = {output.nid: np.ones((1, 1))}
-        for out_id, inputs, backward in reversed(self._records):
+        for out_id, input_ids, backward in reversed(self._records):
             g = adjoint.get(out_id)
             if g is None:
                 continue
-            for v, gi in zip(inputs, backward(g)):
-                if gi is None or v.nid is None:
+            for nid, gi in zip(input_ids, backward(g)):
+                if gi is None or nid is None:
                     continue
-                acc = adjoint.get(v.nid)
-                adjoint[v.nid] = gi if acc is None else acc + gi
+                acc = adjoint.get(nid)
+                adjoint[nid] = gi if acc is None else acc + gi
         out = []
         for v in wrt:
             g = adjoint.get(v.nid) if v.nid is not None else None
@@ -165,9 +174,10 @@ def _check_broadcast(a: Var, b: Var, op: str) -> None:
 def add(a: Var, b: Var) -> Var:
     _check_broadcast(a, b, "add")
     value = a.value + b.value
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g):
-        return (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
+        return (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape))
 
     return apply(value, (a, b), backward)
 
@@ -175,9 +185,10 @@ def add(a: Var, b: Var) -> Var:
 def sub(a: Var, b: Var) -> Var:
     _check_broadcast(a, b, "sub")
     value = a.value - b.value
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g):
-        return (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
+        return (_unbroadcast(g, a_shape), _unbroadcast(-g, b_shape))
 
     return apply(value, (a, b), backward)
 
@@ -188,7 +199,7 @@ def mul(a: Var, b: Var) -> Var:
     av, bv = a.value, b.value
 
     def backward(g):
-        return (_unbroadcast(g * bv, a.shape), _unbroadcast(g * av, b.shape))
+        return (_unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape))
 
     return apply(value, (a, b), backward)
 

@@ -197,10 +197,11 @@ def threshold_var(
     it at the returned t.
     """
     r_values = r.value.ravel()
-    t, residual = find_threshold(r_values, rho.item(), tau_s, cfg)
+    rho_value = rho.item()
+    t, residual = find_threshold(r_values, rho_value, tau_s, cfg)
 
     def backward(g):
-        dt_drho, dt_dr = threshold_gradients(r_values, rho.item(), t, tau_s)
+        dt_drho, dt_dr = threshold_gradients(r_values, rho_value, t, tau_s)
         g0 = g[0, 0]
         return (g0 * dt_dr.reshape(1, -1), np.array([[g0 * dt_drho]]))
 

@@ -221,6 +221,13 @@ class OptimizerConfig:
     clip_norm: float = 1.0
     batch: int = 8
 
+    def __post_init__(self) -> None:
+        if self.batch < 1:
+            raise ParameterError(f"batch must be >= 1, got {self.batch}")
+        for key in ("lr", "momentum", "clip_norm"):
+            if not math.isfinite(getattr(self, key)):
+                raise ParameterError(f"{key} must be finite, got {getattr(self, key)!r}")
+
     @classmethod
     def from_config(cls, cfg: RunConfig) -> "OptimizerConfig":
         return cls(
@@ -265,7 +272,7 @@ def train_desk_scale(
     mean).  The workload pool is fixed across epochs (gate noise stays
     fresh) so the per-epoch loss is comparable; gradients are clipped at
     a global norm.  Divergence (a non-finite loss) aborts with a
-    diagnostic dump.
+    diagnostic dump.  A negative ``epochs`` raises ``ParameterError``.
 
     Each step selects with the re-encoder removed: neither loss term
     reads the re-encoded rows z (the task loss reads the soft gate, the
@@ -273,58 +280,54 @@ def train_desk_scale(
     its tensors are returned as they came in.  Training the re-encoder
     needs a loss that reads ``z_var`` from a ``select`` on the full
     bound model.
+
+    One instance's tape is alive at a time (``_train_instance``).  The
+    returned model holds the trained tensors and shares every other
+    tensor (the re-encoder's) with ``model``.
     """
+    if epochs < 0:
+        raise ParameterError(f"epochs must be >= 0, got {epochs}")
     trainable = model.without_reencoder()
     params = trainable.parameters()
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
+    grad_sum = {name: np.zeros_like(p) for name, p in params.items()}
     pool = [
         generate_workload(spec, np.random.default_rng([seed, item]))
         for item in range(opt.batch)
     ]
     trajectory: list[EpochStats] = []
     for epoch in range(epochs):
-        grad_sum = {name: np.zeros_like(p) for name, p in params.items()}
+        epoch_model = trainable.with_parameters(params)  # shares params' arrays
+        for g in grad_sum.values():
+            g.fill(0.0)
         losses: list[float] = []
         rhos: list[float] = []
         kept: list[int] = []
         for item, wl in enumerate(pool):
             rng = np.random.default_rng([seed, epoch, item])
-            tape = Tape()
-            bound, tracked = trainable.with_parameters(params).bind(tape)
-            res = select(bound, wl.x, wl.timestamps, wl.q, mode="train", rng=rng)
-            task = planted_mass_loss(res, wl.planted)
-            loss = total_loss(
-                task, res.rho_var, wl.x.shape[0], model.cfg.n_max, penalties, dual
+            loss_value, record = _train_instance(
+                epoch_model, wl, rng, penalties, dual, grad_sum, (epoch, item)
             )
-            loss_value = loss.item()
-            if not math.isfinite(loss_value):
-                r = res.r_var.value
-                raise NumericError(
-                    "training diverged: non-finite loss",
-                    dump={
-                        "epoch": epoch,
-                        "item": item,
-                        "rho": res.record.rho,
-                        "t": res.record.t,
-                        "r_stats": {"min": r.min(), "mean": r.mean(), "max": r.max()},
-                    },
-                )
-            names = list(tracked)
-            for name, g in zip(names, tape.gradients(loss, [tracked[n] for n in names])):
-                grad_sum[name] += g
             losses.append(loss_value)
-            rhos.append(res.record.rho)
-            kept.append(res.record.n)
+            rhos.append(record.rho)
+            kept.append(record.n)
             if dual is not None:
-                dual = dual_ascent(dual, res.record.rho, wl.x.shape[0])
-        grads = {name: g / opt.batch for name, g in grad_sum.items()}
-        total_norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+                dual = dual_ascent(dual, record.rho, wl.x.shape[0])
+        # in place: grads, then velocity <- momentum * velocity - lr * grads,
+        # then params <- params + velocity
+        for g in grad_sum.values():
+            g /= opt.batch
+        total_norm = math.sqrt(sum(float((g * g).sum()) for g in grad_sum.values()))
         if total_norm > opt.clip_norm > 0:
             scale = opt.clip_norm / total_norm
-            grads = {name: g * scale for name, g in grads.items()}
-        for name in params:
-            velocity[name] = opt.momentum * velocity[name] - opt.lr * grads[name]
-            params[name] = params[name] + velocity[name]
+            for g in grad_sum.values():
+                g *= scale
+        for name, p in params.items():
+            v, g = velocity[name], grad_sum[name]
+            v *= opt.momentum
+            g *= opt.lr
+            v -= g
+            p += v
         trajectory.append(
             EpochStats(
                 epoch=epoch,
@@ -333,7 +336,46 @@ def train_desk_scale(
                 mean_n=float(np.mean(kept)),
             )
         )
-    return model.with_parameters({**model.parameters(), **params}), trajectory
+    return model.with_parameters({**dict(model.named_tensors()), **params}), trajectory
+
+
+def _train_instance(
+    model: SelectorModel,
+    wl: Workload,
+    rng: np.random.Generator,
+    penalties: PenaltyWeights,
+    dual: DualState | None,
+    grad_sum: dict[str, Array],
+    where: tuple[int, int],
+) -> tuple[float, DiagnosticsRecord]:
+    """One instance of a training step on a tape of its own: select, loss
+    and backward, the gradients added into ``grad_sum``.  Returns the
+    loss and the selection's diagnostics record; the tape and its graph
+    die with this call's locals.  ``where`` is (epoch, item), for the
+    divergence dump.
+    """
+    tape = Tape()
+    bound, tracked = model.bind(tape)
+    res = select(bound, wl.x, wl.timestamps, wl.q, mode="train", rng=rng)
+    task = planted_mass_loss(res, wl.planted)
+    loss = total_loss(task, res.rho_var, wl.x.shape[0], model.cfg.n_max, penalties, dual)
+    loss_value = loss.item()
+    if not math.isfinite(loss_value):
+        r = res.r_var.value
+        raise NumericError(
+            "training diverged: non-finite loss",
+            dump={
+                "epoch": where[0],
+                "item": where[1],
+                "rho": res.record.rho,
+                "t": res.record.t,
+                "r_stats": {"min": r.min(), "mean": r.mean(), "max": r.max()},
+            },
+        )
+    names = list(tracked)
+    for name, g in zip(names, tape.gradients(loss, [tracked[n] for n in names])):
+        grad_sum[name] += g
+    return loss_value, res.record
 
 
 # ---------------------------------------------------------------------------

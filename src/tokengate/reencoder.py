@@ -70,9 +70,21 @@ class ReencoderBlock:
 
 @dataclass
 class ReencoderStack:
-    """Residual re-encoding blocks; an empty stack disables re-encoding."""
+    """Residual re-encoding blocks; an empty stack disables re-encoding.
+
+    A non-finite array weight raises an ``InputError`` naming the tensor
+    (``reencoder.b<i>.<field>``) when the stack is built.
+    """
 
     blocks: list[ReencoderBlock] = field(metadata={"tag": "b"})
+
+    def __post_init__(self) -> None:
+        # Array weights are checked once, here, so that ``_block`` can wrap
+        # them unscanned on every call; tape variables were checked when
+        # their tape made them.
+        for name, tensor in layers.named_tensors(self, "reencoder"):
+            if isinstance(tensor, np.ndarray):
+                ad.as_matrix(tensor, name)
 
     @property
     def depth(self) -> int:
@@ -113,16 +125,17 @@ def _block(x: Var, block: ReencoderBlock) -> Var:
     recomputed ATTENTION_ROWS query rows at a time by the forward's own
     tile generator, so no n x n map is ever stored.
     """
-    params = tuple(as_var(t) for _, t in layers.named_tensors(block))
+    params = tuple(t if isinstance(t, Var) else Var(t) for _, t in layers.named_tensors(block))
     values = tuple(p.value for p in params)  # in the order _block_forward unpacks
     heads = block.attn.heads
-    width = as_var(block.attn.wq).shape[0]
+    width = block.attn.wq.shape[0]
     if width != x.shape[1]:
         raise ShapeError(f"re-encoder width {width} vs token width {x.shape[1]}")
-    out, _ = _block_forward(x.value, values, heads)
+    xv = x.value
+    out, _ = _block_forward(xv, values, heads)
 
     def backward(g):
-        return _block_backward(g, x.value, values, heads)
+        return _block_backward(g, xv, values, heads)
 
     return ad.apply(out, (x, *params), backward)
 

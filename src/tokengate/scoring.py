@@ -162,6 +162,7 @@ def _top_rows(logits: Array) -> Array:
 def _max_attention(x: Var, a: Var) -> Var:
     """r_i = max_k softmax_i(a @ x.T)[k, i], streamed; see ``score``."""
     xv, av = x.value, a.value
+    x_tracked = x.nid is not None
     buf = _logit_buffer(xv, av)
     run_max = np.full(av.shape[0], -np.inf)
     run_sum = np.zeros(av.shape[0])
@@ -190,7 +191,7 @@ def _max_attention(x: Var, a: Var) -> Var:
             logits -= lse[:, None]
             c += np.bincount(_top_rows(logits), g[rows] * r[rows], c.size)
         da = np.zeros_like(av)
-        dx = None if x.nid is None else np.empty_like(xv)
+        dx = np.empty_like(xv) if x_tracked else None
         for rows, logits in _chunks(xv, av, grad_buf):
             logits -= lse[:, None]
             top = _top_rows(logits)

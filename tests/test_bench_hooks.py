@@ -4,8 +4,8 @@
 ``train_desk_scale`` reach through ``tokengate.selector``,
 ``tokengate.harness`` and ``tokengate.gate``.  Renaming or removing one of
 them breaks only ``perfbench/run.py --trace 1``; this test fails first.
-``spans.py`` and ``pool.py`` are imported from ``perfbench/`` unchanged, as
-``tests/test_reference.py`` imports ``checks.py``.
+``spans.py``, ``pool.py`` and ``run.py`` are imported from ``perfbench/``
+unchanged, as ``tests/test_reference.py`` imports ``checks.py``.
 """
 
 import sys
@@ -18,7 +18,13 @@ import tokengate as tg
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import pool  # noqa: E402
+import run  # noqa: E402
 import spans  # noqa: E402
+
+# perfbench train_step peak_mib, seed 1: 2.33 MiB while every instance's
+# tape was a reference cycle that outlived its instance, 1.45 MiB since
+# one instance graph is alive at a time.
+TRAIN_STEP_PEAK_MIB = 1.6
 
 
 def test_trace_hooks_record_select_and_training_spans():
@@ -44,3 +50,18 @@ def test_trace_hooks_record_select_and_training_spans():
     assert metrics["gate.fallback_frac"][0] == 0
     _, gap = spans.select_gap_ns(tracer.spans, spans.self_times(tracer.spans))
     assert gap == 0
+
+
+def test_train_step_peak_memory():
+    """The benchmark's own memory pass over the seed-1 train_step items,
+    after the warm-up cycle it runs first."""
+    cfg = tg.RunConfig()
+    model = tg.SelectorModel.build(cfg)
+    items = pool.make_items(tg, cfg, "train_step", 1)
+
+    def call(item):
+        return pool.run_item(tg, model, cfg, item)
+
+    for item in items:
+        call(item)
+    assert run.memory_peak_bytes(call, items) <= TRAIN_STEP_PEAK_MIB * 2**20

@@ -1,14 +1,18 @@
 """Workload generation, ablations, desk-scale training, benchmark, diagnostics."""
 
 import dataclasses
+import gc
+import math
+import weakref
 
 import numpy as np
 import pytest
 
+from conftest import peak_bytes
 from tokengate import reencoder
 from tokengate.autodiff import Tape
 from tokengate.config import RunConfig
-from tokengate.errors import InputError
+from tokengate.errors import InputError, ParameterError
 from tokengate.harness import (
     AblationRow,
     AblationVariant,
@@ -249,6 +253,79 @@ class TestTrainDeskScale:
         )
         for s in stats:
             assert np.isfinite([s.loss, s.mean_rho, s.mean_n]).all()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("batch", 0), ("batch", -2), ("lr", math.nan), ("momentum", math.nan),
+         ("momentum", math.inf), ("clip_norm", math.nan)],
+    )
+    def test_illegal_optimizer_setting_rejected(self, field, value):
+        """batch 0 used to return NaN tensors, and a NaN lr or momentum
+        failed an epoch late as a scoring InputError."""
+        with pytest.raises(ParameterError, match=field):
+            OptimizerConfig(**{field: value})
+
+    def test_negative_epochs_rejected(self):
+        spec = WorkloadSpec(m=32, d=16, l=2, k=3, seed=10)
+        with pytest.raises(ParameterError, match="epochs"):
+            train_desk_scale(spec, SelectorModel.build(CFG), -3, OptimizerConfig(), PenaltyWeights())
+
+    def test_returned_model_shares_the_untrained_tensors(self):
+        spec = WorkloadSpec(m=32, d=16, l=2, k=3, seed=10)
+        model = SelectorModel.build(CFG)
+        trained, _ = train_desk_scale(spec, model, 1, OptimizerConfig(batch=2), PenaltyWeights())
+        before, after = dict(model.named_tensors()), dict(trained.named_tensors())
+        assert sorted(after) == sorted(before)
+        for name, tensor in after.items():
+            assert (tensor is before[name]) == name.startswith("reencoder."), name
+
+
+class TestTapeLifetime:
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_train_step_graph_dies_with_its_names(self, backward):
+        """No tape record or backward closure holds a Var, so a train-mode
+        graph (scoring, threshold, gate, re-encoder blocks, loss) is no
+        reference cycle: it dies as soon as the caller drops its names,
+        with the cyclic collector off."""
+        cfg = RunConfig()
+        wl = generate_workload(WorkloadSpec.from_config(cfg), np.random.default_rng(0))
+        model = SelectorModel.build(cfg)
+        gc.disable()
+        try:
+            tape = Tape()
+            bound, tracked = model.bind(tape)
+            res = select(bound, wl.x, wl.timestamps, wl.q, "train", np.random.default_rng(0))
+            loss = total_loss(
+                planted_mass_loss(res, wl.planted), res.rho_var, wl.x.shape[0], cfg.n_max,
+                PenaltyWeights(),
+            )
+            if backward:
+                tape.gradients(loss, list(tracked.values()))
+            dead = weakref.ref(tape)
+            del tape, bound, tracked, res, loss
+            assert dead() is None
+        finally:
+            gc.enable()
+
+    def test_epoch_peak_grows_by_the_workloads_alone(self):
+        """A train step holds one instance's graph at a time, so doubling
+        the batch adds the extra workloads' arrays and nothing else (while
+        every instance graph was a reference cycle, batch 8 peaked 936 KiB
+        above that)."""
+        cfg = RunConfig()
+        spec = WorkloadSpec(m=2048, d=cfg.d, l=cfg.wl_query_len, k=cfg.wl_planted)
+        model = SelectorModel.build(cfg)
+        peaks = {}
+        for batch in (4, 8):
+            opt = OptimizerConfig(batch=batch)
+            peaks[batch] = peak_bytes(
+                lambda: train_desk_scale(spec, model, 1, opt, PenaltyWeights(), seed=3)
+            )
+        extra = 0
+        for item in range(4, 8):
+            wl = generate_workload(spec, np.random.default_rng([3, item]))
+            extra += wl.x.nbytes + wl.timestamps.nbytes + wl.q.nbytes + wl.planted.nbytes
+        assert peaks[8] - peaks[4] <= extra + 64 * 1024
 
 
 class TestBenchScaling:

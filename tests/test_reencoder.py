@@ -5,7 +5,7 @@ import pytest
 
 from conftest import count_guarded_heads, peak_bytes, rel_err, tape_vs_fd
 from tokengate import autodiff as ad
-from tokengate.errors import ShapeError
+from tokengate.errors import InputError, ShapeError
 from tokengate.layers import time_encode
 from tokengate.reencoder import ATTENTION_ROWS, ReencoderBlock, ReencoderStack, reencode
 
@@ -53,6 +53,15 @@ class TestReencode:
         z = rng.standard_normal((10, 8))
         out = reencode(z, np.arange(10.0), stack)
         assert out.value.shape == (10, 8)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_block_weight_rejected_by_name(self, bad):
+        """Block weights are checked once, when the stack is built, not on
+        every ``_block`` call."""
+        blocks = ReencoderStack.seeded(8, 2, 2, np.random.default_rng(5)).blocks
+        blocks[1].ffn.w2[3, 1] = bad
+        with pytest.raises(InputError, match=r"reencoder\.b1\.ffn\.w2"):
+            ReencoderStack(blocks)
 
     def test_timestamp_count_mismatch(self):
         rng = np.random.default_rng(4)
