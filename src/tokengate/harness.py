@@ -147,11 +147,15 @@ def uniform_stride_indices(m: int, n: int) -> Array:
 
 @dataclass
 class AblationRow:
+    """One ablation trial; ``compression`` = 1 - n/M is the share of the
+    M input tokens dropped, the quantity the paper reports."""
+
     variant: str
     trial: int
     recall: float
     rho: float
     n: int
+    compression: float
     ms: float
 
 
@@ -195,9 +199,9 @@ def run_ablation(
             kept = res.indices
         ms = (time.perf_counter() - start) * 1e3
         recall = float(np.intersect1d(kept, wl.planted).size / wl.planted.size)
-        rows.append(
-            AblationRow(variant.value, trial, recall, res.record.rho, res.record.n, ms)
-        )
+        n = res.record.n
+        compression = 1.0 - n / wl.x.shape[0]
+        rows.append(AblationRow(variant.value, trial, recall, res.record.rho, n, compression, ms))
         records.append(res.record)
     return AblationMetrics(
         variant=variant.value,

@@ -24,10 +24,15 @@ from .layers import AttentionWeights, Tensor, as_var
 EPS_REL = 1e-8
 
 # Tokens per chunk in ``score``.  Its one logits buffer takes heads*L*chunk
-# floats (4 MiB at 4 heads x 16 query rows); smaller chunks pay the BLAS
-# call overhead more often (2048 rows ran ~1.35x slower at M = 180k, 4 heads
-# x 16 rows, 2-vCPU x86 with OpenBLAS 0.3.31).
+# floats (4 MiB at 4 heads x 16 query rows), and it sets the call's peak
+# memory.  Smaller chunks pay the BLAS call overhead more often: over M =
+# 32k, 106k and 180k tokens (4 heads, 4-16 query rows, d = 32), chunks of
+# 4096 and 2048 ran 7% and 8-14% slower than 8192, and 16384 ran 4-6%
+# faster at twice the buffer (2-vCPU x86, OpenBLAS 0.3.31).
 RELEVANCE_CHUNK = 8192
+
+# Smallest normal float64, 2^-1022: the floor of ``_sums_exact``.
+TINY = np.finfo(np.float64).tiny
 
 
 @dataclass
@@ -82,11 +87,17 @@ def score(x: Var | Array, q: Var | Array, w: ScoringWeights) -> Var:
     hcat(x W_v^h) W_o forward, which is linear, so the final-layer
     logits of all (head, query) pairs are x @ A.T for one (heads*L, d)
     matrix A, built from q and the weights by a few small tape
-    operations.  Pass 1 streams row chunks of x and keeps a running max
-    and sum-exp per (head, query) row (online softmax, arXiv
-    1805.02867), giving its log-sum-exp lse.  Pass 2 recomputes each
-    chunk and takes r_i = exp(max_{h,l}(logit - lse)): one exp per
-    token and no attention map.  Every chunk of both passes is computed
+    operations.  Pass 1 streams row chunks of x through GEMM -> exp ->
+    row sum, giving each (head, query) row's sum-exp S_k and its
+    log-sum-exp lse_k = log S_k.  A guard (``_sums_exact``) accepts the
+    sums only when each is finite and at least M * TINY, that is when no
+    term overflowed and the subnormal ones cannot move S_k by more than
+    its rounding, and when M > 1; any other input reruns pass 1 with a
+    running max per row (online softmax, arXiv 1805.02867), which gives
+    a one-token stream r = 1 exactly.  Pass 2 recomputes each
+    chunk and takes r_i = exp(min(0, max_{h,l}(logit - lse))): one exp
+    per token and no attention map.  The clamp at 0 keeps r_i <= 1 where
+    log(exp(l)) rounds below l.  Every chunk of both passes is computed
     into one (heads*L, min(M, RELEVANCE_CHUNK)) buffer, allocated once
     per call, so beyond r the call holds a single chunk of logits.
 
@@ -123,9 +134,13 @@ def _logit_matrix(q: Var, w: ScoringWeights) -> Var:
         raise ShapeError(f"token dim {q.shape[1]} does not match scoring weights {wq.shape}")
     for wv, wo in reversed(w.carry):  # x -> final-layer keys
         keys = ad.matmul(ad.matmul(as_var(wv), as_var(wo)), keys)
-    d_h = wq.shape[1] // w.heads
-    rows = np.tile(np.arange(q.shape[0]), w.heads)
-    own = np.kron(np.eye(w.heads), np.ones((q.shape[0], d_h)))  # head h's columns
+    heads, l = w.heads, q.shape[0]
+    d_h = wq.shape[1] // heads
+    rows = np.tile(np.arange(l), heads)
+    # Head h's columns in one allocation (np.kron takes 2-3x as long, and an
+    # np.repeat pair leaves an intermediate that adds to the train peak).
+    own = np.broadcast_to(np.eye(heads)[:, None, :, None], (heads, l, heads, d_h))
+    own = own.reshape(heads * l, heads * d_h)
     per_head = ad.mul(ad.take_rows(ad.matmul(q, wq), rows), ad.const(own))
     return ad.smul(ad.matmul(per_head, ad.transpose(keys)), 1.0 / math.sqrt(d_h))
 
@@ -159,25 +174,60 @@ def _top_rows(logits: Array) -> Array:
     return (logits == logits.max(axis=0)).argmax(axis=0)
 
 
-def _max_attention(x: Var, a: Var) -> Var:
-    """r_i = max_k softmax_i(a @ x.T)[k, i], streamed; see ``score``."""
-    xv, av = x.value, a.value
-    x_tracked = x.nid is not None
-    buf = _logit_buffer(xv, av)
-    run_max = np.full(av.shape[0], -np.inf)
-    run_sum = np.zeros(av.shape[0])
-    for _, logits in _chunks(xv, av, buf):
+def _log_sum_exp(x: Array, a: Array, buf: Array) -> Array:
+    """Each row's log-sum-exp over the stream, lse_k = log S_k with
+    S_k = sum_i exp((a @ x.T)[k, i]): pass 1 of ``score``.
+
+    The exp is taken straight off each chunk's GEMM, with no shift.  The
+    sums are kept only when ``_sums_exact`` holds; otherwise the pass is
+    rerun with a running max (online softmax, arXiv 1805.02867).
+    """
+    sums = np.zeros(a.shape[0])
+    with np.errstate(over="ignore"):  # an overflowing term leaves S_k = inf
+        for _, logits in _chunks(x, a, buf):
+            np.exp(logits, out=logits)
+            sums += logits.sum(axis=1)
+    if _sums_exact(sums, x.shape[0]):
+        return np.log(sums)
+    run_max = np.full(a.shape[0], -np.inf)
+    run_sum = np.zeros(a.shape[0])
+    for _, logits in _chunks(x, a, buf):
         new_max = np.maximum(run_max, logits.max(axis=1))
         logits -= new_max[:, None]
         np.exp(logits, out=logits)
         run_sum = run_sum * np.exp(run_max - new_max) + logits.sum(axis=1)
         run_max = new_max
-    lse = run_max + np.log(run_sum)
+    return run_max + np.log(run_sum)
+
+
+def _sums_exact(sums: Array, m: int) -> bool:
+    """Whether unshifted sums S_k of m exp terms are as exact as shifted ones.
+
+    A finite S_k proves that no term overflowed (every term is >= 0).  A
+    term below TINY is subnormal and rounded to within 2^-1075 absolute,
+    so the m terms together are off by at most m * 2^-1075; S_k >= m * TINY
+    = m * 2^-1022 keeps that below 2^-53 * S_k, the relative rounding every
+    normal term already carries.  A row whose logits all lie below log(TINY),
+    about -708.4, fails the floor (its S_k may even be 0) and is rerun.
+    A one-token stream (m = 1) is rerun too: there the shifted lse is the
+    logit itself, so r = 1 exactly, while log(exp(l)) may round above l
+    and leave r an ulp below 1.
+    """
+    return m > 1 and bool(np.all((sums >= m * TINY) & (sums < np.inf)))
+
+
+def _max_attention(x: Var, a: Var) -> Var:
+    """r_i = max_k softmax_i(a @ x.T)[k, i], streamed; see ``score``."""
+    xv, av = x.value, a.value
+    x_tracked = x.nid is not None
+    buf = _logit_buffer(xv, av)
+    lse = _log_sum_exp(xv, av, buf)
 
     r = np.empty(xv.shape[0])
     for rows, logits in _chunks(xv, av, buf):
         logits -= lse[:, None]
         np.max(logits, axis=0, out=r[rows])
+    np.minimum(r, 0.0, out=r)  # log(exp(l)) may round below l; r <= 1 regardless
     np.exp(r, out=r)
 
     def backward(g):

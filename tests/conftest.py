@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 
 from oracles import finite_difference_gradient
-from tokengate import reencoder
+from tokengate import reencoder, scoring
 from tokengate.autodiff import Tape, Var
 
 
@@ -43,6 +43,22 @@ def count_guarded_heads(monkeypatch) -> list[tuple[int, int]]:
         return shift, exact
 
     monkeypatch.setattr(reencoder, "_shift_bounds", counted)
+    return calls
+
+
+def count_lse_paths(monkeypatch) -> list[str]:
+    """Record, per ``scoring._sums_exact`` call, which path pass 1 of
+    ``score`` took: "direct" keeps the unshifted exp sums, "exact" reruns
+    the pass with a running max."""
+    calls = []
+    exact = scoring._sums_exact
+
+    def counted(sums, m):
+        kept = exact(sums, m)
+        calls.append("direct" if kept else "exact")
+        return kept
+
+    monkeypatch.setattr(scoring, "_sums_exact", counted)
     return calls
 
 

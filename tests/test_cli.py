@@ -229,6 +229,15 @@ class TestOtherCommands:
         unif = from_csv(AblationRow, out_u.read_text())
         assert np.mean([r.recall for r in qts]) >= np.mean([r.recall for r in unif])
 
+    def test_ablate_csv_reports_compression(self, workspace, tmp_path):
+        out = tmp_path / "qts.csv"
+        args = ["ablate", "--config", str(workspace / "run.cfg"), "--set", "wl_tokens=200"]
+        assert main(args + ["--variant", "QTS", "--trials", "2", "--out", str(out)]) == 0
+        from tokengate.harness import AblationRow
+
+        rows = from_csv(AblationRow, out.read_text())
+        assert [r.compression for r in rows] == [1.0 - r.n / 200 for r in rows]
+
     def test_bench_row_count(self, workspace, tmp_path):
         out = tmp_path / "bench.csv"
         code = main(

@@ -13,10 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import count_guarded_heads
+from conftest import count_guarded_heads, count_lse_paths
 from tokengate import scoring
 from tokengate.autodiff import Tape, sigmoid_values
 from tokengate.config import RunConfig
+from tokengate.harness import WorkloadSpec, generate_workload
 from tokengate.errors import InputError, ShapeError
 from tokengate.gate import hard_top_n
 from tokengate.reencoder import ReencoderStack, reencode
@@ -86,6 +87,80 @@ class TestRelevanceMatchesScore:
             score(np.ones((2, 8)), np.ones((2, 6)), w).value.ravel()
         with pytest.raises(ShapeError):
             score(np.ones((2, 6)), np.ones((2, 6)), w).value.ravel()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestScoringLseGuard:
+    """Pass 1 of ``score`` keeps its unshifted exp sums only when they are
+    exact; overflowing and all-underflowing rows rerun it with a running
+    max, and both paths match the tape composition."""
+
+    def _check(self, x, q, w):
+        _, r_tape = oracles.score(x, q, w)
+        np.testing.assert_allclose(score(x, q, w).value.ravel(), r_tape.value.ravel(), rtol=0, atol=TOL)
+
+    def test_overflowing_logits_take_the_fallback(self, monkeypatch):
+        calls = count_lse_paths(monkeypatch)
+        rng = np.random.default_rng(1800)
+        x = rng.uniform(0.5, 1.0, (20, 4))
+        q = np.array([[1500.0, 0.0, 0.0, 0.0]])  # logits 375 ... 750, past exp's overflow at ~709.8
+        self._check(x, q, ScoringWeights.identity(4))
+        assert calls == ["exact"]
+
+    def test_all_underflowing_row_takes_the_fallback(self, monkeypatch):
+        """Query row 1's logits all lie below -750, so its S_k is 0."""
+        calls = count_lse_paths(monkeypatch)
+        rng = np.random.default_rng(1801)
+        x = rng.uniform(0.5, 1.0, (20, 4))
+        q = np.array([[1.0, 2.0, 0.0, -1.0], [-3100.0, 0.0, 0.0, 0.0]])  # row 1: -1550 ... -775
+        self._check(x, q, ScoringWeights.identity(4))
+        assert calls == ["exact"]
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_perfbench_shaped_inputs_take_the_direct_path(self, monkeypatch, seed):
+        """Seeded default weights on 224 x 224 video streams of 4 and 32
+        frames (M = 1024, 8192) with 4 to 16 query rows."""
+        calls = count_lse_paths(monkeypatch)
+        cfg = RunConfig()
+        w = SelectorModel.build(cfg).scoring
+        for frames, l in ((4, 4), (32, 16)):
+            spec = WorkloadSpec(
+                m=None, d=cfg.d, l=l, k=8, frames=frames, frame_height=224, frame_width=224, patch=14
+            )
+            wl = generate_workload(spec, np.random.default_rng([seed, frames]))
+            self._check(wl.x, wl.q, w)
+        assert calls == ["direct", "direct"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 48),
+    heads=st.sampled_from([1, 2, 4]),
+    l=st.integers(1, 3),
+    log_scale=st.floats(-1.0, 3.0),
+    n=st.integers(1, 48),
+)
+@example(seed=0, m=1, heads=4, l=3, log_scale=3.0, n=1)  # both past the overflow guard
+@example(seed=5, m=30, heads=4, l=3, log_scale=3.0, n=10)
+def test_relevance_in_unit_interval_and_top_n_matches_oracle(seed, m, heads, l, log_scale, n):
+    """Logit scales 0.1 ... 1e3 send some draws past the guard of pass 1.
+    At large scales many tokens saturate at r = 1, where the tape rounds
+    some to 1 - 1e-15: the top-n sets are compared wherever the oracle's
+    n-th and (n+1)-th values lie more than TOL apart."""
+    rng = np.random.default_rng(seed)
+    w = ScoringWeights.seeded(8, heads, 1, rng)
+    x = rng.standard_normal((m, 8))
+    q = 10.0**log_scale * rng.standard_normal((l, 8))
+    r = score(x, q, w).value.ravel()
+    assert np.all((r >= 0.0) & (r <= 1.0))
+    if m == 1:
+        assert abs(r[0] - 1.0) <= 2.0**-52
+    n = min(n, m)
+    ref = oracles.score(x, q, w)[1].value.ravel()
+    ranked = np.sort(ref)[::-1]
+    if n == m or ranked[n - 1] - ranked[n] > TOL:
+        np.testing.assert_array_equal(hard_top_n(r, n).indices, hard_top_n(ref, n).indices)
 
 
 class TestSelectMatchesTapePath:

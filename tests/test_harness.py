@@ -431,6 +431,15 @@ class TestCsvRoundTrips:
         text = to_csv(AblationRow, metrics.rows)
         assert from_csv(AblationRow, text) == metrics.rows
 
+    def test_ablation_compression_column(self):
+        """compression = 1 - n/M survives the round trip, next to n."""
+        spec = WorkloadSpec(m=60, d=16, l=2, k=3, seed=13)
+        metrics = run_ablation(AblationVariant.UNIF, spec, _identity_model(), trials=2)
+        text = to_csv(AblationRow, metrics.rows)
+        assert text.startswith("variant,trial,recall,rho,n,compression,ms\n")
+        for row in from_csv(AblationRow, text):
+            assert row.compression == 1.0 - row.n / 60
+
     def test_bench(self):
         spec = WorkloadSpec(m=None, d=16, l=2, k=2, frame_height=28, frame_width=28, patch=14)
         records = bench_scaling([4], SelectorModel.build(CFG), spec)

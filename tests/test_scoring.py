@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import rel_err, tape_vs_fd
+from conftest import count_lse_paths, rel_err, tape_vs_fd
 from oracles import score as oracle_score
 from tokengate import autodiff as ad
 from tokengate.autodiff import Tape
@@ -116,6 +116,22 @@ class TestScore:
             r = score(x, q, w)
             values = r.value.ravel()
             assert np.all(values >= 0.0) and np.all(values <= 1.0)
+
+    def test_rounded_log_sum_exp_is_clamped_to_one(self):
+        """The single logit -1.386 has log(exp(l)) < l; unclamped, its r
+        would be 1.0000000000000002."""
+        assert np.log(np.exp(-1.386)) < -1.386
+        r = score(np.array([[-1.386]]), np.array([[1.0]]), ScoringWeights.identity(1))
+        np.testing.assert_array_equal(r.value, [[1.0]])
+
+    def test_direct_path_log_sum_exp_is_clamped_to_one(self, monkeypatch):
+        """A second token at -1000 adds exp(-1000) = 0 to S, so the direct
+        path keeps S = exp(-1.386) and its lse rounds below -1.386;
+        unclamped, token 0's r would be 1.0000000000000002."""
+        calls = count_lse_paths(monkeypatch)
+        r = score(np.array([[-1.386], [-1000.0]]), np.array([[1.0]]), ScoringWeights.identity(1))
+        assert calls == ["direct"]
+        np.testing.assert_array_equal(r.value, [[1.0, 0.0]])
 
     def test_gradient_of_relevance_sum_matches_fd(self):
         rng = np.random.default_rng(8)
