@@ -33,13 +33,21 @@ Array = np.ndarray
 BackwardFn = Callable[[Array], tuple]
 
 
-def as_matrix(x, name: str = "matrix") -> Array:
-    """Coerce to a finite 2-D float64 array (the dense-matrix contract)."""
+def to_matrix(x, name: str = "matrix") -> Array:
+    """Coerce to a 2-D float64 array without reading its entries: only
+    for a caller that proves them finite itself (``scoring.score`` does
+    so for its token stream)."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {arr.shape}")
+    return arr
+
+
+def as_matrix(x, name: str = "matrix") -> Array:
+    """Coerce to a finite 2-D float64 array (the dense-matrix contract)."""
+    arr = to_matrix(x, name)
     # Any NaN or inf entry makes the sum non-finite and a finite sum
     # proves every entry finite, so only an overflowing sum needs the
     # entrywise scan (and its M x d boolean temporary).

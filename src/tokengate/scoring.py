@@ -104,14 +104,23 @@ def score(x: Var | Array, q: Var | Array, w: ScoringWeights) -> Var:
     When x or A is tracked, the M-sized part records one tape operation
     that keeps only lse.  Its backward recomputes each chunk's logits
     twice into a buffer of its own, routing token i's adjoint to its
-    first maximal (head-major, then query-position) row.  Raw arrays
-    are checked for finiteness here; Vars are not rescanned (``select``
-    passes x and q already checked at its boundary).
+    first maximal (head-major, then query-position) row.
+
+    A raw q is scanned for finiteness; x, raw or a Var, is not read for
+    it.  Instead the two passes prove it finite (``_max_attention``), and
+    only when that proof fails is x scanned, to raise ``InputError``
+    naming x or to carry on for a finite x whose logits overflow.
     """
-    x = as_var(x)
-    q = as_var(q)
+    x = token_stream(x)
+    q = as_var(q, "q")
     _check_streams(x.value, q.value)
     return _max_attention(x, _logit_matrix(q, w))
+
+
+def token_stream(x: Var | Array) -> Var:
+    """x as a Var, coerced to a 2-D float64 matrix but not scanned:
+    ``score`` proves its entries finite from its own outputs."""
+    return x if isinstance(x, Var) else Var(ad.to_matrix(x, "x"))
 
 
 def _check_streams(x: Array, q: Array) -> None:
@@ -183,21 +192,24 @@ def _log_sum_exp(x: Array, a: Array, buf: Array) -> Array:
     rerun with a running max (online softmax, arXiv 1805.02867).
     """
     sums = np.zeros(a.shape[0])
-    with np.errstate(over="ignore"):  # an overflowing term leaves S_k = inf
+    # An overflowing term leaves S_k = inf.  A non-finite x sets `invalid`
+    # here (inf * 0 in the GEMM, inf - inf in the shift) and leaves lse
+    # non-finite or its logits -inf, which ``_max_attention`` checks.
+    with np.errstate(over="ignore", invalid="ignore"):
         for _, logits in _chunks(x, a, buf):
             np.exp(logits, out=logits)
             sums += logits.sum(axis=1)
-    if _sums_exact(sums, x.shape[0]):
-        return np.log(sums)
-    run_max = np.full(a.shape[0], -np.inf)
-    run_sum = np.zeros(a.shape[0])
-    for _, logits in _chunks(x, a, buf):
-        new_max = np.maximum(run_max, logits.max(axis=1))
-        logits -= new_max[:, None]
-        np.exp(logits, out=logits)
-        run_sum = run_sum * np.exp(run_max - new_max) + logits.sum(axis=1)
-        run_max = new_max
-    return run_max + np.log(run_sum)
+        if _sums_exact(sums, x.shape[0]):
+            return np.log(sums)
+        run_max = np.full(a.shape[0], -np.inf)
+        run_sum = np.zeros(a.shape[0])
+        for _, logits in _chunks(x, a, buf):
+            new_max = np.maximum(run_max, logits.max(axis=1))
+            logits -= new_max[:, None]
+            np.exp(logits, out=logits)
+            run_sum = run_sum * np.exp(run_max - new_max) + logits.sum(axis=1)
+            run_max = new_max
+        return run_max + np.log(run_sum)
 
 
 def _sums_exact(sums: Array, m: int) -> bool:
@@ -217,17 +229,35 @@ def _sums_exact(sums: Array, m: int) -> bool:
 
 
 def _max_attention(x: Var, a: Var) -> Var:
-    """r_i = max_k softmax_i(a @ x.T)[k, i], streamed; see ``score``."""
+    """r_i = max_k softmax_i(a @ x.T)[k, i], streamed; see ``score``.
+
+    x is never scanned for finiteness unless one of two checks fails.
+    Token i's logit in row k is sum_j a[k, j] x[i, j], so a NaN or +-inf
+    x[i, j] makes every term a[k, j] x[i, j] (0 * inf included) NaN or
+    +-inf, and every logit of token i non-finite, in every row.  Either
+    some logit is +inf or NaN, which leaves that row's lse NaN or inf
+    (check 1, on heads*L values), or all of them are -inf, which leaves
+    lse finite but the log-domain r_i exactly -inf (check 2, before the
+    exp, on M values already in cache).  A failed check scans x, which
+    raises ``InputError``; a finite x whose logits overflow passes the
+    scan and carries on.  Pass 2 runs without an errstate: past check 1,
+    a non-finite x reaches it only as -inf logits beside a finite lse,
+    which set no floating-point flag.
+    """
     xv, av = x.value, a.value
     x_tracked = x.nid is not None
     buf = _logit_buffer(xv, av)
     lse = _log_sum_exp(xv, av, buf)
+    if not np.isfinite(lse).all():
+        ad.as_matrix(xv, "x")
 
     r = np.empty(xv.shape[0])
     for rows, logits in _chunks(xv, av, buf):
         logits -= lse[:, None]
         np.max(logits, axis=0, out=r[rows])
     np.minimum(r, 0.0, out=r)  # log(exp(l)) may round below l; r <= 1 regardless
+    if r.min() == -np.inf:
+        ad.as_matrix(xv, "x")
     np.exp(r, out=r)
 
     def backward(g):

@@ -31,7 +31,7 @@ from .errors import (
 from .gate import hard_top_n, sample_gumbel_pairs, soft_gate_apply, threshold_var
 from .layers import Tensor, as_var
 from .reencoder import ReencoderStack, reencode
-from .scoring import ScoringWeights, score
+from .scoring import ScoringWeights, score, token_stream
 
 
 @dataclass
@@ -140,12 +140,18 @@ def select(
     seconds, at most float max / 2pi (``InputError`` otherwise), whatever
     the re-encoder depth.  Timestamps need not be sorted:
     kept tokens stay in index order and carry their own timestamps.
+
+    A NaN or inf entry in q raises ``InputError`` at once.  x is not
+    scanned here: every non-finite token leaves scoring's log-sum-exp
+    non-finite or its log-domain relevance -inf, and only then is x
+    scanned (``scoring._max_attention``), so its ``InputError`` comes
+    after the q, token-count and timestamp checks.
     """
     if mode not in ("train", "infer"):
         raise ParameterError(f"mode must be 'train' or 'infer', got {mode!r}")
     if mode == "train" and rng is None:
         raise ParameterError("train mode needs an rng for the Gumbel noise")
-    x_var = as_var(x, "x")
+    x_var = token_stream(x)  # ``score`` proves x finite
     q_var = as_var(q, "q")
     m = x_var.shape[0]
     if m == 0:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 
 from oracles import finite_difference_gradient
-from tokengate import reencoder, scoring
+from tokengate import autodiff, reencoder, scoring
 from tokengate.autodiff import Tape, Var
 
 
@@ -59,6 +59,21 @@ def count_lse_paths(monkeypatch) -> list[str]:
         return kept
 
     monkeypatch.setattr(scoring, "_sums_exact", counted)
+    return calls
+
+
+def count_matrix_scans(monkeypatch) -> list[str]:
+    """Record the name of every ``autodiff.as_matrix`` call, the
+    coercion that scans its input for NaN and inf: ``score`` makes one
+    named "x" only when its own outputs fail to prove x finite."""
+    calls = []
+    as_matrix = autodiff.as_matrix
+
+    def counted(x, name="matrix"):
+        calls.append(name)
+        return as_matrix(x, name)
+
+    monkeypatch.setattr(autodiff, "as_matrix", counted)
     return calls
 
 

@@ -182,10 +182,17 @@ class TestSelectCommand:
         assert "input error: timestamps must be finite, nonnegative seconds, at most" in capsys.readouterr().err
         assert not (workspace / "out_z.qtn").exists()
 
-    @pytest.mark.parametrize("name", ["x", "q"])
-    def test_non_finite_input_named_exit_2(self, workspace, capsys, name):
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            pytest.param("q", np.inf, id="q"),
+            pytest.param("x", np.nan, id="x"),
+            pytest.param("x", -np.inf, id="x--inf"),
+        ],
+    )
+    def test_non_finite_input_named_exit_2(self, workspace, capsys, name, bad):
         arr = read_tensor(workspace / f"{name}.qtn")
-        arr[0, 1] = np.inf if name == "q" else np.nan
+        arr[0, 1] = bad
         write_tensor(workspace / f"{name}.qtn", arr)
         assert main(_select_args(workspace)) == 2
         assert f"input error: {name} contains non-finite entries" in capsys.readouterr().err

@@ -7,15 +7,17 @@ model bound to a tape.
 bit for bit with the masked two-branch form it replaced (NaN sign aside).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import count_guarded_heads, count_lse_paths
+from conftest import count_guarded_heads, count_lse_paths, count_matrix_scans
 from tokengate import scoring
-from tokengate.autodiff import Tape, sigmoid_values
+from tokengate.autodiff import Tape, Var, sigmoid_values
 from tokengate.config import RunConfig
 from tokengate.harness import WorkloadSpec, generate_workload
 from tokengate.errors import InputError, ShapeError
@@ -192,6 +194,111 @@ class TestSelectMatchesTapePath:
             np.testing.assert_array_equal(fast.indices, tape.indices)
             np.testing.assert_allclose(fast.z, tape.z, rtol=0, atol=TOL)
             assert abs(fast.record.t - tape.record.t) <= TOL
+
+
+def _query_with_column_signs(w, signs, j, rng):
+    """A (L, d) query whose logit matrix ``scoring._logit_matrix`` has
+    column j equal to ``signs`` (heads*L values, head-major, |s| >= 0.5)
+    up to rounding.  Logits are linear in q: row (h, l) of column j is
+    q_l . u_h, so each q_l solves U^T q_l = target, plus noise from the
+    null space of U^T that leaves column j alone and varies the rest."""
+    heads, d = w.heads, w.wq.shape[0]
+    basis = scoring._logit_matrix(Var(np.eye(d)), w).value  # row (h, i) = u_h[i] over columns
+    u = np.stack([basis[h * d : (h + 1) * d, j] for h in range(heads)], axis=1)  # (d, heads)
+    targets = signs.reshape(heads, -1).T  # (L, heads)
+    q = np.linalg.lstsq(u.T, targets.T, rcond=None)[0].T
+    noise = rng.standard_normal(q.shape)
+    noise -= (u @ np.linalg.lstsq(u, noise.T, rcond=None)[0]).T
+    return q + noise
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 64),
+    heads=st.sampled_from([1, 2, 4]),
+    l=st.integers(1, 3),
+    depth=st.integers(1, 2),
+    identity=st.booleans(),
+    column=st.sampled_from(["positive", "negative", "mixed"]),
+    bad=st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), min_size=1, max_size=3),
+    chunked=st.booleans(),
+)
+# A -inf entry against an all-positive column: every logit of the token is
+# -inf and lse stays finite, so only the log-domain r check sees it.
+@example(seed=0, m=16, heads=1, l=2, depth=1, identity=True, column="positive", bad=[-np.inf], chunked=False)
+@example(seed=1, m=16, heads=2, l=2, depth=2, identity=False, column="negative", bad=[np.inf], chunked=True)
+# NaN and mixed signs leave lse non-finite: only the lse check sees them.
+@example(seed=2, m=16, heads=4, l=1, depth=1, identity=False, column="positive", bad=[np.nan], chunked=True)
+@example(seed=3, m=16, heads=1, l=3, depth=1, identity=True, column="mixed", bad=[np.inf], chunked=False)
+def test_non_finite_x_always_raises(seed, m, heads, l, depth, identity, column, bad, chunked):
+    """``select`` leaves x unscanned unless scoring's own checks fail;
+    they must reject every non-finite x, in both modes, without a
+    RuntimeWarning.
+    The first bad entry sits at (token i, feature j), and q is built so
+    that the logit matrix's column j is all positive, all negative or
+    mixed; later ones land anywhere.  ``chunked`` streams in chunks of 5."""
+    cfg = RunConfig(d=8, heads=heads, scoring_depth=depth, budget_hidden=8, n_max=16, reencode_depth=1, seed=seed)
+    model = SelectorModel.build(cfg)
+    if identity:
+        model = replace(model, scoring=ScoringWeights.identity(cfg.d))
+    w = model.scoring
+    rng = np.random.default_rng(seed)
+    rows = w.heads * l
+    assume(column != "mixed" or rows > 1)
+    magnitude = rng.uniform(0.5, 2.0, rows)
+    signs = {"positive": magnitude, "negative": -magnitude}.get(column)
+    if signs is None:
+        signs = magnitude * rng.permutation(np.resize([1.0, -1.0], rows))
+    j = int(rng.integers(cfg.d))
+    q = _query_with_column_signs(w, signs, j, rng)
+    x = rng.standard_normal((m, cfg.d))
+    x[rng.integers(m), j] = bad[0]
+    for value in bad[1:]:
+        x[rng.integers(m), rng.integers(cfg.d)] = value
+    with pytest.MonkeyPatch.context() as mp:
+        if chunked:
+            mp.setattr(scoring, "RELEVANCE_CHUNK", 5)
+        for mode in ("infer", "train"):
+            with pytest.raises(InputError, match="^x contains non-finite entries$"):
+                select(model, x, np.arange(float(m)), q, mode, np.random.default_rng(seed))
+
+
+class TestFiniteXIsNotScanned:
+    """``select`` leaves the finiteness of x to scoring's own outputs."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_infer_select_never_scans_x(self, monkeypatch, seed):
+        """Seeded defaults on perfbench-shaped video streams."""
+        scans = count_matrix_scans(monkeypatch)
+        model = SelectorModel.build(RunConfig())
+        for frames, l in ((4, 4), (32, 16)):
+            spec = WorkloadSpec(
+                m=None, d=model.cfg.d, l=l, k=8, frames=frames, frame_height=224, frame_width=224, patch=14
+            )
+            wl = generate_workload(spec, np.random.default_rng([seed, frames]))
+            select(model, wl.x, wl.timestamps, wl.q)
+        assert "q" in scans and "x" not in scans
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_row_with_overflowing_logits_still_selects(self, monkeypatch):
+        """Token 5 scaled by 1e150 has logits of about +-1e149: exp
+        overflows in its 2 positive rows, which take the running-max
+        pass, and it takes r = 1.  Its log-domain r stays finite, so x
+        is not scanned, and the kept set is the oracle's Top-n."""
+        scans = count_matrix_scans(monkeypatch)
+        paths = count_lse_paths(monkeypatch)
+        model = SelectorModel.build(RunConfig())
+        wl = generate_workload(WorkloadSpec(m=512, d=model.cfg.d, l=4, k=8), np.random.default_rng(0))
+        x = wl.x.copy()
+        x[5] *= 1e150
+        res = select(model, x, wl.timestamps, wl.q)
+        assert paths == ["exact"] and "x" not in scans
+        assert res.r_var.value[0, 5] == 1.0 and 5 in res.indices
+        ref = oracles.score(x, wl.q, model.scoring)[1].value.ravel()
+        np.testing.assert_array_equal(res.indices, hard_top_n(ref, res.n_target).indices)
+        assert np.all(np.isfinite(res.z))
 
 
 def _reencode_case(case, rng):

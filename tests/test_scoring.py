@@ -1,12 +1,11 @@
 """Relevance scoring: max-over-heads-and-query reduction of cross attention."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import count_lse_paths, rel_err, tape_vs_fd
+from conftest import count_lse_paths, peak_bytes, rel_err, tape_vs_fd
 from oracles import score as oracle_score
 from tokengate import autodiff as ad
 from tokengate.autodiff import Tape
@@ -171,17 +170,6 @@ class TestScore:
         assert np.all(r.value >= 0) and np.all(r.value <= 1)
 
 
-def _peak_bytes(fn) -> int:
-    """Peak traced allocation above the start of ``fn()``."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("pass_", ["forward", "backward"])
 def test_score_holds_one_logits_chunk(pass_):
     """A 3-chunk stream: every chunk of both passes reuses one logits
@@ -192,12 +180,12 @@ def test_score_holds_one_logits_chunk(pass_):
     x, q = rng.standard_normal((m, d)), rng.standard_normal((l, d))
     w = ScoringWeights.seeded(d, heads, 1, rng)
     if pass_ == "forward":
-        peak = _peak_bytes(lambda: score(x, q, w))
+        peak = peak_bytes(lambda: score(x, q, w))
     else:
         tape = Tape()
         qv = tape.var(q)
         loss = ad.sum_all(score(x, qv, w))
-        peak = _peak_bytes(lambda: tape.gradients(loss, [qv]))
+        peak = peak_bytes(lambda: tape.gradients(loss, [qv]))
     chunk = heads * l * RELEVANCE_CHUNK * 8
     assert peak < 1.5 * chunk + m * 8
 

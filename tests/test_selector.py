@@ -165,14 +165,21 @@ class TestSelect:
         res = select(model, wl.x, ts, wl.q)
         assert np.all(np.isfinite(res.z))
 
-    @pytest.mark.parametrize("name", ["x", "q"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_input_named(self, model, name, bad):
+    @pytest.mark.parametrize(
+        "name, bad, mode",
+        [
+            pytest.param(name, bad, mode, id=f"{bad}-{name}" + ("-train" if mode == "train" else ""))
+            for mode in ("infer", "train")
+            for name in ("x", "q")
+            for bad in (np.nan, np.inf, -np.inf)
+        ],
+    )
+    def test_non_finite_input_named(self, model, name, bad, mode):
         wl = _workload()
         inputs = {"x": wl.x.copy(), "q": wl.q.copy()}
         inputs[name][1, 2] = bad
         with pytest.raises(InputError, match=f"^{name} contains non-finite entries$"):
-            select(model, inputs["x"], wl.timestamps, inputs["q"])
+            select(model, inputs["x"], wl.timestamps, inputs["q"], mode=mode, rng=np.random.default_rng(0))
 
     def test_unsorted_timestamps_accepted(self, model):
         """Timestamps need not be monotone; kept tokens keep their own."""
