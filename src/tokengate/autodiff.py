@@ -13,6 +13,8 @@ back at no ``Var``.  A graph is therefore no reference cycle and lives
 exactly as long as its tape or one of its ``Var`` objects; reference
 counting frees it when the caller drops them, whether or not
 ``gradients`` ran, without waiting for the cyclic collector.
+``Tape.clear`` drops the records alone, so one tape can carry one graph
+after another over the same leaves.
 
 A tape is confined to one logical thread for the duration of a
 forward/backward pass.  Values are never mutated after construction, so
@@ -65,11 +67,17 @@ class Tape:
     for an untracked input), and a backward closure mapping the output
     adjoint to one adjoint per input.  ``gradients`` seeds the loss
     adjoint with exactly 1 and walks the records in reverse.
+
+    ``clear`` drops every record but keeps the leaves: a leaf made by
+    ``var`` stays valid, while a recorded ``Var`` from before the clear
+    raises ``InputError`` wherever it is used again.
     """
 
     def __init__(self) -> None:
         self._records: list[tuple[int, tuple[int | None, ...], BackwardFn]] = []
         self._next_id = 0
+        self._leaves: set[int] = set()
+        self._live_from = 0  # recorded ids below this were cleared
 
     def _node(self) -> int:
         nid = self._next_id
@@ -78,7 +86,21 @@ class Tape:
 
     def var(self, value, name: str = "var") -> "Var":
         """Create a tracked leaf variable."""
-        return Var(as_matrix(value, name), self, self._node())
+        nid = self._node()
+        self._leaves.add(nid)
+        return Var(as_matrix(value, name), self, nid)
+
+    def clear(self) -> None:
+        """Drop every record, and with them the graph built since the
+        last clear; the leaves stay valid."""
+        self._records = []
+        self._live_from = self._next_id
+
+    def _check_live(self, v: "Var") -> None:
+        if v.tape is not self:
+            raise InputError("variable does not belong to this tape")
+        if v.nid < self._live_from and v.nid not in self._leaves:
+            raise InputError("variable was recorded before the tape was cleared")
 
     def record(self, value: Array, inputs: tuple["Var", ...], backward: BackwardFn) -> "Var":
         """Record a primitive with output ``value``; returns the tracked output.
@@ -88,14 +110,24 @@ class Tape:
         It must not capture a ``Var``, or the graph becomes a reference
         cycle through ``Var.tape``.
         """
+        for v in inputs:
+            if v.nid is not None:
+                self._check_live(v)
         out = Var(value, self, self._node())
         self._records.append((out.nid, tuple(v.nid for v in inputs), backward))
         return out
 
     def gradients(self, output: "Var", wrt: Sequence["Var"]) -> list[Array]:
-        """Adjoints of a scalar ``output`` with respect to ``wrt`` variables."""
-        if output.tape is not self:
-            raise InputError("output does not belong to this tape")
+        """Adjoints of a scalar ``output`` with respect to ``wrt`` variables.
+
+        ``output`` and every tracked ``wrt`` must belong to this tape and
+        be live (``InputError`` otherwise); an untracked ``wrt`` gets a
+        zero adjoint.
+        """
+        self._check_live(output)
+        for v in wrt:
+            if v.tape is not None:
+                self._check_live(v)
         if output.value.shape != (1, 1):
             raise ShapeError(f"gradients need a (1, 1) output, got {output.value.shape}")
         adjoint: dict[int, Array] = {output.nid: np.ones((1, 1))}

@@ -157,20 +157,59 @@ def _peak_and_entropy(r: Var) -> tuple[Var, Var]:
 
 def predict_rho(features: BudgetFeatures, head: BudgetHead) -> Var:
     """Retention fraction strictly inside (rho_min, rho_max), differentiable
-    with respect to the features and every head parameter."""
+    with respect to the features and every head parameter.
+
+    The head is one tape operation over s_q, r_max, the entropy and the six
+    head tensors.  Its input row is [s_q, ln M / LOG_M_SCALE, r_max,
+    entropy / (ln M + ENTROPY_TINY)], then h1 = tanh(inp @ w1 + b1),
+    h2 = tanh(h1 @ w2 + b2) and rho = rho_min + span * sigmoid(h2 @ w_out
+    + b_out).  The backward is the chain rule of that composition, in the
+    same numpy expressions and order as its per-primitive tape form, so
+    values and gradients are bit-equal to it.  The weight gradients
+    a.T @ g of two rows are taken with ``einsum``, whose one-term sums
+    equal the GEMM's entry for entry at a quarter of its cost here.
+    """
     d = features.s_q.shape[1]
     if head.input_dim != d + 3:
         raise ConfigError(
             f"budget head expects input dim {head.input_dim}, features give {d + 3}"
         )
-    log_m_scaled = ad.scalar(features.log_m / LOG_M_SCALE)
-    entropy_scaled = ad.smul(features.entropy, 1.0 / (features.log_m + ENTROPY_TINY))
-    inp = ad.hcat([features.s_q, log_m_scaled, features.r_max, entropy_scaled])
-    h1 = ad.tanh(ad.add(ad.matmul(inp, as_var(head.w1)), as_var(head.b1)))
-    h2 = ad.tanh(ad.add(ad.matmul(h1, as_var(head.w2)), as_var(head.b2)))
-    logit = ad.add(ad.matmul(h2, as_var(head.w_out)), as_var(head.b_out))
-    span = head.rho_max - head.rho_min
-    return ad.add_const(ad.smul(ad.sigmoid(logit), span), head.rho_min)
+    weights = tuple(as_var(t) for t in (head.w1, head.b1, head.w2, head.b2, head.w_out, head.b_out))
+    w1, b1, w2, b2, w_out, b_out = (w.value for w in weights)
+    entropy_scale = 1.0 / (features.log_m + ENTROPY_TINY)
+    span = float(head.rho_max - head.rho_min)
+    inp = np.concatenate(
+        [
+            features.s_q.value,
+            np.array([[features.log_m / LOG_M_SCALE]]),
+            features.r_max.value,
+            features.entropy.value * entropy_scale,
+        ],
+        axis=1,
+    )
+    h1 = np.tanh(inp @ w1 + b1)
+    h2 = np.tanh(h1 @ w2 + b2)
+    y = ad.sigmoid_values(h2 @ w_out + b_out)
+
+    def backward(g):
+        g_logit = g * span * y * (1.0 - y)
+        g_z2 = g_logit @ w_out.T * (1.0 - h2 * h2)
+        g_z1 = g_z2 @ w2.T * (1.0 - h1 * h1)
+        g_inp = g_z1 @ w1.T
+        return (
+            g_inp[:, :d],
+            g_inp[:, d + 1 : d + 2],
+            g_inp[:, d + 2 :] * entropy_scale,
+            np.einsum("ki,kj->ij", inp, g_z1),
+            g_z1,
+            np.einsum("ki,kj->ij", h1, g_z2),
+            g_z2,
+            np.einsum("ki,kj->ij", h2, g_logit),
+            g_logit,
+        )
+
+    inputs = (features.s_q, features.r_max, features.entropy, *weights)
+    return ad.apply(y * span + float(head.rho_min), inputs, backward)
 
 
 def compute_budget(rho: float, m: int, n_max: int) -> int:

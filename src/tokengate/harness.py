@@ -285,7 +285,10 @@ def train_desk_scale(
     needs a loss that reads ``z_var`` from a ``select`` on the full
     bound model.
 
-    One instance's tape is alive at a time (``_train_instance``).  The
+    Each epoch binds the model once, on one tape: that scans the updated
+    tensors for NaN and inf once per epoch.  Each instance records its
+    graph on that tape and clears it once its gradients are summed
+    (``_train_instance``), so one instance graph is alive at a time.  The
     returned model holds the trained tensors and shares every other
     tensor (the re-encoder's) with ``model``.
     """
@@ -293,6 +296,7 @@ def train_desk_scale(
         raise ParameterError(f"epochs must be >= 0, got {epochs}")
     trainable = model.without_reencoder()
     params = trainable.parameters()
+    epoch_model = trainable.with_parameters(params)  # shares params' arrays
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
     grad_sum = {name: np.zeros_like(p) for name, p in params.items()}
     pool = [
@@ -301,7 +305,8 @@ def train_desk_scale(
     ]
     trajectory: list[EpochStats] = []
     for epoch in range(epochs):
-        epoch_model = trainable.with_parameters(params)  # shares params' arrays
+        tape = Tape()
+        bound, tracked = epoch_model.bind(tape)
         for g in grad_sum.values():
             g.fill(0.0)
         losses: list[float] = []
@@ -310,7 +315,7 @@ def train_desk_scale(
         for item, wl in enumerate(pool):
             rng = np.random.default_rng([seed, epoch, item])
             loss_value, record = _train_instance(
-                epoch_model, wl, rng, penalties, dual, grad_sum, (epoch, item)
+                tape, bound, tracked, wl, rng, penalties, dual, grad_sum, (epoch, item)
             )
             losses.append(loss_value)
             rhos.append(record.rho)
@@ -340,11 +345,13 @@ def train_desk_scale(
                 mean_n=float(np.mean(kept)),
             )
         )
-    return model.with_parameters({**dict(model.named_tensors()), **params}), trajectory
+    return replace(model, scoring=epoch_model.scoring, budget=epoch_model.budget), trajectory
 
 
 def _train_instance(
-    model: SelectorModel,
+    tape: Tape,
+    bound: SelectorModel,
+    tracked: dict[str, Var],
     wl: Workload,
     rng: np.random.Generator,
     penalties: PenaltyWeights,
@@ -352,34 +359,36 @@ def _train_instance(
     grad_sum: dict[str, Array],
     where: tuple[int, int],
 ) -> tuple[float, DiagnosticsRecord]:
-    """One instance of a training step on a tape of its own: select, loss
-    and backward, the gradients added into ``grad_sum``.  Returns the
-    loss and the selection's diagnostics record; the tape and its graph
-    die with this call's locals.  ``where`` is (epoch, item), for the
-    divergence dump.
+    """One instance of a training step on ``tape``, where ``bound`` and
+    its leaves ``tracked`` were bound: select, loss and backward, the
+    gradients added into ``grad_sum``.  Returns the loss and the
+    selection's diagnostics record.  The tape is cleared on the way out,
+    success or not, and the rest of the graph dies with this call's
+    locals.  ``where`` is (epoch, item), for the divergence dump.
     """
-    tape = Tape()
-    bound, tracked = model.bind(tape)
-    res = select(bound, wl.x, wl.timestamps, wl.q, mode="train", rng=rng)
-    task = planted_mass_loss(res, wl.planted)
-    loss = total_loss(task, res.rho_var, wl.x.shape[0], model.cfg.n_max, penalties, dual)
-    loss_value = loss.item()
-    if not math.isfinite(loss_value):
-        r = res.r_var.value
-        raise NumericError(
-            "training diverged: non-finite loss",
-            dump={
-                "epoch": where[0],
-                "item": where[1],
-                "rho": res.record.rho,
-                "t": res.record.t,
-                "r_stats": {"min": r.min(), "mean": r.mean(), "max": r.max()},
-            },
-        )
-    names = list(tracked)
-    for name, g in zip(names, tape.gradients(loss, [tracked[n] for n in names])):
-        grad_sum[name] += g
-    return loss_value, res.record
+    try:
+        res = select(bound, wl.x, wl.timestamps, wl.q, mode="train", rng=rng)
+        task = planted_mass_loss(res, wl.planted)
+        loss = total_loss(task, res.rho_var, wl.x.shape[0], bound.cfg.n_max, penalties, dual)
+        loss_value = loss.item()
+        if not math.isfinite(loss_value):
+            r = res.r_var.value
+            raise NumericError(
+                "training diverged: non-finite loss",
+                dump={
+                    "epoch": where[0],
+                    "item": where[1],
+                    "rho": res.record.rho,
+                    "t": res.record.t,
+                    "r_stats": {"min": r.min(), "mean": r.mean(), "max": r.max()},
+                },
+            )
+        names = list(tracked)
+        for name, g in zip(names, tape.gradients(loss, [tracked[n] for n in names])):
+            grad_sum[name] += g
+        return loss_value, res.record
+    finally:
+        tape.clear()
 
 
 # ---------------------------------------------------------------------------

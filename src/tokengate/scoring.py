@@ -239,10 +239,11 @@ def _max_attention(x: Var, a: Var) -> Var:
     (check 1, on heads*L values), or all of them are -inf, which leaves
     lse finite but the log-domain r_i exactly -inf (check 2, before the
     exp, on M values already in cache).  A failed check scans x, which
-    raises ``InputError``; a finite x whose logits overflow passes the
-    scan and carries on.  Pass 2 runs without an errstate: past check 1,
-    a non-finite x reaches it only as -inf logits beside a finite lse,
-    which set no floating-point flag.
+    raises ``InputError``.  A finite x that fails check 1 has a logit
+    too large for float64, which raises ``InputError`` naming x and q;
+    one that fails only check 2 carries on.  Pass 2 runs without an
+    errstate: past check 1, a non-finite x reaches it only as -inf logits
+    beside a finite lse, which set no floating-point flag.
     """
     xv, av = x.value, a.value
     x_tracked = x.nid is not None
@@ -250,6 +251,7 @@ def _max_attention(x: Var, a: Var) -> Var:
     lse = _log_sum_exp(xv, av, buf)
     if not np.isfinite(lse).all():
         ad.as_matrix(xv, "x")
+        raise InputError("x and q give attention logits too large for float64")
 
     r = np.empty(xv.shape[0])
     for rows, logits in _chunks(xv, av, buf):

@@ -1,14 +1,14 @@
-"""Tape compositions of the scoring, budget-feature and re-encoder
-forwards, and the other helpers only tests call: test oracles.
+"""Tape compositions of the scoring, budget-feature, budget-head and
+re-encoder forwards, and the other helpers only tests call: test oracles.
 
 ``tokengate.scoring.score``, the r_max/entropy operation inside
-``tokengate.budget.extract_features`` and ``tokengate.reencoder.reencode``
-are fused kernels with hand-written backward passes.  The functions here
-compute the same quantities from primitive tape operations (a few of
-them, such as ``colmax``, ``xlogx``, ``softmax_rows``, ``row_means`` and
-``pow_const``, defined here because only the oracles use them), with
-every attention map built in full, so the tape derives their gradients
-on its own.  The tests hold the kernels' values and gradients to these,
+``tokengate.budget.extract_features``, ``tokengate.budget.predict_rho``
+and ``tokengate.reencoder.reencode`` are fused kernels with hand-written
+backward passes.  The functions here compute the same quantities from
+primitive tape operations (a few of them, such as ``colmax``, ``xlogx``,
+``softmax_rows``, ``row_means`` and ``pow_const``, defined here because
+only the oracles use them), with every attention map built in full, so
+the tape derives their gradients on its own.  The tests hold the kernels' values and gradients to these,
 and these to central finite differences (``finite_difference_gradient``).
 ``exp``, ``dual_penalty`` and ``soft_gate_train`` are value-level
 references some tests still exercise; nothing in ``tokengate`` calls them.
@@ -25,6 +25,7 @@ import numpy as np
 from tokengate import autodiff as ad
 from tokengate import gate
 from tokengate.autodiff import Array, Var
+from tokengate.budget import ENTROPY_TINY, LOG_M_SCALE, BudgetFeatures, BudgetHead
 from tokengate.config import RunConfig
 from tokengate.errors import ConfigError, InputError, NumericError, ParameterError, ShapeError
 from tokengate.gate import KeepMask
@@ -183,6 +184,18 @@ def features_oracle(r: Var) -> tuple[Var, Var]:
     r_max = colmax(ad.transpose(r))
     p = div(r, ad.add_const(ad.sum_all(r), EPS_REL))
     return r_max, ad.smul(ad.sum_all(xlogx(p)), -1.0)
+
+
+def predict_rho_oracle(features: BudgetFeatures, head: BudgetHead) -> Var:
+    """The budget head composed of thirteen tape operations."""
+    log_m_scaled = ad.scalar(features.log_m / LOG_M_SCALE)
+    entropy_scaled = ad.smul(features.entropy, 1.0 / (features.log_m + ENTROPY_TINY))
+    inp = ad.hcat([features.s_q, log_m_scaled, features.r_max, entropy_scaled])
+    h1 = ad.tanh(ad.add(ad.matmul(inp, as_var(head.w1)), as_var(head.b1)))
+    h2 = ad.tanh(ad.add(ad.matmul(h1, as_var(head.w2)), as_var(head.b2)))
+    logit = ad.add(ad.matmul(h2, as_var(head.w_out)), as_var(head.b_out))
+    span = head.rho_max - head.rho_min
+    return ad.add_const(ad.smul(ad.sigmoid(logit), span), head.rho_min)
 
 
 def vcat(parts: Sequence[Var]) -> Var:

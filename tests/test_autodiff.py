@@ -1,6 +1,7 @@
 """Tape primitives against hand values and the finite-difference oracle."""
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -160,6 +161,57 @@ class TestTapeContracts:
         loss = ad.mul(x, x)  # d(x^2)/dx = 2x
         (g,) = tape.gradients(loss, [x])
         assert g[0, 0] == pytest.approx(6.0, abs=1e-12)
+
+    def test_wrt_from_another_tape_rejected(self):
+        """Node ids are per tape: a foreign ``wrt`` would silently get the
+        adjoint of whichever node here has its id."""
+        ta, tb = Tape(), Tape()
+        xa, xb = ta.var([[2.0]]), tb.var([[5.0]])
+        loss = ad.mul(xa, xa)
+        with pytest.raises(InputError, match="does not belong to this tape"):
+            ta.gradients(loss, [xa, xb])
+        with pytest.raises(InputError, match="does not belong to this tape"):
+            tb.gradients(loss, [xb])
+
+
+class TestTapeClear:
+    def test_leaves_outlive_clear(self):
+        tape = Tape()
+        x = tape.var([[3.0]])
+        tape.gradients(ad.mul(x, x), [x])
+        tape.clear()
+        (g,) = tape.gradients(ad.mul(ad.smul(x, 2.0), x), [x])  # d(2x^2)/dx = 4x
+        assert g[0, 0] == 12.0
+
+    def test_clear_frees_the_records(self):
+        tape = Tape()
+        x = tape.var([[3.0]])
+        y = weakref.ref(ad.tanh(x).value)  # then held by tanh's backward alone
+        assert y() is not None
+        tape.clear()
+        assert y() is None
+
+    def test_stale_intermediate_rejected(self):
+        """A record cleared away cannot pass its adjoint on, so a graph
+        built on it again would stop short without a word."""
+        tape = Tape()
+        x = tape.var([[3.0]])
+        y = ad.mul(x, x)
+        tape.clear()
+        with pytest.raises(InputError, match="recorded before the tape was cleared"):
+            ad.add(y, x)
+        with pytest.raises(InputError, match="recorded before the tape was cleared"):
+            tape.gradients(y, [x])
+        with pytest.raises(InputError, match="recorded before the tape was cleared"):
+            tape.gradients(ad.mul(x, x), [y])
+
+    def test_leaf_made_after_clear_is_live(self):
+        tape = Tape()
+        tape.var([[1.0]])
+        tape.clear()
+        z = tape.var([[2.0]])
+        (g,) = tape.gradients(ad.mul(z, z), [z])
+        assert g[0, 0] == 4.0
 
 
 def _weighted_sum(rng, v):

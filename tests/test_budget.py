@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
-from oracles import features_oracle, finite_difference_gradient
+from oracles import features_oracle, finite_difference_gradient, predict_rho_oracle
 from tokengate import autodiff as ad
 from tokengate.autodiff import Tape
 from tokengate.budget import BudgetHead, compute_budget, extract_features, predict_rho
@@ -234,6 +234,53 @@ class TestPredictRho:
         rng = np.random.default_rng(8)
         with pytest.raises(ParameterError):
             BudgetHead.seeded(4, rng, rho_min=0.5, rho_max=0.5)
+
+
+def _head_case(case, seed=0):
+    """(q, r, head) for one named budget-head case, at d = 5."""
+    rng = np.random.default_rng([15, seed])
+    head = BudgetHead.seeded(5, rng, hidden=16)
+    q = rng.standard_normal((3, 5))
+    r = rng.uniform(0.05, 1.0, 23)
+    if case == "saturated_tanh":  # |pre-activations| in the hundreds
+        head.w1 = 1e3 * head.w1
+        head.w2 = 1e3 * head.w2
+    elif case.startswith("saturated_sigmoid"):  # logit about +-40
+        head.b_out = np.array([[40.0 if case.endswith("high") else -40.0]])
+    elif case == "zero_projection":
+        head.w_out = np.zeros_like(head.w_out)
+        head.b_out = np.zeros_like(head.b_out)
+    return q, r, head
+
+
+def _rho_with_gradients(forward, q, r, head):
+    """rho through ``forward`` and its gradients with respect to q, r and
+    every head tensor, all tracked on one tape."""
+    tape = Tape()
+    qv, rv = tape.var(q), tape.var(r.reshape(1, -1))
+    leaves = {}
+    bound = map_tensors(head, lambda name, t: leaves.setdefault(name, tape.var(t)))
+    rho = forward(extract_features(qv, rv, r.size), bound)
+    return rho.value, tape.gradients(rho, [qv, rv, *leaves.values()])
+
+
+class TestFusedHead:
+    """``predict_rho``'s one tape operation against its thirteen-operation
+    composition in ``oracles``."""
+
+    @pytest.mark.parametrize(
+        "case, seed",
+        [("seeded", 0), ("seeded", 1), ("seeded", 2), ("saturated_tanh", 0),
+         ("saturated_sigmoid_high", 0), ("saturated_sigmoid_low", 0), ("zero_projection", 0)],
+    )
+    def test_matches_oracle(self, case, seed):
+        q, r, head = _head_case(case, seed)
+        rho, grads = _rho_with_gradients(predict_rho, q, r, head)
+        want_rho, want_grads = _rho_with_gradients(predict_rho_oracle, q, r, head)
+        assert rho.tobytes() == want_rho.tobytes()
+        assert len(grads) == len(want_grads) == 2 + len(list(named_tensors(head)))
+        for g, want in zip(grads, want_grads):
+            np.testing.assert_allclose(g, want, rtol=1e-12, atol=1e-12)
 
 
 class TestComputeBudget:

@@ -300,6 +300,21 @@ class TestFiniteXIsNotScanned:
         np.testing.assert_array_equal(res.indices, hard_top_n(ref, res.n_target).indices)
         assert np.all(np.isfinite(res.z))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", ["infer", "train"])
+    def test_finite_row_whose_logits_overflow_names_x_and_q(self, monkeypatch, mode):
+        """Token 1's logit under identity weights and q = [1, 1] is
+        (1.5e308 + 1.5e308) / sqrt(2), past float max, so lse is not
+        finite.  The x scan passes, and the error names x and q before
+        pass 2 would subtract inf from inf."""
+        scans = count_matrix_scans(monkeypatch)
+        cfg = RunConfig(d=2, heads=1, budget_hidden=8, n_max=16, reencode_depth=0)
+        model = replace(SelectorModel.build(cfg), scoring=ScoringWeights.identity(2))
+        x = np.array([[0.5, -0.25], [1.5e308, 1.5e308], [0.1, 0.2]])
+        with pytest.raises(InputError, match="^x and q give attention logits too large for float64$"):
+            select(model, x, np.arange(3.0), np.array([[1.0, 1.0]]), mode, np.random.default_rng(0))
+        assert "x" in scans
+
 
 def _reencode_case(case, rng):
     """(z, timestamps, stack) for one named kernel-vs-tape case."""

@@ -8,7 +8,8 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import peak_bytes
+from conftest import count_matrix_scans, peak_bytes
+from tokengate import autodiff as ad
 from tokengate import reencoder
 from tokengate.autodiff import Tape
 from tokengate.config import RunConfig
@@ -270,6 +271,26 @@ class TestTrainDeskScale:
         with pytest.raises(ParameterError, match="epochs"):
             train_desk_scale(spec, SelectorModel.build(CFG), -3, OptimizerConfig(), PenaltyWeights())
 
+    def test_binds_and_scans_the_parameters_once_per_epoch(self, monkeypatch):
+        """Every instance of an epoch runs on the epoch's one bound model,
+        whose binding scans each updated tensor for NaN and inf."""
+        binds = 0
+        bind = SelectorModel.bind
+
+        def counted(self, tape):
+            nonlocal binds
+            binds += 1
+            return bind(self, tape)
+
+        monkeypatch.setattr(SelectorModel, "bind", counted)
+        scans = count_matrix_scans(monkeypatch)
+        spec = WorkloadSpec(m=32, d=16, l=2, k=3, seed=10)
+        model = SelectorModel.build(CFG)
+        train_desk_scale(spec, model, 3, OptimizerConfig(batch=4), PenaltyWeights())
+        assert binds == 3
+        names = list(model.without_reencoder().parameters())
+        assert sorted(n for n in scans if n in names) == sorted(names * 3)
+
     def test_returned_model_shares_the_untrained_tensors(self):
         spec = WorkloadSpec(m=32, d=16, l=2, k=3, seed=10)
         model = SelectorModel.build(CFG)
@@ -304,6 +325,45 @@ class TestTapeLifetime:
             dead = weakref.ref(tape)
             del tape, bound, tracked, res, loss
             assert dead() is None
+        finally:
+            gc.enable()
+
+    def test_instance_graph_dies_at_clear_and_the_leaves_stay_live(self):
+        """A train step's epoch binds once and runs every instance on that
+        tape.  ``clear`` frees an instance's graph while the tape and its
+        leaves stay alive (collector off); the leaves then give the next
+        instance gradients bit-equal to a freshly bound tape's, and a
+        variable of the cleared graph raises where it is used again."""
+        cfg = RunConfig()
+        spec = WorkloadSpec.from_config(cfg)
+        wls = [generate_workload(spec, np.random.default_rng(i)) for i in range(2)]
+        model = SelectorModel.build(cfg).without_reencoder()
+
+        def instance(tape, bound, tracked, wl):
+            res = select(bound, wl.x, wl.timestamps, wl.q, "train", np.random.default_rng(0))
+            loss = total_loss(
+                planted_mass_loss(res, wl.planted), res.rho_var, wl.x.shape[0], cfg.n_max,
+                PenaltyWeights(),
+            )
+            return res, tape.gradients(loss, list(tracked.values()))
+
+        tape, fresh = Tape(), Tape()
+        bound, tracked = model.bind(tape)
+        gc.disable()
+        try:
+            res, _ = instance(tape, bound, tracked, wls[0])
+            stale = res.rho_var
+            r = weakref.ref(res.r_var.value)
+            del res
+            assert r() is not None  # the records' backward closures hold r
+            tape.clear()
+            assert r() is None
+            _, got = instance(tape, bound, tracked, wls[1])
+            _, want = instance(fresh, *model.bind(fresh), wls[1])
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+            with pytest.raises(InputError, match="recorded before the tape was cleared"):
+                ad.add(stale, stale)
         finally:
             gc.enable()
 
