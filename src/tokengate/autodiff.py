@@ -310,15 +310,6 @@ def sigmoid(a: Var) -> Var:
     return apply(y, (a,), backward)
 
 
-def tanh(a: Var) -> Var:
-    y = np.tanh(a.value)
-
-    def backward(g):
-        return (g * (1.0 - y * y),)
-
-    return apply(y, (a,), backward)
-
-
 def log(a: Var) -> Var:
     if np.any(a.value <= 0):
         raise InputError("log requires strictly positive entries")
@@ -342,17 +333,8 @@ def sum_all(a: Var) -> Var:
     return apply(np.array([[a.value.sum()]]), (a,), backward)
 
 
-def col_means(a: Var) -> Var:
-    n, k = a.shape
-
-    def backward(g):
-        return (np.repeat(g, n, axis=0) / n,)
-
-    return apply(a.value.mean(axis=0, keepdims=True), (a,), backward)
-
-
 # ---------------------------------------------------------------------------
-# selection and concatenation
+# selection
 
 def take_rows(a: Var, idx) -> Var:
     idx = np.asarray(idx, dtype=np.int64)
@@ -376,17 +358,6 @@ def take_cols(a: Var, idx) -> Var:
         return (out,)
 
     return apply(a.value[:, idx].copy(), (a,), backward)
-
-
-def hcat(parts: Sequence[Var]) -> Var:
-    parts = tuple(parts)
-    widths = [p.shape[1] for p in parts]
-    splits = np.cumsum(widths)[:-1]
-
-    def backward(g):
-        return tuple(np.split(g, splits, axis=1))
-
-    return apply(np.concatenate([p.value for p in parts], axis=1), parts, backward)
 
 
 def straight_through(soft: Var, hard: Array) -> Var:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var
+from .autodiff import Array, Var
 from .errors import ConfigError, InputError, ParameterError, ShapeError
 from .layers import Tensor, as_var, uniform_init
 from .scoring import EPS_REL, normalize_relevance
@@ -31,28 +31,25 @@ ENTROPY_TINY = 1e-12
 class BudgetFeatures:
     """Inputs to the budget head for one instance.
 
-    ``s_q``, ``r_max`` and ``entropy`` stay differentiable (tape
-    variables when tracking); ``log_m`` is exact ln(M).
+    ``q`` and ``r`` are the query matrix and the (1, M) relevance row as
+    given, tracked or not; ``predict_rho`` differentiates through them.
+    The rest are their values: ``s_q`` the (1, d) column mean of q,
+    ``log_m`` exact ln(M), ``r_max`` and ``entropy`` the peak and the
+    entropy of r, and ``top`` the first index where r is maximal.
     """
 
-    s_q: Var
+    q: Var
+    r: Var
+    s_q: Array
     log_m: float
-    r_max: Var
-    entropy: Var
-    m: int
-
-    @property
-    def r_max_value(self) -> float:
-        return self.r_max.item()
-
-    @property
-    def entropy_value(self) -> float:
-        return self.entropy.item()
+    r_max: float
+    entropy: float
+    top: int
 
     @property
     def sq_mean(self) -> float:
         """Scalar reduction of s_q (component mean), used by diagnostics."""
-        return float(self.s_q.value.mean())
+        return float(self.s_q.mean())
 
 
 @dataclass
@@ -77,8 +74,7 @@ class BudgetHead:
 
     @property
     def input_dim(self) -> int:
-        w1 = self.w1.value if isinstance(self.w1, Var) else self.w1
-        return w1.shape[0]
+        return self.w1.shape[0]
 
     @classmethod
     def seeded(
@@ -105,12 +101,12 @@ class BudgetHead:
 def extract_features(q: Var, r: Var, m: int) -> BudgetFeatures:
     """Budget-head inputs from the query matrix and relevance vector.
 
-    s_q is the exact column mean of q.  r_max and the entropy of
-    p = r / (sum r + EPS_REL) come from one pass over r
-    (``scoring.normalize_relevance``) and stay on the tape as one
-    operation each, whose backward recomputes what it needs; beyond r
-    the call holds p, p*log p and a boolean mask, about 2.1 M floats.
-    Negative entries of r raise ``InputError``.
+    Records nothing on a tape: ``predict_rho`` differentiates through q
+    and r itself.  s_q is the exact column mean of q; r_max and the
+    entropy of p = r / (sum r + EPS_REL) come from one pass over r
+    (``scoring.normalize_relevance``), which holds p, p*log p and a
+    boolean mask beyond r, about 2.1 M floats.  Negative entries of r
+    raise ``InputError``.
     """
     q = as_var(q)
     r = as_var(r)
@@ -118,48 +114,45 @@ def extract_features(q: Var, r: Var, m: int) -> BudgetFeatures:
         raise InputError("cannot extract features from an empty query")
     if r.shape != (1, m):
         raise ShapeError(f"relevance shape {r.shape} does not match token count {m}")
-    r_max, entropy = _peak_and_entropy(r)
-    return BudgetFeatures(s_q=ad.col_means(q), log_m=math.log(m), r_max=r_max, entropy=entropy, m=m)
-
-
-def _peak_and_entropy(r: Var) -> tuple[Var, Var]:
-    """r_max and H(p) of a (1, M) relevance row as two tape operations.
-
-    The r_max adjoint goes to the first maximal entry.  The entropy
-    adjoint is dH/dr_j = (c - a_j) / s with s = sum r + EPS_REL,
-    a_j = log p_j + 1 (0 where p_j = 0, the subgradient of 0*log 0) and
-    c = sum_i a_i p_i.
-    """
     rv = r.value
     top = int(rv.argmax())
-    entropy = normalize_relevance(rv)[1]
+    return BudgetFeatures(
+        q=q,
+        r=r,
+        s_q=q.value.mean(axis=0, keepdims=True),
+        log_m=math.log(m),
+        r_max=float(rv[0, top]),
+        entropy=normalize_relevance(rv)[1],
+        top=top,
+    )
 
-    def peak_backward(g):
-        out = np.zeros(rv.shape)
-        out[0, top] = g[0, 0]
-        return (out,)
 
-    def entropy_backward(g):
-        s = rv.sum() + EPS_REL
-        p = rv / s
-        positive = p > 0
-        a = np.where(positive, p, 1.0)
-        np.log(a, out=a)
-        np.add(a, 1.0, out=a, where=positive)
-        c = np.vdot(a, p)
-        np.subtract(c, a, out=a)
-        a *= g[0, 0] / s
-        return (a,)
+def _relevance_adjoint(rv: Array, top: int, g_max: float, g_entropy: float) -> Array:
+    """Adjoint of r_max and H(p) with respect to a (1, M) relevance row.
 
-    r_max = ad.apply(rv[:, top : top + 1].copy(), (r,), peak_backward)
-    return r_max, ad.apply(np.array([[entropy]]), (r,), entropy_backward)
+    The r_max adjoint ``g_max`` goes to the first maximal entry ``top``.
+    The entropy part is dH/dr_j = (c - a_j) / s with s = sum r + EPS_REL,
+    a_j = log p_j + 1 (0 where p_j = 0, the subgradient of 0*log 0) and
+    c = sum_i a_i p_i, times ``g_entropy``.
+    """
+    s = rv.sum() + EPS_REL
+    p = rv / s
+    positive = p > 0
+    a = np.where(positive, p, 1.0)
+    np.log(a, out=a)
+    np.add(a, 1.0, out=a, where=positive)
+    c = np.vdot(a, p)
+    np.subtract(c, a, out=a)
+    a *= g_entropy / s
+    a[0, top] += g_max
+    return a
 
 
 def predict_rho(features: BudgetFeatures, head: BudgetHead) -> Var:
     """Retention fraction strictly inside (rho_min, rho_max), differentiable
-    with respect to the features and every head parameter.
+    with respect to q, r and every head parameter.
 
-    The head is one tape operation over s_q, r_max, the entropy and the six
+    The whole budget stage is one tape operation over q, r and the six
     head tensors.  Its input row is [s_q, ln M / LOG_M_SCALE, r_max,
     entropy / (ln M + ENTROPY_TINY)], then h1 = tanh(inp @ w1 + b1),
     h2 = tanh(h1 @ w2 + b2) and rho = rho_min + span * sigmoid(h2 @ w_out
@@ -169,24 +162,18 @@ def predict_rho(features: BudgetFeatures, head: BudgetHead) -> Var:
     a.T @ g of two rows are taken with ``einsum``, whose one-term sums
     equal the GEMM's entry for entry at a quarter of its cost here.
     """
-    d = features.s_q.shape[1]
+    l, d = features.q.shape
     if head.input_dim != d + 3:
         raise ConfigError(
             f"budget head expects input dim {head.input_dim}, features give {d + 3}"
         )
     weights = tuple(as_var(t) for t in (head.w1, head.b1, head.w2, head.b2, head.w_out, head.b_out))
     w1, b1, w2, b2, w_out, b_out = (w.value for w in weights)
+    rv, top = features.r.value, features.top
     entropy_scale = 1.0 / (features.log_m + ENTROPY_TINY)
     span = float(head.rho_max - head.rho_min)
-    inp = np.concatenate(
-        [
-            features.s_q.value,
-            np.array([[features.log_m / LOG_M_SCALE]]),
-            features.r_max.value,
-            features.entropy.value * entropy_scale,
-        ],
-        axis=1,
-    )
+    scalars = [features.log_m / LOG_M_SCALE, features.r_max, features.entropy * entropy_scale]
+    inp = np.concatenate([features.s_q, np.array([scalars])], axis=1)
     h1 = np.tanh(inp @ w1 + b1)
     h2 = np.tanh(h1 @ w2 + b2)
     y = ad.sigmoid_values(h2 @ w_out + b_out)
@@ -197,9 +184,8 @@ def predict_rho(features: BudgetFeatures, head: BudgetHead) -> Var:
         g_z1 = g_z2 @ w2.T * (1.0 - h1 * h1)
         g_inp = g_z1 @ w1.T
         return (
-            g_inp[:, :d],
-            g_inp[:, d + 1 : d + 2],
-            g_inp[:, d + 2 :] * entropy_scale,
+            np.repeat(g_inp[:, :d], l, axis=0) / l,
+            _relevance_adjoint(rv, top, g_inp[0, d + 1], g_inp[0, d + 2] * entropy_scale),
             np.einsum("ki,kj->ij", inp, g_z1),
             g_z1,
             np.einsum("ki,kj->ij", h1, g_z2),
@@ -208,7 +194,7 @@ def predict_rho(features: BudgetFeatures, head: BudgetHead) -> Var:
             g_logit,
         )
 
-    inputs = (features.s_q, features.r_max, features.entropy, *weights)
+    inputs = (features.q, features.r, *weights)
     return ad.apply(y * span + float(head.rho_min), inputs, backward)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,6 @@ from .harness import (
     run_ablation,
     to_csv,
     train_desk_scale,
-    write_csv,
 )
 from .objective import PenaltyWeights
 from .selector import DiagnosticsRecord, SelectorModel, load_weights, save_weights, select
@@ -50,9 +49,12 @@ EXIT_MISSING = 4
 EXIT_NUMERIC = 5
 EXIT_CONFIG = 6
 
+# Config keys that a weights directory's tensors fix.
+WEIGHT_KEYS = ("d", "heads", "scoring_depth", "reencode_depth", "budget_hidden", "rho_min", "rho_max")
 
-def _load_run_config(args) -> RunConfig:
-    cfg = RunConfig()
+
+def _load_run_config(args, cfg: RunConfig = RunConfig()) -> RunConfig:
+    """``cfg`` with --config and then --set applied on top."""
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
@@ -61,6 +63,25 @@ def _load_run_config(args) -> RunConfig:
     if getattr(args, "set", None):
         cfg = apply_overrides(cfg, args.set)
     return cfg
+
+
+def _load_model(args) -> SelectorModel:
+    """The run's model, whose ``cfg`` is the run config.  With --weights
+    that config starts from the weights' own ``model.cfg``, --config and
+    --set apply on top, and a change to a key the tensors fix raises
+    ``ConfigError``; without, the model is seeded from the run config."""
+    if not args.weights:
+        return SelectorModel.build(_load_run_config(args))
+    model = load_weights(args.weights)
+    cfg = _load_run_config(args, model.cfg)
+    changed = [
+        f"{key} ({getattr(model.cfg, key)} -> {getattr(cfg, key)})"
+        for key in WEIGHT_KEYS
+        if getattr(cfg, key) != getattr(model.cfg, key)
+    ]
+    if changed:
+        raise ConfigError(f"the weights in {args.weights} fix {', '.join(changed)}")
+    return replace(model, cfg=cfg)
 
 
 def _penalties(cfg: RunConfig) -> PenaltyWeights:
@@ -83,12 +104,11 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_select(args) -> int:
-    cfg = _load_run_config(args)
-    model = load_weights(args.weights)
+    model = _load_model(args)
     x = read_tensor(args.x)
     q = read_tensor(args.q)
     timestamps = read_tensor(args.timestamps).ravel()
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(model.cfg.seed)
     result = select(model, x, timestamps, q, mode=args.mode, rng=rng)
 
     write_tensor(args.out_tokens, result.z)
@@ -118,33 +138,31 @@ def cmd_train(args) -> int:
         seed=cfg.seed,
     )
     save_weights(trained, args.out_weights)
-    write_csv(args.out_trajectory, to_csv(EpochStats, trajectory))
+    atomic_write_text(args.out_trajectory, to_csv(EpochStats, trajectory))
     print(f"trained {cfg.train_epochs} epochs; weights -> {args.out_weights}")
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    cfg = _load_run_config(args)
-    model = load_weights(args.weights) if args.weights else SelectorModel.build(cfg)
+    model = _load_model(args)
     frames = [int(tok) for tok in args.frames.split(",") if tok]
     if not frames:
         raise InputError("empty frame list")
-    spec = WorkloadSpec.from_config(cfg)
+    spec = WorkloadSpec.from_config(model.cfg)
     records = bench_scaling(frames, model, spec)
-    write_csv(args.out, to_csv(BenchRecord, records))
+    atomic_write_text(args.out, to_csv(BenchRecord, records))
     print(f"benchmark rows: {len(records)} -> {args.out}")
     return EXIT_OK
 
 
 def cmd_ablate(args) -> int:
-    cfg = _load_run_config(args)
-    model = load_weights(args.weights) if args.weights else SelectorModel.build(cfg)
-    spec = WorkloadSpec.from_config(cfg)
+    model = _load_model(args)
+    spec = WorkloadSpec.from_config(model.cfg)
     variant = AblationVariant(args.variant)
     metrics = run_ablation(variant, spec, model, args.trials)
-    write_csv(args.out, to_csv(AblationRow, metrics.rows))
+    atomic_write_text(args.out, to_csv(AblationRow, metrics.rows))
     if args.records_out:
-        write_csv(args.records_out, to_csv(DiagnosticsRecord, metrics.records))
+        atomic_write_text(args.records_out, to_csv(DiagnosticsRecord, metrics.records))
     print(
         f"{metrics.variant}: recall={metrics.mean_recall:.4f} "
         f"rho={metrics.mean_rho:.4f} n={metrics.mean_n:.1f} over {metrics.trials} trials"
@@ -158,7 +176,7 @@ def cmd_diag(args) -> int:
         raise MissingResourceError(f"records file not found: {path}")
     records = from_csv(DiagnosticsRecord, path.read_text(encoding="utf-8"))
     rows = correlation_report(records)
-    write_csv(args.out, to_csv(CorrelationRow, rows))
+    atomic_write_text(args.out, to_csv(CorrelationRow, rows))
     for row in rows:
         r_txt = "undefined" if row.r is None else f"{row.r:+.4f}"
         print(f"{row.pair}: r={r_txt} (count={row.count})")

@@ -98,8 +98,6 @@ def find_threshold(
     m = r.size
     if not (0.0 < rho <= 1.0):
         raise ParameterError(f"retention fraction must lie in (0, 1], got {rho}")
-    if rho * m > m:
-        raise ParameterError(f"target rho*M = {rho * m} exceeds token count {m}")
     if not 0.0 < tau_s < math.inf:
         raise ParameterError(f"gate temperature must be positive and finite, got {tau_s}")
 

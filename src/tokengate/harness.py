@@ -16,7 +16,6 @@ import math
 import time
 from dataclasses import Field, dataclass, field, fields, replace
 from enum import Enum
-from pathlib import Path
 from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
@@ -27,7 +26,6 @@ from .config import RunConfig
 from .errors import InputError, NumericError, ParameterError
 from .objective import DualState, PenaltyWeights, dual_ascent, total_loss
 from .selector import DiagnosticsRecord, SelectionResult, SelectorModel, select
-from .tensorio import atomic_write_text
 
 
 class AblationVariant(Enum):
@@ -581,7 +579,3 @@ def from_csv(cls: type, text: str) -> list:
         except (TypeError, ValueError) as exc:
             raise InputError(f"{cls.__name__} CSV line {reader.line_num}: {exc}") from exc
     return rows
-
-
-def write_csv(path: str | Path, text: str) -> None:
-    atomic_write_text(path, text)

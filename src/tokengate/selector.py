@@ -185,8 +185,8 @@ def select(
     record = DiagnosticsRecord(
         sq_mean=features.sq_mean,
         log_m=features.log_m,
-        r_max=features.r_max_value,
-        entropy=features.entropy_value,
+        r_max=features.r_max,
+        entropy=features.entropy,
         rho=rho,
         t=t,
         n=int(idx.size),

@@ -1,14 +1,15 @@
-"""Tape compositions of the scoring, budget-feature, budget-head and
-re-encoder forwards, and the other helpers only tests call: test oracles.
+"""Tape compositions of the scoring, budget and re-encoder forwards, and
+the other helpers only tests call: test oracles.
 
-``tokengate.scoring.score``, the r_max/entropy operation inside
-``tokengate.budget.extract_features``, ``tokengate.budget.predict_rho``
-and ``tokengate.reencoder.reencode`` are fused kernels with hand-written
+``tokengate.scoring.score``, ``tokengate.budget.predict_rho`` (with
+``extract_features``, the whole budget stage) and
+``tokengate.reencoder.reencode`` are fused kernels with hand-written
 backward passes.  The functions here compute the same quantities from
 primitive tape operations (a few of them, such as ``colmax``, ``xlogx``,
-``softmax_rows``, ``row_means`` and ``pow_const``, defined here because
-only the oracles use them), with every attention map built in full, so
-the tape derives their gradients on its own.  The tests hold the kernels' values and gradients to these,
+``softmax_rows``, ``row_means``, ``col_means``, ``tanh``, ``hcat`` and
+``pow_const``, defined here because only the oracles use them), with
+every attention map built in full, so the tape derives their gradients
+on its own.  The tests hold the kernels' values and gradients to these,
 and these to central finite differences (``finite_difference_gradient``).
 ``exp``, ``dual_penalty`` and ``soft_gate_train`` are value-level
 references some tests still exercise; nothing in ``tokengate`` calls them.
@@ -25,7 +26,7 @@ import numpy as np
 from tokengate import autodiff as ad
 from tokengate import gate
 from tokengate.autodiff import Array, Var
-from tokengate.budget import ENTROPY_TINY, LOG_M_SCALE, BudgetFeatures, BudgetHead
+from tokengate.budget import ENTROPY_TINY, LOG_M_SCALE, BudgetHead
 from tokengate.config import RunConfig
 from tokengate.errors import ConfigError, InputError, NumericError, ParameterError, ShapeError
 from tokengate.gate import KeepMask
@@ -139,6 +140,35 @@ def row_means(a: Var) -> Var:
     return ad.apply(a.value.mean(axis=1, keepdims=True), (a,), backward)
 
 
+def tanh(a: Var) -> Var:
+    y = np.tanh(a.value)
+
+    def backward(g):
+        return (g * (1.0 - y * y),)
+
+    return ad.apply(y, (a,), backward)
+
+
+def col_means(a: Var) -> Var:
+    n, k = a.shape
+
+    def backward(g):
+        return (np.repeat(g, n, axis=0) / n,)
+
+    return ad.apply(a.value.mean(axis=0, keepdims=True), (a,), backward)
+
+
+def hcat(parts: Sequence[Var]) -> Var:
+    parts = tuple(parts)
+    widths = [p.shape[1] for p in parts]
+    splits = np.cumsum(widths)[:-1]
+
+    def backward(g):
+        return tuple(np.split(g, splits, axis=1))
+
+    return ad.apply(np.concatenate([p.value for p in parts], axis=1), parts, backward)
+
+
 def finite_difference_gradient(f: Callable[[Array], float], x, step: float = 1e-6) -> Array:
     """Central-difference gradient of a scalar function of a flat vector.
 
@@ -186,13 +216,17 @@ def features_oracle(r: Var) -> tuple[Var, Var]:
     return r_max, ad.smul(ad.sum_all(xlogx(p)), -1.0)
 
 
-def predict_rho_oracle(features: BudgetFeatures, head: BudgetHead) -> Var:
-    """The budget head composed of thirteen tape operations."""
-    log_m_scaled = ad.scalar(features.log_m / LOG_M_SCALE)
-    entropy_scaled = ad.smul(features.entropy, 1.0 / (features.log_m + ENTROPY_TINY))
-    inp = ad.hcat([features.s_q, log_m_scaled, features.r_max, entropy_scaled])
-    h1 = ad.tanh(ad.add(ad.matmul(inp, as_var(head.w1)), as_var(head.b1)))
-    h2 = ad.tanh(ad.add(ad.matmul(h1, as_var(head.w2)), as_var(head.b2)))
+def predict_rho_oracle(q: Var, r: Var, head: BudgetHead) -> Var:
+    """The budget stage from the query matrix and the (1, M) relevance row:
+    ``col_means``, ``features_oracle`` and the head's thirteen tape
+    operations."""
+    log_m = math.log(r.shape[1])
+    r_max, entropy = features_oracle(r)
+    log_m_scaled = ad.scalar(log_m / LOG_M_SCALE)
+    entropy_scaled = ad.smul(entropy, 1.0 / (log_m + ENTROPY_TINY))
+    inp = hcat([col_means(q), log_m_scaled, r_max, entropy_scaled])
+    h1 = tanh(ad.add(ad.matmul(inp, as_var(head.w1)), as_var(head.b1)))
+    h2 = tanh(ad.add(ad.matmul(h1, as_var(head.w2)), as_var(head.b2)))
     logit = ad.add(ad.matmul(h2, as_var(head.w_out)), as_var(head.b_out))
     span = head.rho_max - head.rho_min
     return ad.add_const(ad.smul(ad.sigmoid(logit), span), head.rho_min)
@@ -280,7 +314,7 @@ def multi_head_attention(q_in, kv_in, w: AttentionWeights) -> tuple[Var, list[Va
     for cols, attn in attention_heads(q_in, kv_in, w.wq, w.wk, w.heads):
         maps.append(attn)
         outs.append(ad.matmul(attn, ad.matmul(kv_in, ad.take_cols(wv, cols))))
-    merged = outs[0] if len(outs) == 1 else ad.hcat(outs)
+    merged = outs[0] if len(outs) == 1 else hcat(outs)
     return ad.matmul(merged, as_var(w.wo)), maps
 
 

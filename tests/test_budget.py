@@ -11,7 +11,13 @@ from conftest import rel_err
 from oracles import features_oracle, finite_difference_gradient, predict_rho_oracle
 from tokengate import autodiff as ad
 from tokengate.autodiff import Tape
-from tokengate.budget import BudgetHead, compute_budget, extract_features, predict_rho
+from tokengate.budget import (
+    BudgetHead,
+    _relevance_adjoint,
+    compute_budget,
+    extract_features,
+    predict_rho,
+)
 from tokengate.errors import ConfigError, InputError, ParameterError
 from tokengate.layers import map_tensors, named_tensors
 from tokengate.scoring import EPS_REL
@@ -25,24 +31,23 @@ class TestExtractFeatures:
     def test_mean_of_identical_rows(self):
         v = np.array([1.5, -2.0, 0.25])
         feats = _features(np.vstack([v, v]), [0.5, 0.5])
-        np.testing.assert_array_equal(feats.s_q.value, v.reshape(1, -1))
+        np.testing.assert_array_equal(feats.s_q, v.reshape(1, -1))
 
     def test_log_m_is_exact(self):
         feats = _features(np.ones((1, 4)), np.full(136035, 1e-5))
-        assert feats.m == 136035
         assert feats.log_m == math.log(136035)
         assert abs(feats.log_m - 11.8207) < 5e-5
 
     def test_r_max(self):
         feats = _features(np.ones((2, 4)), [0.2, 0.9, 0.9])
-        assert feats.r_max_value == 0.9
+        assert feats.r_max == 0.9
 
     def test_sq_matches_column_mean_oracle(self):
         rng = np.random.default_rng(0)
         q = rng.standard_normal((7, 5))
         feats = _features(q, rng.uniform(0, 1, 11))
         oracle = np.array([q[:, j].sum() / 7 for j in range(5)])
-        assert np.max(np.abs(feats.s_q.value.ravel() - oracle)) <= 1e-12
+        assert np.max(np.abs(feats.s_q.ravel() - oracle)) <= 1e-12
 
     def test_entropy_matches_scoring_module(self):
         from tokengate.scoring import normalize_relevance
@@ -51,7 +56,7 @@ class TestExtractFeatures:
         r = rng.uniform(0, 1, 20)
         feats = _features(np.ones((2, 3)), r)
         _, entropy = normalize_relevance(r)
-        assert abs(feats.entropy_value - entropy) <= 1e-12
+        assert abs(feats.entropy - entropy) <= 1e-12
 
     def test_empty_query_rejected(self):
         with pytest.raises(InputError):
@@ -92,36 +97,39 @@ def _relevance(case):
     return r.reshape(1, -1)
 
 
-def _fused(r):
-    features = extract_features(ad.const(np.ones((2, 3))), r, r.shape[1])
-    return features.r_max, features.entropy
+def _fused(r, w_max, w_entropy):
+    """(r_max, entropy, d(w_max*r_max + w_entropy*entropy)/dr) from
+    ``extract_features`` and the budget stage's r adjoint."""
+    features = extract_features(ad.const(np.ones((2, 3))), ad.const(r), r.shape[1])
+    grad = _relevance_adjoint(r, features.top, w_max, w_entropy)
+    return features.r_max, features.entropy, grad
 
 
-def _probed(forward, r, w_max, w_entropy):
-    """(r_max, entropy, d(w_max*r_max + w_entropy*entropy)/dr) through ``forward``."""
+def _composed(r, w_max, w_entropy):
+    """The same through the tape composition ``features_oracle``."""
     tape = Tape()
     rv = tape.var(r)
-    r_max, entropy = forward(rv)
+    r_max, entropy = features_oracle(rv)
     loss = ad.add(ad.smul(r_max, w_max), ad.smul(entropy, w_entropy))
     (grad,) = tape.gradients(loss, [rv])
     return r_max.item(), entropy.item(), grad
 
 
 class TestFusedPeakAndEntropy:
-    """The r_max/entropy tape operations of ``extract_features`` against the
-    eight-operation composition in ``oracles`` and central differences."""
+    """r_max, the entropy and their r adjoint in the budget stage against
+    the eight-operation composition in ``oracles`` and central differences."""
 
     @pytest.mark.parametrize("case", ["random", "exact_zeros", "tied_max", "one_token", "all_zero"])
     @pytest.mark.parametrize("weights", [(1.0, 0.0), (0.0, 1.0), (0.7, -1.3)])
     def test_matches_oracle(self, case, weights):
         r = _relevance(case)
-        r_max, entropy, grad = _probed(_fused, r, *weights)
-        want_max, want_entropy, want_grad = _probed(features_oracle, r, *weights)
+        r_max, entropy, grad = _fused(r, *weights)
+        want_max, want_entropy, want_grad = _composed(r, *weights)
         assert (r_max, entropy) == (want_max, want_entropy)
         np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
 
     def test_tied_max_routes_to_first_index(self):
-        _, _, grad = _probed(_fused, _relevance("tied_max"), 1.0, 0.0)
+        _, _, grad = _fused(_relevance("tied_max"), 1.0, 0.0)
         expected = np.zeros((1, 40))
         expected[0, 3] = 1.0
         np.testing.assert_array_equal(grad, expected)
@@ -130,7 +138,7 @@ class TestFusedPeakAndEntropy:
         """Where p = 0 the subgradient of p*log p is 0, so dH/dr_j is the
         same for every zero entry: sum_i (log p_i + 1) r_i / s^2."""
         r = _relevance("exact_zeros")
-        _, _, grad = _probed(_fused, r, 0.0, 1.0)
+        _, _, grad = _fused(r, 0.0, 1.0)
         s = r.sum() + EPS_REL
         p = r[r > 0] / s
         np.testing.assert_allclose(grad[0, [0, 7, 8, 39]], ((np.log(p) + 1.0) * p).sum() / s, rtol=1e-12)
@@ -138,17 +146,17 @@ class TestFusedPeakAndEntropy:
     @pytest.mark.parametrize("case", ["random", "one_token"])
     def test_gradient_matches_fd(self, case):
         r = _relevance(case)
-        _, _, grad = _probed(_fused, r, 0.7, -1.3)
+        _, _, grad = _fused(r, 0.7, -1.3)
 
         def f(flat):
-            r_max, entropy = _fused(ad.const(flat.reshape(1, -1)))
-            return 0.7 * r_max.item() - 1.3 * entropy.item()
+            features = _features(np.ones((2, 3)), flat)
+            return 0.7 * features.r_max - 1.3 * features.entropy
 
         numeric = finite_difference_gradient(f, r.ravel(), step=1e-6)
         assert rel_err(grad, numeric) <= 1e-6
 
     def test_all_zero_relevance(self):
-        r_max, entropy, grad = _probed(_fused, _relevance("all_zero"), 0.7, -1.3)
+        r_max, entropy, grad = _fused(_relevance("all_zero"), 0.7, -1.3)
         assert r_max == 0.0 and entropy == 0.0
         np.testing.assert_array_equal(grad, [[0.7, 0, 0, 0, 0, 0]])
 
@@ -260,13 +268,18 @@ def _rho_with_gradients(forward, q, r, head):
     qv, rv = tape.var(q), tape.var(r.reshape(1, -1))
     leaves = {}
     bound = map_tensors(head, lambda name, t: leaves.setdefault(name, tape.var(t)))
-    rho = forward(extract_features(qv, rv, r.size), bound)
+    rho = forward(qv, rv, bound)
     return rho.value, tape.gradients(rho, [qv, rv, *leaves.values()])
 
 
+def _budget_stage(q, r, head):
+    return predict_rho(extract_features(q, r, r.shape[1]), head)
+
+
 class TestFusedHead:
-    """``predict_rho``'s one tape operation against its thirteen-operation
-    composition in ``oracles``."""
+    """The budget stage's one tape operation against its composition in
+    ``oracles``: ``col_means``, the eight feature and the thirteen head
+    operations."""
 
     @pytest.mark.parametrize(
         "case, seed",
@@ -275,12 +288,29 @@ class TestFusedHead:
     )
     def test_matches_oracle(self, case, seed):
         q, r, head = _head_case(case, seed)
-        rho, grads = _rho_with_gradients(predict_rho, q, r, head)
+        rho, grads = _rho_with_gradients(_budget_stage, q, r, head)
         want_rho, want_grads = _rho_with_gradients(predict_rho_oracle, q, r, head)
         assert rho.tobytes() == want_rho.tobytes()
         assert len(grads) == len(want_grads) == 2 + len(list(named_tensors(head)))
         for g, want in zip(grads, want_grads):
             np.testing.assert_allclose(g, want, rtol=1e-12, atol=1e-12)
+
+
+    def test_tracked_q_and_r_record_one_operation(self, monkeypatch):
+        q, r, head = _head_case("seeded")
+        tape = Tape()
+        qv, rv = tape.var(q), tape.var(r.reshape(1, -1))
+        records = 0
+        record = Tape.record
+
+        def counted(self, *args):
+            nonlocal records
+            records += 1
+            return record(self, *args)
+
+        monkeypatch.setattr(Tape, "record", counted)
+        _budget_stage(qv, rv, head)
+        assert records == 1
 
 
 class TestComputeBudget:

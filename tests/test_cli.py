@@ -218,6 +218,22 @@ class TestSelectCommand:
     def test_bad_set_override_exits_6(self, workspace):
         assert main(_select_args(workspace) + ["--set", "tau_s=-1"]) == 6
 
+    def test_set_applies_on_top_of_the_weights_config(self, workspace):
+        """--set n_max overrides the n_max the weights were saved with."""
+        assert main(_select_args(workspace, "base")) == 0
+        base = json.loads((workspace / "base_diag.json").read_text())
+        assert base["n"] > 2
+        assert main(_select_args(workspace) + ["--set", "n_max=2"]) == 0
+        diag = json.loads((workspace / "out_diag.json").read_text())
+        assert diag["rho"] == base["rho"]
+        assert diag["n"] == diag["n_target"] == 2
+
+    def test_changing_a_key_the_weights_fix_exits_6_without_outputs(self, workspace, capsys):
+        assert main(_select_args(workspace) + ["--set", "d=8"]) == 6
+        assert "d (16 -> 8)" in capsys.readouterr().err
+        for suffix in ("z.qtn", "idx.txt", "diag.json"):
+            assert not (workspace / f"out_{suffix}").exists()
+
 
 class TestOtherCommands:
     def test_ablate_qts_dominates_unif(self, workspace, tmp_path):
@@ -244,6 +260,18 @@ class TestOtherCommands:
 
         rows = from_csv(AblationRow, out.read_text())
         assert [r.compression for r in rows] == [1.0 - r.n / 200 for r in rows]
+
+    def test_ablate_runs_at_the_weights_config(self, workspace, tmp_path):
+        """d = 16 weights need no --set d=16, and --set n_max applies."""
+        from tokengate.harness import AblationRow
+
+        out = tmp_path / "qts.csv"
+        args = ["ablate", "--variant", "QTS", "--trials", "2", "--weights", str(workspace / "weights")]
+        assert main(args + ["--set", "n_max=8", "--out", str(out)]) == 0
+        rows = from_csv(AblationRow, out.read_text())
+        assert rows and all(r.n <= 8 for r in rows)
+        assert main(args + ["--out", str(out)]) == 0
+        assert any(r.n > 8 for r in from_csv(AblationRow, out.read_text()))
 
     def test_bench_row_count(self, workspace, tmp_path):
         out = tmp_path / "bench.csv"

@@ -196,14 +196,14 @@ class TestEdgeCases:
 
 
 # Tape records of one train-mode select + total_loss + backward at the
-# `tokengate train` defaults; each stage forward and the budget head
-# record one operation (one per re-encoder block), the rest are small
-# budget-feature, gate and loss ops.
-TRAIN_STEP_RECORDS = 31
+# `tokengate train` defaults; each stage forward, the budget stage among
+# them, records one operation (one per re-encoder block), the rest are
+# small gate and loss ops.
+TRAIN_STEP_RECORDS = 29
 
 
 def test_train_step_tape_size(monkeypatch):
-    """Per-op tape forwards of scoring, the budget head or re-encoding
+    """Per-op tape forwards of scoring, the budget stage or re-encoding
     must not creep back."""
     cfg = RunConfig()
     wl = generate_workload(WorkloadSpec.from_config(cfg), np.random.default_rng(0))
