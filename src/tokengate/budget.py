@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Array, Var
+from .config import RunConfig
 from .errors import ConfigError, InputError, ParameterError, ShapeError
 from .layers import Tensor, as_var, uniform_init
 from .scoring import EPS_REL, normalize_relevance
@@ -54,7 +55,8 @@ class BudgetFeatures:
 
 @dataclass
 class BudgetHead:
-    """Two-hidden-layer MLP plus final sigmoid projection onto [rho_min, rho_max]."""
+    """Two-hidden-layer MLP whose sigmoid output ``predict_rho`` maps
+    onto the run config's [rho_min, rho_max]."""
 
     w1: Tensor
     b1: Tensor
@@ -62,15 +64,6 @@ class BudgetHead:
     b2: Tensor
     w_out: Tensor
     b_out: Tensor
-    rho_min: float = 0.05
-    rho_max: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rho_min < self.rho_max <= 1.0):
-            raise ParameterError(
-                f"retention bounds must satisfy 0 < rho_min < rho_max <= 1, "
-                f"got [{self.rho_min}, {self.rho_max}]"
-            )
 
     @property
     def input_dim(self) -> int:
@@ -78,12 +71,7 @@ class BudgetHead:
 
     @classmethod
     def seeded(
-        cls,
-        d: int,
-        rng: np.random.Generator,
-        hidden: int = 128,
-        rho_min: float = 0.05,
-        rho_max: float = 0.5,
+        cls, d: int, rng: np.random.Generator, hidden: int = RunConfig.budget_hidden
     ) -> "BudgetHead":
         in_dim = d + 3
         return cls(
@@ -93,8 +81,6 @@ class BudgetHead:
             b2=np.zeros((1, hidden)),
             w_out=uniform_init(rng, hidden, 1),
             b_out=np.zeros((1, 1)),
-            rho_min=rho_min,
-            rho_max=rho_max,
         )
 
 
@@ -148,9 +134,9 @@ def _relevance_adjoint(rv: Array, top: int, g_max: float, g_entropy: float) -> A
     return a
 
 
-def predict_rho(features: BudgetFeatures, head: BudgetHead) -> Var:
-    """Retention fraction strictly inside (rho_min, rho_max), differentiable
-    with respect to q, r and every head parameter.
+def predict_rho(features: BudgetFeatures, head: BudgetHead, cfg: RunConfig = RunConfig()) -> Var:
+    """Retention fraction strictly inside (cfg.rho_min, cfg.rho_max),
+    differentiable with respect to q, r and every head parameter.
 
     The whole budget stage is one tape operation over q, r and the six
     head tensors.  Its input row is [s_q, ln M / LOG_M_SCALE, r_max,
@@ -171,7 +157,7 @@ def predict_rho(features: BudgetFeatures, head: BudgetHead) -> Var:
     w1, b1, w2, b2, w_out, b_out = (w.value for w in weights)
     rv, top = features.r.value, features.top
     entropy_scale = 1.0 / (features.log_m + ENTROPY_TINY)
-    span = float(head.rho_max - head.rho_min)
+    span = float(cfg.rho_max - cfg.rho_min)
     scalars = [features.log_m / LOG_M_SCALE, features.r_max, features.entropy * entropy_scale]
     inp = np.concatenate([features.s_q, np.array([scalars])], axis=1)
     h1 = np.tanh(inp @ w1 + b1)
@@ -195,7 +181,7 @@ def predict_rho(features: BudgetFeatures, head: BudgetHead) -> Var:
         )
 
     inputs = (features.q, features.r, *weights)
-    return ad.apply(y * span + float(head.rho_min), inputs, backward)
+    return ad.apply(y * span + float(cfg.rho_min), inputs, backward)
 
 
 def compute_budget(rho: float, m: int, n_max: int) -> int:

@@ -49,7 +49,7 @@ EXIT_MISSING = 4
 EXIT_NUMERIC = 5
 EXIT_CONFIG = 6
 
-# Config keys that a weights directory's tensors fix.
+# Config keys a weights directory was built and trained with.
 WEIGHT_KEYS = ("d", "heads", "scoring_depth", "reencode_depth", "budget_hidden", "rho_min", "rho_max")
 
 
@@ -68,7 +68,7 @@ def _load_run_config(args, cfg: RunConfig = RunConfig()) -> RunConfig:
 def _load_model(args) -> SelectorModel:
     """The run's model, whose ``cfg`` is the run config.  With --weights
     that config starts from the weights' own ``model.cfg``, --config and
-    --set apply on top, and a change to a key the tensors fix raises
+    --set apply on top, and a change to a key in WEIGHT_KEYS raises
     ``ConfigError``; without, the model is seeded from the run config."""
     if not args.weights:
         return SelectorModel.build(_load_run_config(args))
@@ -82,15 +82,6 @@ def _load_model(args) -> SelectorModel:
     if changed:
         raise ConfigError(f"the weights in {args.weights} fix {', '.join(changed)}")
     return replace(model, cfg=cfg)
-
-
-def _penalties(cfg: RunConfig) -> PenaltyWeights:
-    return PenaltyWeights(
-        lambda_t=cfg.lambda_t,
-        lambda_m=cfg.lambda_m,
-        lambda_s=cfg.lambda_s,
-        rho_bar=cfg.rho_bar,
-    )
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -134,7 +125,7 @@ def cmd_train(args) -> int:
         model,
         epochs=cfg.train_epochs,
         opt=OptimizerConfig.from_config(cfg),
-        penalties=_penalties(cfg),
+        penalties=PenaltyWeights.from_config(cfg),
         seed=cfg.seed,
     )
     save_weights(trained, args.out_weights)

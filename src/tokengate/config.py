@@ -8,7 +8,7 @@ depth 2, penalty weights 0.1/0.17/0.05).  Unknown keys are errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -56,13 +56,10 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for keys, ok, rule in _RULES:
-            for key in keys:
-                if not ok(getattr(self, key)):
-                    raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)!r}")
-        if not (0.0 < self.rho_min < self.rho_max <= 1.0):
+        check_ranges(asdict(self))
+        if not self.rho_min < self.rho_max:
             raise ConfigError(
-                f"retention bounds must satisfy 0 < rho_min < rho_max <= 1, "
+                f"retention bounds must satisfy rho_min < rho_max, "
                 f"got [{self.rho_min}, {self.rho_max}]"
             )
         if self.d % self.heads != 0:
@@ -70,9 +67,7 @@ class RunConfig:
 
 
 # (keys, test, rule): the range each numeric key must lie in; every test
-# also rejects NaN.  wl_tokens or wl_frames 0 means "unset".  The workload
-# keys not listed (wl_query_len, wl_planted, wl_alignment, wl_noise) are
-# checked where the workload is built and selected from.
+# also rejects NaN.  wl_tokens or wl_frames 0 means "unset".
 _RULES = (
     (
         ("d", "heads", "scoring_depth", "budget_hidden", "n_max", "newton_iters", "train_batch",
@@ -92,9 +87,23 @@ _RULES = (
         lambda v: 0.0 <= v < math.inf,
         "finite and >= 0",
     ),
+    (("rho_min", "rho_max"), lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     (("rho_bar",), lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     (("train_lr", "train_momentum", "clip_norm"), math.isfinite, "finite"),
 )
+# The numeric keys _RULES leaves out: WorkloadSpec.validate checks them,
+# since a workload built without a RunConfig needs the same checks.
+WORKLOAD_CHECKED = ("wl_query_len", "wl_planted", "wl_alignment", "wl_noise")
+
+
+def check_ranges(values: dict, error: type[Exception] = ConfigError) -> None:
+    """Raise ``error`` naming the first key of ``values``, in _RULES order,
+    whose value is out of its range; keys _RULES does not list pass."""
+    for keys, ok, rule in _RULES:
+        for key in keys:
+            if key in values and not ok(values[key]):
+                raise error(f"{key} must be {rule}, got {values[key]!r}")
+
 
 # Every key is an int or a float; under ``from __future__ import
 # annotations`` each field's type is its annotation text.
@@ -130,12 +139,8 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
             values[key] = typ(val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-    merged = {**(_as_dict(base) if base else {}), **values}
+    merged = {**(asdict(base) if base else {}), **values}
     return RunConfig(**merged)
-
-
-def _as_dict(cfg: RunConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
 
 
 def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Array, Tape, Var
-from .config import RunConfig
+from .config import RunConfig, check_ranges
 from .errors import InputError, NumericError, ParameterError
 from .objective import DualState, PenaltyWeights, dual_ascent, total_loss
 from .selector import DiagnosticsRecord, SelectionResult, SelectorModel, select
@@ -32,6 +32,13 @@ class AblationVariant(Enum):
     UNIF = "UNIF"
     NREENC = "nREENC"
     QTS = "QTS"
+
+
+# WorkloadSpec video field -> the RunConfig key that sets it and owns its range.
+_VIDEO_KEYS = {
+    "frame_rate": "wl_frame_rate", "sample_interval": "wl_sample_interval",
+    "frame_height": "wl_frame_height", "frame_width": "wl_frame_width", "patch": "wl_patch",
+}
 
 
 @dataclass(frozen=True)
@@ -51,11 +58,11 @@ class WorkloadSpec:
     alignment: float = 6.0
     noise: float = 1.0
     frames: int | None = None
-    frame_rate: float = 1.0
-    sample_interval: int = 1
-    frame_height: int = 56
-    frame_width: int = 56
-    patch: int = 14
+    frame_rate: float = RunConfig.wl_frame_rate
+    sample_interval: int = RunConfig.wl_sample_interval
+    frame_height: int = RunConfig.wl_frame_height
+    frame_width: int = RunConfig.wl_frame_width
+    patch: int = RunConfig.wl_patch
     seed: int = 0
 
     def tokens_per_frame(self) -> int:
@@ -63,6 +70,7 @@ class WorkloadSpec:
 
     def token_count(self) -> int:
         if self.frames is not None:
+            check_ranges({key: getattr(self, f) for f, key in _VIDEO_KEYS.items()}, InputError)
             if self.frames < 1:
                 raise InputError(f"frame count must be >= 1, got {self.frames}")
             sampled = self.frames // self.sample_interval
@@ -74,13 +82,18 @@ class WorkloadSpec:
         return self.m
 
     def validate(self) -> None:
+        """Raise ``InputError`` for the first field out of its range."""
         m = self.token_count()
-        if self.k < 1:
+        if not self.k >= 1:
             raise InputError(f"planted count must be >= 1, got {self.k}")
         if self.k > m:
             raise InputError(f"planted count {self.k} exceeds token count {m}")
-        if self.alignment <= 0:
-            raise InputError(f"alignment strength must be positive, got {self.alignment}")
+        if not self.l >= 1:
+            raise InputError(f"query length l must be >= 1, got {self.l!r}")
+        if not 0.0 < self.alignment < math.inf:
+            raise InputError(f"alignment must be positive and finite, got {self.alignment!r}")
+        if not math.isfinite(self.noise):
+            raise InputError(f"noise must be finite, got {self.noise!r}")
 
     @classmethod
     def from_config(cls, cfg: RunConfig) -> "WorkloadSpec":
@@ -92,12 +105,8 @@ class WorkloadSpec:
             alignment=cfg.wl_alignment,
             noise=cfg.wl_noise,
             frames=cfg.wl_frames if cfg.wl_frames > 0 else None,
-            frame_rate=cfg.wl_frame_rate,
-            sample_interval=cfg.wl_sample_interval,
-            frame_height=cfg.wl_frame_height,
-            frame_width=cfg.wl_frame_width,
-            patch=cfg.wl_patch,
             seed=cfg.seed,
+            **{f: getattr(cfg, key) for f, key in _VIDEO_KEYS.items()},
         )
 
 
@@ -216,28 +225,25 @@ def run_ablation(
 # ---------------------------------------------------------------------------
 # desk-scale training
 
+# OptimizerConfig field -> the RunConfig key that sets it and owns its range.
+_OPTIMIZER_KEYS = {
+    "lr": "train_lr", "momentum": "train_momentum", "clip_norm": "clip_norm", "batch": "train_batch"
+}
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    lr: float = 0.05
-    momentum: float = 0.9
-    clip_norm: float = 1.0
-    batch: int = 8
+    lr: float = RunConfig.train_lr
+    momentum: float = RunConfig.train_momentum
+    clip_norm: float = RunConfig.clip_norm
+    batch: int = RunConfig.train_batch
 
     def __post_init__(self) -> None:
-        if self.batch < 1:
-            raise ParameterError(f"batch must be >= 1, got {self.batch}")
-        for key in ("lr", "momentum", "clip_norm"):
-            if not math.isfinite(getattr(self, key)):
-                raise ParameterError(f"{key} must be finite, got {getattr(self, key)!r}")
+        check_ranges({key: getattr(self, f) for f, key in _OPTIMIZER_KEYS.items()}, ParameterError)
 
     @classmethod
     def from_config(cls, cfg: RunConfig) -> "OptimizerConfig":
-        return cls(
-            lr=cfg.train_lr,
-            momentum=cfg.train_momentum,
-            clip_norm=cfg.clip_norm,
-            batch=cfg.train_batch,
-        )
+        return cls(**{f: getattr(cfg, key) for f, key in _OPTIMIZER_KEYS.items()})
 
 
 @dataclass

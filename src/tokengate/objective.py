@@ -10,27 +10,33 @@ ascent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
+from .config import RunConfig, check_ranges
 from .errors import ParameterError
 
 
 @dataclass(frozen=True)
 class PenaltyWeights:
-    lambda_t: float = 0.1
-    lambda_m: float = 0.17
-    lambda_s: float = 0.05
-    rho_bar: float = 0.275
+    """The penalty's weights; each field is the RunConfig key of that
+    name, with its default and its range."""
+
+    lambda_t: float = RunConfig.lambda_t
+    lambda_m: float = RunConfig.lambda_m
+    lambda_s: float = RunConfig.lambda_s
+    rho_bar: float = RunConfig.rho_bar
 
     def __post_init__(self) -> None:
-        if min(self.lambda_t, self.lambda_m, self.lambda_s) < 0:
-            raise ParameterError("penalty weights must be nonnegative")
-        if not (0.0 < self.rho_bar < 1.0):
-            raise ParameterError(f"rho_bar must lie in (0, 1), got {self.rho_bar}")
+        check_ranges(asdict(self), ParameterError)
+
+    @classmethod
+    def from_config(cls, cfg: RunConfig) -> "PenaltyWeights":
+        return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -42,10 +48,12 @@ class DualState:
     step: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ParameterError(f"dual variable must be nonnegative, got {self.alpha}")
-        if self.step <= 0:
-            raise ParameterError(f"ascent step must be positive, got {self.step}")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ParameterError(f"alpha must be finite and >= 0, got {self.alpha!r}")
+        if not self.n_bar >= 1:
+            raise ParameterError(f"n_bar must be >= 1, got {self.n_bar!r}")
+        if not 0.0 < self.step < math.inf:
+            raise ParameterError(f"step must be positive and finite, got {self.step!r}")
 
 
 def compute_penalties(

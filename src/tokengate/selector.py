@@ -49,9 +49,7 @@ class SelectorModel:
         return cls(
             cfg=cfg,
             scoring=ScoringWeights.seeded(cfg.d, cfg.heads, cfg.scoring_depth, rng),
-            budget=BudgetHead.seeded(
-                cfg.d, rng, hidden=cfg.budget_hidden, rho_min=cfg.rho_min, rho_max=cfg.rho_max
-            ),
+            budget=BudgetHead.seeded(cfg.d, rng, hidden=cfg.budget_hidden),
             reencoder=ReencoderStack.seeded(cfg.d, cfg.heads, cfg.reencode_depth, rng),
         )
 
@@ -163,7 +161,7 @@ def select(
 
     r_var = score(x_var, q_var, model.scoring)
     features = extract_features(q_var, r_var, m)
-    rho_var = predict_rho(features, model.budget)
+    rho_var = predict_rho(features, model.budget, model.cfg)
     rho = rho_var.item()
     n_target = compute_budget(rho, m, model.cfg.n_max)
     t_var, residual = threshold_var(r_var, rho_var, model.cfg.tau_s, model.cfg)
@@ -215,12 +213,12 @@ def _check_boundary(model: SelectorModel, res: SelectionResult, residual: float)
     ``residual`` is |keep-sum - rho*M| as the threshold solve evaluated
     it at the returned t.
     """
-    rec, head = res.record, model.budget
+    rec, cfg = res.record, model.cfg
     rec.validate()
-    if not head.rho_min <= rec.rho <= head.rho_max:
-        raise NumericError(f"rho {rec.rho} outside [{head.rho_min}, {head.rho_max}]")
+    if not cfg.rho_min <= rec.rho <= cfg.rho_max:
+        raise NumericError(f"rho {rec.rho} outside [{cfg.rho_min}, {cfg.rho_max}]")
     if res.mode == "infer":
-        cap = min(model.cfg.n_max, math.ceil(round(head.rho_max * rec.m, 9)))
+        cap = min(cfg.n_max, math.ceil(round(cfg.rho_max * rec.m, 9)))
         if rec.n > cap:
             raise NumericError(f"kept count {rec.n} exceeds compression bound {cap}")
         if rec.n != res.n_target:
@@ -229,7 +227,7 @@ def _check_boundary(model: SelectorModel, res: SelectionResult, residual: float)
         raise NumericError("selection kept zero tokens")
     if np.any(np.diff(res.indices) <= 0):
         raise NumericError("kept indices are not strictly ascending")
-    if not residual <= model.cfg.residual_tol * rec.m:
+    if not residual <= cfg.residual_tol * rec.m:
         raise NumericError(f"threshold residual {residual} violates tolerance")
     if not np.all(np.isfinite(res.z)):
         raise NumericError("re-encoded output contains non-finite values")

@@ -216,10 +216,10 @@ def features_oracle(r: Var) -> tuple[Var, Var]:
     return r_max, ad.smul(ad.sum_all(xlogx(p)), -1.0)
 
 
-def predict_rho_oracle(q: Var, r: Var, head: BudgetHead) -> Var:
+def predict_rho_oracle(q: Var, r: Var, head: BudgetHead, cfg: RunConfig = RunConfig()) -> Var:
     """The budget stage from the query matrix and the (1, M) relevance row:
     ``col_means``, ``features_oracle`` and the head's thirteen tape
-    operations."""
+    operations, onto cfg's [rho_min, rho_max]."""
     log_m = math.log(r.shape[1])
     r_max, entropy = features_oracle(r)
     log_m_scaled = ad.scalar(log_m / LOG_M_SCALE)
@@ -228,8 +228,8 @@ def predict_rho_oracle(q: Var, r: Var, head: BudgetHead) -> Var:
     h1 = tanh(ad.add(ad.matmul(inp, as_var(head.w1)), as_var(head.b1)))
     h2 = tanh(ad.add(ad.matmul(h1, as_var(head.w2)), as_var(head.b2)))
     logit = ad.add(ad.matmul(h2, as_var(head.w_out)), as_var(head.b_out))
-    span = head.rho_max - head.rho_min
-    return ad.add_const(ad.smul(ad.sigmoid(logit), span), head.rho_min)
+    span = cfg.rho_max - cfg.rho_min
+    return ad.add_const(ad.smul(ad.sigmoid(logit), span), cfg.rho_min)
 
 
 def vcat(parts: Sequence[Var]) -> Var:

@@ -122,7 +122,7 @@ def _soft_pipeline_loss(model, x_var, q_var, timestamps, noise, kept, probe, gat
     soft keep probabilities scale the kept rows before re-encoding."""
     r = score(x_var, q_var, model.scoring)
     feats = extract_features(q_var, r, x_var.shape[0])
-    rho = predict_rho(feats, model.budget)
+    rho = predict_rho(feats, model.budget, model.cfg)
     t, _ = threshold_var(r, rho, gate_cfg.tau_s, gate_cfg)
     soft, _, _ = soft_gate_apply(r, t, gate_cfg.tau_s, noise)
     soft_col = ad.transpose(ad.take_cols(soft, kept))

@@ -368,6 +368,10 @@ class TestOtherCommands:
             ("wl_tokens=-5", 6),
             ("wl_frames=-1", 6),
             ("wl_planted=0", 2),
+            ("rho_min=0.6", 6),
+            ("rho_max=1.5", 6),
+            ("rho_min=nan", 6),
+            ("heads=3", 6),
         ],
     )
     def test_out_of_range_key_fails_without_outputs(self, workspace, tmp_path, key, code):
@@ -381,6 +385,26 @@ class TestOtherCommands:
             "--out-trajectory", str(out_t),
         ]
         assert main(args) == code
+        assert not out_w.exists()
+        assert not out_t.exists()
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [("wl_alignment=nan", "alignment"), ("wl_noise=nan", "noise"),
+         ("wl_query_len=-1", "query length")],
+    )
+    def test_bad_workload_key_exits_2_naming_it(self, workspace, tmp_path, capsys, key, message):
+        out_w = tmp_path / "trained"
+        out_t = tmp_path / "traj.csv"
+        args = [
+            "train",
+            "--config", str(workspace / "run.cfg"),
+            "--set", "train_epochs=1", "--set", key,
+            "--out-weights", str(out_w),
+            "--out-trajectory", str(out_t),
+        ]
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
         assert not out_w.exists()
         assert not out_t.exists()
 

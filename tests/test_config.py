@@ -1,0 +1,87 @@
+"""RunConfig's one range table and the objects that check through it."""
+
+import math
+from dataclasses import fields
+
+import pytest
+
+from tokengate.config import _RULES, SCHEMA, WORKLOAD_CHECKED, RunConfig, check_ranges
+from tokengate.errors import ConfigError, InputError, ParameterError
+from tokengate.harness import _OPTIMIZER_KEYS, OptimizerConfig, WorkloadSpec
+from tokengate.objective import PenaltyWeights
+
+RULED = [key for keys, _, _ in _RULES for key in keys]
+
+# (class, field, RunConfig key) for every field that mirrors a RunConfig key
+SHARED = [(PenaltyWeights, f.name, f.name) for f in fields(PenaltyWeights)] + [
+    (OptimizerConfig, f, key) for f, key in _OPTIMIZER_KEYS.items()
+]
+# NaN, the infinities, and the edges of every range in _RULES
+VALUES = [math.nan, math.inf, -math.inf, -1.0, -1e-9, 0.0, 1e-9, 0.5, 1.0, 2.0]
+
+
+def test_every_numeric_key_is_checked_in_one_place():
+    """A key is in _RULES or in WORKLOAD_CHECKED, never both, and each
+    rule names RunConfig fields only."""
+    assert len(RULED) == len(set(RULED))
+    assert set(RULED) <= set(SCHEMA)
+    assert set(WORKLOAD_CHECKED) <= set(SCHEMA)
+    assert not set(RULED) & set(WORKLOAD_CHECKED)
+    numeric = {key for key, (typ, _) in SCHEMA.items() if typ in (int, float)}
+    assert numeric == set(RULED) | set(WORKLOAD_CHECKED)
+
+
+@pytest.mark.parametrize("key", WORKLOAD_CHECKED)
+def test_workload_checked_keys_are_checked_by_the_workload(key):
+    spec = WorkloadSpec.from_config(RunConfig(**{key: math.nan}))
+    with pytest.raises(InputError):
+        spec.validate()
+
+
+def test_check_ranges_names_the_first_key_in_rule_order():
+    with pytest.raises(ParameterError, match=r"^train_batch must be >= 1, got 0$"):
+        check_ranges({"train_lr": math.nan, "train_batch": 0}, ParameterError)
+    check_ranges({"not_a_key": math.nan, "tau_s": 0.5})
+
+
+def test_shared_fields_cover_their_keys():
+    assert {key for _, _, key in SHARED} <= set(RULED)
+    assert len(SHARED) == 8
+
+
+@pytest.mark.parametrize("cls, field, key", SHARED, ids=[key for _, _, key in SHARED])
+@pytest.mark.parametrize("value", VALUES)
+def test_shared_field_rejects_exactly_what_run_config_rejects(cls, field, key, value):
+    try:
+        RunConfig(**{key: value})
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{key} must be ")
+        with pytest.raises(ParameterError) as caught:
+            cls(**{field: value})
+        assert str(caught.value) == str(exc)
+    else:
+        assert getattr(cls(**{field: value}), field) == value
+
+
+@pytest.mark.parametrize("cls, field, key", SHARED, ids=[key for _, _, key in SHARED])
+def test_shared_field_defaults_are_run_config_defaults(cls, field, key):
+    assert getattr(cls(), field) == getattr(RunConfig(), key)
+
+
+def test_from_config_reads_every_shared_key():
+    cfg = RunConfig(
+        lambda_t=0.3, lambda_m=0.4, lambda_s=0.6, rho_bar=0.7,
+        train_lr=0.2, train_momentum=0.5, clip_norm=3.0, train_batch=5,
+    )
+    assert PenaltyWeights.from_config(cfg) == PenaltyWeights(0.3, 0.4, 0.6, 0.7)
+    assert OptimizerConfig.from_config(cfg) == OptimizerConfig(0.2, 0.5, 3.0, 5)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [{"rho_min": 0.5, "rho_max": 0.5}, {"rho_min": 0.6}, {"d": 32, "heads": 3}],
+    ids=["equal_bounds", "min_above_max", "heads_not_dividing_d"],
+)
+def test_cross_key_rules(values):
+    with pytest.raises(ConfigError):
+        RunConfig(**values)

@@ -85,6 +85,20 @@ class TestGenerateWorkload:
         with pytest.raises(InputError, match="planted count"):
             generate_workload(WorkloadSpec(m=16, k=k), np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("alignment", math.nan, "alignment"), ("alignment", math.inf, "alignment"),
+         ("noise", math.nan, "noise"), ("noise", -math.inf, "noise"),
+         ("l", 0, "query length"), ("l", -1, "query length"),
+         ("frame_rate", 0.0, "wl_frame_rate"), ("frame_rate", math.nan, "wl_frame_rate"),
+         ("patch", 0, "wl_patch"), ("sample_interval", 0, "wl_sample_interval"),
+         ("frame_height", -56, "wl_frame_height")],
+    )
+    def test_illegal_workload_setting_rejected(self, field, value, message):
+        spec = WorkloadSpec(m=None, d=8, l=2, k=2, frames=4, frame_height=28, frame_width=28)
+        with pytest.raises(InputError, match=message):
+            generate_workload(dataclasses.replace(spec, **{field: value}), np.random.default_rng(0))
+
     def test_video_geometry_derives_token_count_and_timestamps(self):
         spec = WorkloadSpec(
             m=None, d=8, l=2, k=2, frames=10, frame_rate=2.0, sample_interval=2,

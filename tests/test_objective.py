@@ -103,6 +103,15 @@ class TestDual:
         with pytest.raises(ParameterError):
             DualState(alpha=-0.5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("alpha", np.nan), ("alpha", np.inf), ("step", np.nan), ("step", np.inf),
+         ("step", -np.inf), ("step", 0.0), ("n_bar", -5), ("n_bar", 0), ("n_bar", np.nan)],
+    )
+    def test_illegal_dual_setting_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=f"^{field} must be"):
+            DualState(**{field: value})
+
 
 class TestTotalLoss:
     def test_zero_task_equals_penalties(self):

@@ -89,8 +89,18 @@ class TestSelect:
         for seed in range(20):
             wl = _workload(m=200, seed=seed)
             res = select(model, wl.x, wl.timestamps, wl.q, mode="infer")
-            bound = min(model.cfg.n_max, math.ceil(model.budget.rho_max * 200))
+            bound = min(model.cfg.n_max, math.ceil(model.cfg.rho_max * 200))
             assert res.record.n <= bound
+
+    @pytest.mark.parametrize("mode", ["infer", "train"])
+    def test_rho_stays_inside_the_config_bounds_of_a_built_model(self, model, mode):
+        """The retention bounds are model.cfg's alone: narrowing them on a
+        built model narrows rho, which the seeded head puts near 0.275."""
+        narrowed = replace(model, cfg=replace(model.cfg, rho_max=0.2))
+        for seed in range(5):
+            wl = _workload(seed=seed)
+            res = select(narrowed, wl.x, wl.timestamps, wl.q, mode, np.random.default_rng(seed))
+            assert 0.05 < res.record.rho <= 0.2
 
     def test_concurrent_calls_match_sequential(self, model):
         """select() is reentrant: each call owns its tape and RNG stream."""
@@ -246,11 +256,11 @@ class TestBoundaryCheck:
 
     @pytest.mark.parametrize("mode", ["infer", "train"])
     def test_rho_above_head_bound_raises(self, model, monkeypatch, mode):
-        """A rho outside the head's [rho_min, rho_max] but inside (0, 1],
+        """A rho outside the run config's [rho_min, rho_max] but inside (0, 1],
         so the budget and the threshold solve still accept it."""
         wl = _workload()
         monkeypatch.setattr(
-            selector, "predict_rho", lambda features, head: autodiff.scalar(head.rho_max + 0.01)
+            selector, "predict_rho", lambda features, head, cfg: autodiff.scalar(cfg.rho_max + 0.01)
         )
         with pytest.raises(NumericError, match=r"rho 0\.51 outside \[0\.05, 0\.5\]"):
             select(model, wl.x, wl.timestamps, wl.q, mode=mode, rng=np.random.default_rng(0))
