@@ -12,13 +12,12 @@ from .budget import BudgetFeatures, BudgetHead, compute_budget, extract_features
 from .config import RunConfig, load_config, parse_config_text
 from .gate import KeepMask, find_threshold, hard_top_n, threshold_gradients
 from .harness import (
-    AblationVariant,
+    EvalRow,
     OptimizerConfig,
     WorkloadSpec,
     bench_scaling,
-    correlation_report,
+    evaluate,
     generate_workload,
-    run_ablation,
     train_desk_scale,
 )
 from .objective import DualState, PenaltyWeights, compute_penalties, dual_ascent, total_loss
@@ -36,11 +35,11 @@ from .selector import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AblationVariant",
     "BudgetFeatures",
     "BudgetHead",
     "DiagnosticsRecord",
     "DualState",
+    "EvalRow",
     "KeepMask",
     "OptimizerConfig",
     "PenaltyWeights",
@@ -55,8 +54,8 @@ __all__ = [
     "bench_scaling",
     "compute_budget",
     "compute_penalties",
-    "correlation_report",
     "dual_ascent",
+    "evaluate",
     "extract_features",
     "find_threshold",
     "generate_workload",
@@ -67,7 +66,6 @@ __all__ = [
     "parse_config_text",
     "predict_rho",
     "reencode",
-    "run_ablation",
     "save_weights",
     "score",
     "select",

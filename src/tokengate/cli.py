@@ -1,4 +1,4 @@
-"""Command-line surface: select, train, bench, ablate, diag, weights-inspect.
+"""Command-line surface: select, train, bench, eval, weights-inspect.
 
 Exit codes: 0 ok, 2 input parse, 3 shape conflict, 4 missing resource,
 5 numeric failure, 6 config schema violation.
@@ -24,22 +24,18 @@ from .errors import (
     ShapeError,
 )
 from .harness import (
-    AblationRow,
-    AblationVariant,
     BenchRecord,
-    CorrelationRow,
     EpochStats,
+    EvalRow,
     OptimizerConfig,
     WorkloadSpec,
     bench_scaling,
-    correlation_report,
-    from_csv,
-    run_ablation,
+    evaluate,
     to_csv,
     train_desk_scale,
 )
 from .objective import PenaltyWeights
-from .selector import DiagnosticsRecord, SelectorModel, load_weights, save_weights, select
+from .selector import SelectorModel, load_weights, save_weights, select
 from .tensorio import atomic_write_text, read_tensor, write_tensor
 
 EXIT_OK = 0
@@ -146,31 +142,15 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def cmd_ablate(args) -> int:
+def cmd_eval(args) -> int:
     model = _load_model(args)
-    spec = WorkloadSpec.from_config(model.cfg)
-    variant = AblationVariant(args.variant)
-    metrics = run_ablation(variant, spec, model, args.trials)
-    atomic_write_text(args.out, to_csv(AblationRow, metrics.rows))
-    if args.records_out:
-        atomic_write_text(args.records_out, to_csv(DiagnosticsRecord, metrics.records))
-    print(
-        f"{metrics.variant}: recall={metrics.mean_recall:.4f} "
-        f"rho={metrics.mean_rho:.4f} n={metrics.mean_n:.1f} over {metrics.trials} trials"
+    rows = evaluate(model, WorkloadSpec.from_config(model.cfg), args.trials)
+    atomic_write_text(args.out, to_csv(EvalRow, rows))
+    means = " ".join(
+        f"{col}={np.mean([getattr(row, col) for row in rows]):.4f}"
+        for col in ("recall", "stride_recall", "precision", "rho", "compression")
     )
-    return EXIT_OK
-
-
-def cmd_diag(args) -> int:
-    path = Path(args.records)
-    if not path.exists():
-        raise MissingResourceError(f"records file not found: {path}")
-    records = from_csv(DiagnosticsRecord, path.read_text(encoding="utf-8"))
-    rows = correlation_report(records)
-    atomic_write_text(args.out, to_csv(CorrelationRow, rows))
-    for row in rows:
-        r_txt = "undefined" if row.r is None else f"{row.r:+.4f}"
-        print(f"{row.pair}: r={r_txt} (count={row.count})")
+    print(f"{len(rows)} held-out trials: {means}")
     return EXIT_OK
 
 
@@ -223,20 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)
 
-    p = subparser("ablate", "recall comparison of UNIF / nREENC / QTS")
-    p.add_argument(
-        "--variant", required=True, choices=[v.value for v in AblationVariant]
-    )
+    p = subparser("eval", "held-out recall and precision against uniform stride")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--weights", help="weights directory (default: seeded init)")
     p.add_argument("--out", required=True)
-    p.add_argument("--records-out", help="also write per-trial diagnostics records")
-    p.set_defaults(func=cmd_ablate)
-
-    p = subparser("diag", "correlation report over a diagnostics records CSV")
-    p.add_argument("--records", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_diag)
+    p.set_defaults(func=cmd_eval)
 
     p = subparser("weights-inspect", "verify and list a weights directory")
     p.add_argument("--weights", required=True)

@@ -1,11 +1,12 @@
-"""Synthetic workloads, ablations, desk-scale training, scaling benchmark,
-and correlation diagnostics.
+"""Synthetic workloads, held-out evaluation, desk-scale training, scaling
+benchmark, and the CSV codec for their rows.
 
 Workloads plant a known subset of query-aligned tokens among random
-distractors, giving ground truth for recall.  The benchmark feeds
-either the full or the selected token stream into a quadratic-cost mock
-downstream block and reports wall times; ablations compare the selector
-against uniform-stride retention at the same per-instance budget.
+distractors, giving ground truth for recall and precision.  The
+evaluation scores the selector on workloads no training call draws, next
+to uniform-stride retention at the same per-instance budget.  The
+benchmark feeds either the full or the selected token stream into a
+quadratic-cost mock downstream block and reports wall times.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import io
 import math
 import time
 from dataclasses import Field, dataclass, field, fields, replace
-from enum import Enum
 from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
@@ -26,12 +26,6 @@ from .config import RunConfig, check_ranges
 from .errors import InputError, NumericError, ParameterError
 from .objective import DualState, PenaltyWeights, dual_ascent, total_loss
 from .selector import DiagnosticsRecord, SelectionResult, SelectorModel, select
-
-
-class AblationVariant(Enum):
-    UNIF = "UNIF"
-    NREENC = "nREENC"
-    QTS = "QTS"
 
 
 # WorkloadSpec video field -> the RunConfig key that sets it and owns its range.
@@ -83,6 +77,7 @@ class WorkloadSpec:
 
     def validate(self) -> None:
         """Raise ``InputError`` for the first field out of its range."""
+        check_ranges({"d": self.d}, InputError)
         m = self.token_count()
         if not self.k >= 1:
             raise InputError(f"planted count must be >= 1, got {self.k}")
@@ -152,74 +147,68 @@ def uniform_stride_indices(m: int, n: int) -> Array:
     return np.floor(np.arange(n) * m / n).astype(np.int64)
 
 
-@dataclass
-class AblationRow:
-    """One ablation trial; ``compression`` = 1 - n/M is the share of the
-    M input tokens dropped, the quantity the paper reports."""
+# Held-out trial t of seed s draws its workload from [s, t, HELD_OUT]:
+# training draws [s, item] and [s, epoch, item], and numpy's SeedSequence
+# maps [s, t] and [s, t, 0] to one stream, so the tag must not be 0.
+HELD_OUT = 1 << 20
 
-    variant: str
+
+@dataclass
+class EvalRow:
+    """One held-out trial of ``evaluate``.
+
+    ``compression`` = 1 - n/M is the share of the M input tokens dropped,
+    the quantity the paper reports.  ``recall`` is the share of the k
+    planted tokens in the kept set, ``stride_recall`` the same for
+    uniform-stride retention at the same n, and ``precision`` the
+    precision@k of the k largest relevances.  ``ms`` times the select call.
+    """
+
     trial: int
-    recall: float
-    rho: float
+    m: int = field(metadata={"csv": "M"})
+    k: int
     n: int
     compression: float
+    rho: float
+    t: float
+    recall: float
+    stride_recall: float
+    precision: float
     ms: float
 
 
-@dataclass
-class AblationMetrics:
-    variant: str
-    trials: int
-    mean_recall: float
-    mean_rho: float
-    mean_n: float
-    mean_ms: float
-    rows: list[AblationRow] = field(default_factory=list)
-    records: list[DiagnosticsRecord] = field(default_factory=list)
+def _recall(indices: Array, planted: Array) -> float:
+    return float(np.intersect1d(indices, planted).size / planted.size)
 
 
-def run_ablation(
-    variant: AblationVariant,
-    spec: WorkloadSpec,
-    model: SelectorModel,
-    trials: int,
-) -> AblationMetrics:
-    """Recall/budget/timing for one variant over seeded trials.
+def evaluate(model: SelectorModel, spec: WorkloadSpec, trials: int) -> list[EvalRow]:
+    """One infer ``select`` per held-out trial, one row each.
 
-    UNIF replaces the selector with uniform-stride retention but keeps
-    the per-instance budget the selector would have chosen, so the
-    comparison isolates *which* tokens are kept, not how many.
+    Uniform stride keeps the budget the selector chose, so ``recall``
+    against ``stride_recall`` isolates *which* tokens are kept, not how
+    many.  No training call draws from the held-out stream.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    eval_model = model.without_reencoder() if variant is AblationVariant.NREENC else model
-    rows: list[AblationRow] = []
-    records: list[DiagnosticsRecord] = []
+    rows: list[EvalRow] = []
     for trial in range(trials):
-        rng = np.random.default_rng([spec.seed, trial])
-        wl = generate_workload(spec, rng)
+        wl = generate_workload(spec, np.random.default_rng([spec.seed, trial, HELD_OUT]))
+        m, k = wl.x.shape[0], wl.planted.size
         start = time.perf_counter()
-        res = select(eval_model, wl.x, wl.timestamps, wl.q, mode="infer")
-        if variant is AblationVariant.UNIF:
-            kept = uniform_stride_indices(wl.x.shape[0], res.record.n)
-        else:
-            kept = res.indices
+        res = select(model, wl.x, wl.timestamps, wl.q, mode="infer")
         ms = (time.perf_counter() - start) * 1e3
-        recall = float(np.intersect1d(kept, wl.planted).size / wl.planted.size)
         n = res.record.n
-        compression = 1.0 - n / wl.x.shape[0]
-        rows.append(AblationRow(variant.value, trial, recall, res.record.rho, n, compression, ms))
-        records.append(res.record)
-    return AblationMetrics(
-        variant=variant.value,
-        trials=trials,
-        mean_recall=float(np.mean([r.recall for r in rows])),
-        mean_rho=float(np.mean([r.rho for r in rows])),
-        mean_n=float(np.mean([r.n for r in rows])),
-        mean_ms=float(np.mean([r.ms for r in rows])),
-        rows=rows,
-        records=records,
-    )
+        top_k = np.argpartition(-res.r_var.value.ravel(), k - 1)[:k]
+        rows.append(
+            EvalRow(
+                trial, m, k, n, 1.0 - n / m, res.record.rho, res.record.t,
+                _recall(res.indices, wl.planted),
+                _recall(uniform_stride_indices(m, n), wl.planted),
+                _recall(top_k, wl.planted),
+                ms,
+            )
+        )
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -469,101 +458,23 @@ def bench_scaling(
 
 
 # ---------------------------------------------------------------------------
-# correlation diagnostics
-
-@dataclass
-class CorrelationRow:
-    pair: str
-    r: float | None
-    slope: float | None
-    intercept: float | None
-    count: int
-
-
-CORRELATION_PAIRS = (
-    ("sq_mean", "rho"),
-    ("log_m", "rho"),
-    ("r_max", "rho"),
-    ("entropy", "rho"),
-    ("rho", "t"),
-)
-
-
-def _spread(values: Array) -> float:
-    return float(np.sqrt(((values - values.mean()) ** 2).sum()))
-
-
-def _is_constant(values: Array, spread: float) -> bool:
-    # a constant column can still show ulp-level spread after the mean
-    # subtraction; compare against the rounding noise floor, not zero
-    noise_floor = 1e-12 * max(1.0, float(np.abs(values).max())) * math.sqrt(values.size)
-    return spread <= noise_floor
-
-
-def _pearson(x: Array, y: Array) -> tuple[float | None, float | None, float | None]:
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = _spread(x)
-    sy = _spread(y)
-    if _is_constant(x, sx) or _is_constant(y, sy):
-        return None, None, None
-    r = float((dx * dy).sum() / (sx * sy))
-    slope = float((dx * dy).sum() / (dx * dx).sum())
-    intercept = float(y.mean() - slope * x.mean())
-    return r, slope, intercept
-
-
-def correlation_report(records: Sequence[DiagnosticsRecord]) -> list[CorrelationRow]:
-    """Pearson coefficient and least-squares fit for each diagnostic pair.
-
-    Zero-variance columns yield an explicit undefined marker instead of
-    a NaN.
-    """
-    if len(records) < 3:
-        raise InputError(f"correlation report needs >= 3 records, got {len(records)}")
-    rows = []
-    for x_name, y_name in CORRELATION_PAIRS:
-        x = np.array([getattr(rec, x_name) for rec in records], dtype=np.float64)
-        y = np.array([getattr(rec, y_name) for rec in records], dtype=np.float64)
-        r, slope, intercept = _pearson(x, y)
-        rows.append(CorrelationRow(f"{x_name}_vs_{y_name}", r, slope, intercept, len(records)))
-    return rows
-
-
-# ---------------------------------------------------------------------------
 # CSV codec: one row per dataclass instance, one column per field (every
 # schema round-trips exactly)
-
-UNDEFINED = "undefined"
-
 
 def _column(f: Field) -> str:
     return f.metadata.get("csv", f.name)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return UNDEFINED
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _cell_parser(kind) -> Callable[[str], object]:
-    if kind == float | None:
-        return lambda token: None if token == UNDEFINED else float(token)
-    return kind  # int, float or str
-
-
 def to_csv(cls: type, rows: Sequence) -> str:
     """CSV text for ``rows`` of dataclass ``cls``: a header of column names,
-    then one line per row (floats as ``repr``, ``None`` as ``undefined``)."""
+    then one line per row (``str`` of each value, which writes a float
+    as its shortest round-trip digits)."""
     columns = fields(cls)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([_column(f) for f in columns])
     for row in rows:
-        writer.writerow([_fmt(getattr(row, f.name)) for f in columns])
+        writer.writerow([str(getattr(row, f.name)) for f in columns])
     return buf.getvalue()
 
 
@@ -574,7 +485,7 @@ def from_csv(cls: type, text: str) -> list:
     columns of ``cls`` (in any order), or for a cell that does not parse.
     """
     kinds = get_type_hints(cls)
-    parsers = {_column(f): (f.name, _cell_parser(kinds[f.name])) for f in fields(cls)}
+    parsers = {_column(f): (f.name, kinds[f.name]) for f in fields(cls)}  # int, float or str
     reader = csv.DictReader(io.StringIO(text))
     if sorted(reader.fieldnames or ()) != sorted(parsers):
         raise InputError(f"{cls.__name__} CSV must have columns {','.join(parsers)}")

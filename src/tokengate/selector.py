@@ -82,7 +82,8 @@ class SelectorModel:
 
 @dataclass
 class DiagnosticsRecord:
-    """One scalar row per select() call, the input to correlation reports."""
+    """One scalar row per select() call: the budget features, rho, t and the
+    kept and input token counts."""
 
     sq_mean: float
     log_m: float

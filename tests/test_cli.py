@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, determinism, atomicity, schema help."""
 
+import argparse
 import json
 import re
 import struct
@@ -23,8 +24,8 @@ from tokengate.errors import (
     ParameterError,
     ShapeError,
 )
-from tokengate.harness import BenchRecord, CorrelationRow, from_csv
-from tokengate.selector import DiagnosticsRecord, SelectorModel, save_weights
+from tokengate.harness import BenchRecord, EvalRow, from_csv
+from tokengate.selector import SelectorModel, save_weights
 from tokengate.tensorio import read_tensor, write_tensor
 
 CFG_TEXT = "d = 16\nheads = 2\nbudget_hidden = 16\nn_max = 64\n"
@@ -236,42 +237,46 @@ class TestSelectCommand:
 
 
 class TestOtherCommands:
-    def test_ablate_qts_dominates_unif(self, workspace, tmp_path):
-        common = [
+    def test_eval_recall_dominates_stride(self, workspace, tmp_path):
+        out = tmp_path / "eval.csv"
+        args = [
+            "eval",
             "--config", str(workspace / "run.cfg"),
             "--set", "wl_tokens=200", "--set", "wl_alignment=8.0",
-            "--trials", "10",
+            "--trials", "10", "--out", str(out),
         ]
-        out_q = tmp_path / "qts.csv"
-        out_u = tmp_path / "unif.csv"
-        assert main(["ablate", "--variant", "QTS", "--out", str(out_q)] + common) == 0
-        assert main(["ablate", "--variant", "UNIF", "--out", str(out_u)] + common) == 0
-        from tokengate.harness import AblationRow
+        assert main(args) == 0
+        rows = from_csv(EvalRow, out.read_text())
+        assert len(rows) == 10
+        assert np.mean([r.recall for r in rows]) >= np.mean([r.stride_recall for r in rows])
 
-        qts = from_csv(AblationRow, out_q.read_text())
-        unif = from_csv(AblationRow, out_u.read_text())
-        assert np.mean([r.recall for r in qts]) >= np.mean([r.recall for r in unif])
-
-    def test_ablate_csv_reports_compression(self, workspace, tmp_path):
-        out = tmp_path / "qts.csv"
-        args = ["ablate", "--config", str(workspace / "run.cfg"), "--set", "wl_tokens=200"]
-        assert main(args + ["--variant", "QTS", "--trials", "2", "--out", str(out)]) == 0
-        from tokengate.harness import AblationRow
-
-        rows = from_csv(AblationRow, out.read_text())
+    def test_eval_csv_reports_compression(self, workspace, tmp_path):
+        out = tmp_path / "eval.csv"
+        args = ["eval", "--config", str(workspace / "run.cfg"), "--set", "wl_tokens=200"]
+        assert main(args + ["--trials", "2", "--out", str(out)]) == 0
+        rows = from_csv(EvalRow, out.read_text())
         assert [r.compression for r in rows] == [1.0 - r.n / 200 for r in rows]
 
-    def test_ablate_runs_at_the_weights_config(self, workspace, tmp_path):
+    def test_eval_runs_at_the_weights_config(self, workspace, tmp_path):
         """d = 16 weights need no --set d=16, and --set n_max applies."""
-        from tokengate.harness import AblationRow
-
-        out = tmp_path / "qts.csv"
-        args = ["ablate", "--variant", "QTS", "--trials", "2", "--weights", str(workspace / "weights")]
+        out = tmp_path / "eval.csv"
+        args = ["eval", "--trials", "2", "--weights", str(workspace / "weights")]
         assert main(args + ["--set", "n_max=8", "--out", str(out)]) == 0
-        rows = from_csv(AblationRow, out.read_text())
+        rows = from_csv(EvalRow, out.read_text())
         assert rows and all(r.n <= 8 for r in rows)
         assert main(args + ["--out", str(out)]) == 0
-        assert any(r.n > 8 for r in from_csv(AblationRow, out.read_text()))
+        assert any(r.n > 8 for r in from_csv(EvalRow, out.read_text()))
+
+    def test_eval_zero_trials_exits_2_without_output(self, workspace, tmp_path):
+        out = tmp_path / "eval.csv"
+        args = ["eval", "--config", str(workspace / "run.cfg"), "--trials", "0", "--out", str(out)]
+        assert main(args) == 2
+        assert not out.exists()
+
+    def test_eval_missing_weights_exits_4(self, tmp_path):
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--weights", str(tmp_path / "nope"), "--out", str(out)]) == 4
+        assert not out.exists()
 
     def test_bench_row_count(self, workspace, tmp_path):
         out = tmp_path / "bench.csv"
@@ -288,20 +293,6 @@ class TestOtherCommands:
         records = from_csv(BenchRecord, out.read_text())
         assert len(records) == 8
         assert {r.mode for r in records} == {"baseline", "qts"}
-
-    def test_diag_reports_undefined_on_constant_rho(self, workspace, tmp_path, capsys):
-        records_file = tmp_path / "records.csv"
-        header = "sq_mean,log_m,r_max,entropy,rho,t,n,m\n"
-        rows = "".join(
-            f"0.1,5.0,0.5,1.0,0.3,{0.9 - 0.1 * i},10,100\n" for i in range(4)
-        )
-        records_file.write_text(header + rows)
-        out = tmp_path / "corr.csv"
-        assert main(["diag", "--records", str(records_file), "--out", str(out)]) == 0
-        parsed = from_csv(CorrelationRow, out.read_text())
-        rho_t = next(r for r in parsed if r.pair == "rho_vs_t")
-        assert rho_t.r is None
-        assert "undefined" in out.read_text()
 
     def test_train_then_inspect(self, workspace, tmp_path):
         out_w = tmp_path / "trained"
@@ -408,27 +399,6 @@ class TestOtherCommands:
         assert not out_w.exists()
         assert not out_t.exists()
 
-    def test_ablate_records_out_feeds_diag(self, workspace, tmp_path):
-        records_out = tmp_path / "records.csv"
-        code = main(
-            [
-                "ablate",
-                "--config", str(workspace / "run.cfg"),
-                "--variant", "QTS",
-                "--trials", "5",
-                "--out", str(tmp_path / "ablate.csv"),
-                "--records-out", str(records_out),
-            ]
-        )
-        assert code == 0
-        records = from_csv(DiagnosticsRecord, records_out.read_text())
-        assert len(records) == 5
-        out = tmp_path / "corr.csv"
-        assert main(["diag", "--records", str(records_out), "--out", str(out)]) == 0
-
-    def test_missing_records_file_exits_4(self, tmp_path):
-        assert main(["diag", "--records", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o.csv")]) == 4
-
 
 @pytest.mark.parametrize(
     "exc, code",
@@ -447,8 +417,8 @@ def test_exit_code_per_error_class(monkeypatch, tmp_path, capsys, exc, code):
     def fail(args):
         raise exc
 
-    monkeypatch.setattr(cli, "cmd_diag", fail)
-    args = ["diag", "--records", str(tmp_path / "r.csv"), "--out", str(tmp_path / "o.csv")]
+    monkeypatch.setattr(cli, "cmd_eval", fail)
+    args = ["eval", "--out", str(tmp_path / "o.csv")]
     assert main(args) == code
     err = capsys.readouterr().err.strip().splitlines()
     assert str(exc) in err[0]
@@ -458,7 +428,7 @@ def test_exit_code_per_error_class(monkeypatch, tmp_path, capsys, exc, code):
 
 class TestHelp:
     @pytest.mark.parametrize(
-        "command", ["select", "train", "bench", "ablate", "diag", "weights-inspect"]
+        "command", ["select", "train", "bench", "eval", "weights-inspect"]
     )
     def test_help_lists_every_schema_key(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -467,6 +437,16 @@ class TestHelp:
         text = capsys.readouterr().out
         for key in SCHEMA:
             assert key in text, key
+
+    def test_readme_usage_lists_every_command(self):
+        """The ``tokengate <command>`` lines in README's usage block name
+        exactly the parser's subcommands."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        documented = set(re.findall(r"^tokengate ([\w-]+)", readme, re.MULTILINE))
+        subparsers = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert documented == set(subparsers.choices)
 
     def test_every_schema_key_is_read(self):
         """A key the help advertises must configure something outside config.py."""

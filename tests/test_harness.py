@@ -1,4 +1,4 @@
-"""Workload generation, ablations, desk-scale training, benchmark, diagnostics."""
+"""Workload generation, held-out evaluation, desk-scale training, benchmark, CSV codec."""
 
 import dataclasses
 import gc
@@ -14,20 +14,18 @@ from tokengate import reencoder
 from tokengate.autodiff import Tape
 from tokengate.config import RunConfig
 from tokengate.errors import InputError, ParameterError
+from tokengate import harness
 from tokengate.harness import (
-    AblationRow,
-    AblationVariant,
     BenchRecord,
-    CorrelationRow,
     EpochStats,
+    EvalRow,
     OptimizerConfig,
     WorkloadSpec,
     bench_scaling,
-    correlation_report,
+    evaluate,
     from_csv,
     generate_workload,
     planted_mass_loss,
-    run_ablation,
     to_csv,
     train_desk_scale,
     uniform_stride_indices,
@@ -92,7 +90,7 @@ class TestGenerateWorkload:
          ("l", 0, "query length"), ("l", -1, "query length"),
          ("frame_rate", 0.0, "wl_frame_rate"), ("frame_rate", math.nan, "wl_frame_rate"),
          ("patch", 0, "wl_patch"), ("sample_interval", 0, "wl_sample_interval"),
-         ("frame_height", -56, "wl_frame_height")],
+         ("frame_height", -56, "wl_frame_height"), ("d", 0, "d must"), ("d", -2, "d must")],
     )
     def test_illegal_workload_setting_rejected(self, field, value, message):
         spec = WorkloadSpec(m=None, d=8, l=2, k=2, frames=4, frame_height=28, frame_width=28)
@@ -124,16 +122,12 @@ class TestUniformStride:
         np.testing.assert_array_equal(uniform_stride_indices(5, 5), np.arange(5))
 
 
-class TestRunAblation:
+class TestEvaluate:
     def test_qts_beats_unif_on_planted_workloads(self):
         spec = WorkloadSpec(m=400, d=16, l=4, k=8, alignment=8.0, seed=5)
-        model = _identity_model()
-        qts = run_ablation(AblationVariant.QTS, spec, model, trials=30)
-        unif = run_ablation(AblationVariant.UNIF, spec, model, trials=30)
-        assert qts.mean_recall == 1.0
-        assert unif.mean_recall < 0.6
-        # matched budgets by construction
-        assert [r.n for r in qts.rows] == [r.n for r in unif.rows]
+        rows = evaluate(_identity_model(), spec, trials=30)
+        assert all(row.recall == 1.0 and row.precision == 1.0 for row in rows)
+        assert np.mean([row.stride_recall for row in rows]) < 0.6
 
     def test_nreenc_keeps_identical_indices(self):
         """Re-encoding happens after selection, so disabling it cannot
@@ -151,13 +145,35 @@ class TestRunAblation:
             )
             np.testing.assert_array_equal(full.indices, bare.indices)
 
-    def test_cap_honored_in_all_variants(self):
+    def test_cap_honored(self):
         cfg = RunConfig(d=16, heads=2, budget_hidden=16, n_max=16)
         spec = WorkloadSpec(m=300, d=16, l=4, k=4, seed=7)
-        model = _identity_model(cfg)
-        for variant in AblationVariant:
-            metrics = run_ablation(variant, spec, model, trials=10)
-            assert all(row.n <= 16 for row in metrics.rows)
+        rows = evaluate(_identity_model(cfg), spec, trials=10)
+        assert all(row.n <= 16 for row in rows)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_held_out_workloads_are_not_training_workloads(self, monkeypatch, seed):
+        """No evaluate workload is one of the pool train_desk_scale trains
+        on, for the run config the CLI builds both from."""
+        drawn = []
+
+        def recorded(spec, rng):
+            wl = generate_workload(spec, rng)
+            drawn.append(wl.x)
+            return wl
+
+        monkeypatch.setattr(harness, "generate_workload", recorded)
+        cfg = RunConfig(seed=seed)
+        spec = WorkloadSpec.from_config(cfg)
+        model = SelectorModel.build(cfg)
+        opt = OptimizerConfig.from_config(cfg)
+        train_desk_scale(spec, model, 0, opt, PenaltyWeights.from_config(cfg), seed=cfg.seed)
+        pool, drawn[:] = list(drawn), []
+        assert len(pool) == opt.batch
+        evaluate(model, spec, trials=2 * opt.batch)
+        assert len(drawn) == 2 * opt.batch
+        for x in drawn:
+            assert not any(np.array_equal(x, seen) for seen in pool)
 
 
 class TestTrainDeskScale:
@@ -441,92 +457,28 @@ class TestBenchScaling:
         assert qts[256].downstream_ms < base[256].downstream_ms
 
 
-class TestCorrelationReport:
-    def _records(self, rhos, ts):
-        return [
-            DiagnosticsRecord(
-                sq_mean=0.1 * i, log_m=5.0, r_max=0.5, entropy=1.0, rho=rho, t=t, n=10, m=100
-            )
-            for i, (rho, t) in enumerate(zip(rhos, ts))
-        ]
-
-    def test_perfect_linear_correlation(self):
-        xs = [0.1, 0.2, 0.3, 0.4]
-        rows = correlation_report(self._records(xs, [2 * x for x in xs]))
-        rho_t = next(r for r in rows if r.pair == "rho_vs_t")
-        assert rho_t.r == pytest.approx(1.0, abs=1e-12)
-        assert rho_t.slope == pytest.approx(2.0, abs=1e-12)
-        assert rho_t.intercept == pytest.approx(0.0, abs=1e-12)
-
-    def test_constant_rho_is_undefined(self):
-        rows = correlation_report(self._records([0.3] * 5, [1, 2, 3, 4, 5]))
-        rho_t = next(r for r in rows if r.pair == "rho_vs_t")
-        assert rho_t.r is None
-
-    def test_constant_column_with_ulp_mean_noise_is_undefined(self):
-        """25 identical log_m values whose float mean is off by an ulp must
-        still report undefined, not a junk coefficient."""
-        import math
-
-        rhos = [0.3 + 0.01 * i for i in range(25)]
-        records = [
-            DiagnosticsRecord(
-                sq_mean=0.1, log_m=math.log(256), r_max=0.5, entropy=1.0,
-                rho=rho, t=1.0 - rho, n=10, m=256,
-            )
-            for rho in rhos
-        ]
-        rows = correlation_report(records)
-        log_m_row = next(r for r in rows if r.pair == "log_m_vs_rho")
-        assert log_m_row.r is None
-
-    def test_too_few_records(self):
-        with pytest.raises(InputError):
-            correlation_report(self._records([0.1], [0.2]))
-
-    def test_selector_records_show_negative_rho_t_trend(self):
-        """Threshold monotonicity makes (rho, t) anticorrelated on logs from
-        a homogeneous workload distribution."""
-        spec = WorkloadSpec(m=256, d=16, l=4, k=8, alignment=4.0, seed=12)
-        model = _identity_model()
-        records = []
-        for trial in range(40):
-            wl = generate_workload(spec, np.random.default_rng([spec.seed, trial]))
-            records.append(select(model, wl.x, wl.timestamps, wl.q, "infer").record)
-        rows = correlation_report(records)
-        rho_t = next(r for r in rows if r.pair == "rho_vs_t")
-        assert rho_t.r is not None and rho_t.r < 0
-
-
 class TestCsvRoundTrips:
-    def test_ablation(self):
+    def test_eval(self):
         spec = WorkloadSpec(m=60, d=16, l=2, k=3, seed=13)
-        metrics = run_ablation(AblationVariant.QTS, spec, _identity_model(), trials=3)
-        text = to_csv(AblationRow, metrics.rows)
-        assert from_csv(AblationRow, text) == metrics.rows
+        rows = evaluate(_identity_model(), spec, trials=3)
+        text = to_csv(EvalRow, rows)
+        assert from_csv(EvalRow, text) == rows
 
-    def test_ablation_compression_column(self):
+    def test_eval_compression_column(self):
         """compression = 1 - n/M survives the round trip, next to n."""
         spec = WorkloadSpec(m=60, d=16, l=2, k=3, seed=13)
-        metrics = run_ablation(AblationVariant.UNIF, spec, _identity_model(), trials=2)
-        text = to_csv(AblationRow, metrics.rows)
-        assert text.startswith("variant,trial,recall,rho,n,compression,ms\n")
-        for row in from_csv(AblationRow, text):
+        rows = evaluate(_identity_model(), spec, trials=2)
+        text = to_csv(EvalRow, rows)
+        assert text.startswith(
+            "trial,M,k,n,compression,rho,t,recall,stride_recall,precision,ms\n"
+        )
+        for row in from_csv(EvalRow, text):
             assert row.compression == 1.0 - row.n / 60
 
     def test_bench(self):
         spec = WorkloadSpec(m=None, d=16, l=2, k=2, frame_height=28, frame_width=28, patch=14)
         records = bench_scaling([4], SelectorModel.build(CFG), spec)
         assert from_csv(BenchRecord, to_csv(BenchRecord, records)) == records
-
-    def test_correlation(self):
-        rows = correlation_report(
-            [
-                DiagnosticsRecord(0.1, 5.0, 0.5, 1.0, 0.1 * i, 1.0 - 0.1 * i, 10, 100)
-                for i in range(1, 5)
-            ]
-        )
-        assert from_csv(CorrelationRow, to_csv(CorrelationRow, rows)) == rows
 
     def test_records(self):
         records = [DiagnosticsRecord(0.1, 5.0, 0.5, 1.0, 0.2, 0.9, 10, 100)]
@@ -540,9 +492,9 @@ class TestCsvRoundTrips:
         assert to_csv(BenchRecord, []) == "frames,M,n,selector_ms,downstream_ms,total_ms,mode\n"
 
     @pytest.mark.parametrize(
-        "cls", [AblationRow, BenchRecord, CorrelationRow, DiagnosticsRecord, EpochStats]
+        "cls", [BenchRecord, DiagnosticsRecord, EpochStats, EvalRow]
     )
     def test_wrong_header_rejected(self, cls):
-        other = EpochStats if cls is not EpochStats else AblationRow
+        other = EpochStats if cls is not EpochStats else EvalRow
         with pytest.raises(InputError, match="columns"):
             from_csv(cls, to_csv(other, []))
