@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Array, Var
 from .config import RunConfig
 from .errors import ConfigError, InputError, ParameterError, ShapeError
-from .layers import Tensor, as_var, uniform_init
+from .layers import Tensor, as_var, check_weights, uniform_init, weight_var
 from .scoring import EPS_REL, normalize_relevance
 
 # Fixed affine scalings applied to the scalar features before the MLP so
@@ -56,7 +56,9 @@ class BudgetFeatures:
 @dataclass
 class BudgetHead:
     """Two-hidden-layer MLP whose sigmoid output ``predict_rho`` maps
-    onto the run config's [rho_min, rho_max]."""
+    onto the run config's [rho_min, rho_max].  A non-finite array raises
+    an ``InputError`` naming the tensor (``budget.<field>``) when the head
+    is built."""
 
     w1: Tensor
     b1: Tensor
@@ -64,6 +66,9 @@ class BudgetHead:
     b2: Tensor
     w_out: Tensor
     b_out: Tensor
+
+    def __post_init__(self) -> None:
+        check_weights(self, "budget")
 
     @property
     def input_dim(self) -> int:
@@ -153,7 +158,7 @@ def predict_rho(features: BudgetFeatures, head: BudgetHead, cfg: RunConfig = Run
         raise ConfigError(
             f"budget head expects input dim {head.input_dim}, features give {d + 3}"
         )
-    weights = tuple(as_var(t) for t in (head.w1, head.b1, head.w2, head.b2, head.w_out, head.b_out))
+    weights = tuple(weight_var(t) for t in (head.w1, head.b1, head.w2, head.b2, head.w_out, head.b_out))
     w1, b1, w2, b2, w_out, b_out = (w.value for w in weights)
     rv, top = features.r.value, features.top
     entropy_scale = 1.0 / (features.log_m + ENTROPY_TINY)

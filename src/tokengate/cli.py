@@ -46,7 +46,7 @@ EXIT_NUMERIC = 5
 EXIT_CONFIG = 6
 
 # Config keys a weights directory was built and trained with.
-WEIGHT_KEYS = ("d", "heads", "scoring_depth", "reencode_depth", "budget_hidden", "rho_min", "rho_max")
+WEIGHT_KEYS = ("d", "heads", "reencode_depth", "budget_hidden", "rho_min", "rho_max")
 
 
 def _load_run_config(args, cfg: RunConfig = RunConfig()) -> RunConfig:
@@ -131,10 +131,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    model = _load_model(args)
-    frames = [int(tok) for tok in args.frames.split(",") if tok]
+    try:
+        frames = [int(tok) for tok in args.frames.split(",") if tok]
+    except ValueError as exc:  # int() names the token: "invalid literal ...: 'abc'"
+        raise InputError(f"--frames: {exc}") from None
     if not frames:
         raise InputError("empty frame list")
+    model = _load_model(args)
     spec = WorkloadSpec.from_config(model.cfg)
     records = bench_scaling(frames, model, spec)
     atomic_write_text(args.out, to_csv(BenchRecord, records))

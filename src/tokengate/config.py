@@ -1,8 +1,8 @@
 """Flat key = value configuration with a strict schema.
 
 Defaults mirror the reference training configuration (tau_s = 0.5,
-n_max = 256, retention bounds [0.05, 0.5], scoring depth 1, re-encode
-depth 2, penalty weights 0.1/0.17/0.05).  Unknown keys are errors.
+n_max = 256, retention bounds [0.05, 0.5], re-encode depth 2, penalty
+weights 0.1/0.17/0.05).  Unknown keys are errors.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ class RunConfig:
     # model
     d: int = 32
     heads: int = 4
-    scoring_depth: int = 1
     reencode_depth: int = 2
     budget_hidden: int = 128
     rho_min: float = 0.05
@@ -70,7 +69,7 @@ class RunConfig:
 # also rejects NaN.  wl_tokens or wl_frames 0 means "unset".
 _RULES = (
     (
-        ("d", "heads", "scoring_depth", "budget_hidden", "n_max", "newton_iters", "train_batch",
+        ("d", "heads", "budget_hidden", "n_max", "newton_iters", "train_batch",
          "wl_sample_interval", "wl_frame_height", "wl_frame_width", "wl_patch"),
         lambda v: v >= 1,
         ">= 1",

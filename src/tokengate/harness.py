@@ -429,11 +429,9 @@ def bench_scaling(
     """Two latency curves per frame count: all tokens vs selected tokens."""
     records: list[BenchRecord] = []
     for frames in frame_counts:
-        if frames < 1:
-            raise InputError(f"frame count must be >= 1, got {frames}")
         wl_spec = replace(spec, frames=frames, m=None)
-        rng = np.random.default_rng([wl_spec.seed, frames])
-        wl = generate_workload(wl_spec, rng)
+        wl_spec.validate()  # before seeding: SeedSequence rejects a negative count
+        wl = generate_workload(wl_spec, np.random.default_rng([wl_spec.seed, frames]))
         m = wl.x.shape[0]
 
         start = time.perf_counter()

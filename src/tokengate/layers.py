@@ -37,6 +37,20 @@ def as_var(x: Tensor, name: str = "const") -> Var:
     return x if isinstance(x, Var) else ad.const(x, name)
 
 
+def weight_var(t: Tensor) -> Var:
+    """A weight as a Var, unscanned: ``check_weights`` or its tape checked it."""
+    return t if isinstance(t, Var) else Var(t)
+
+
+def check_weights(container, prefix: str) -> None:
+    """Raise ``InputError`` naming (as ``named_tensors`` does) the first
+    array of ``container`` that is not a finite matrix.  Weight containers
+    call this once, when built, so their kernels wrap them with ``weight_var``."""
+    for name, tensor in named_tensors(container, prefix):
+        if isinstance(tensor, np.ndarray):
+            ad.as_matrix(tensor, name)
+
+
 def uniform_init(rng: np.random.Generator, rows: int, cols: int) -> Array:
     """Scaled-uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)]."""
     bound = 1.0 / math.sqrt(rows)
@@ -85,13 +99,12 @@ def time_encode(timestamps, d: int) -> Array:
 class AttentionWeights:
     """Packed multi-head projections: ``wq``, ``wk``, ``wv`` and ``wo`` are
     each d x d, and head h owns columns h*d_h:(h+1)*d_h of ``wq``, ``wk``
-    and ``wv`` (d_h = d / heads); ``wo`` maps the concatenated heads back.
-    A projection that reaches no output is ``None``."""
+    and ``wv`` (d_h = d / heads); ``wo`` maps the concatenated heads back."""
 
-    wq: Tensor | None = None
-    wk: Tensor | None = None
-    wv: Tensor | None = None
-    wo: Tensor | None = None
+    wq: Tensor
+    wk: Tensor
+    wv: Tensor
+    wo: Tensor
     heads: int
 
     @classmethod
@@ -139,9 +152,9 @@ def named_tensors(container, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
     A tensor field is named ``prefix.field`` and a nested container puts
     its tensors under its field name.  Item i of a list field is named
     ``prefix.<tag>i``, the tag coming from the field's ``metadata``.
-    Fields holding no tensor (head counts, bounds, a ``None`` projection)
-    yield nothing; so does a field whose metadata sets ``weights`` to
-    False, which the walk never enters.
+    Fields holding no tensor (head counts) yield nothing; so does a
+    field whose metadata sets ``weights`` to False, which the walk never
+    enters.
     """
     for f in fields(container):
         value = getattr(container, f.name)

@@ -79,12 +79,7 @@ class ReencoderStack:
     blocks: list[ReencoderBlock] = field(metadata={"tag": "b"})
 
     def __post_init__(self) -> None:
-        # Array weights are checked once, here, so that ``_block`` can wrap
-        # them unscanned on every call; tape variables were checked when
-        # their tape made them.
-        for name, tensor in layers.named_tensors(self, "reencoder"):
-            if isinstance(tensor, np.ndarray):
-                ad.as_matrix(tensor, name)
+        layers.check_weights(self, "reencoder")
 
     @property
     def depth(self) -> int:
@@ -125,7 +120,7 @@ def _block(x: Var, block: ReencoderBlock) -> Var:
     recomputed ATTENTION_ROWS query rows at a time by the forward's own
     tile generator, so no n x n map is ever stored.
     """
-    params = tuple(t if isinstance(t, Var) else Var(t) for _, t in layers.named_tensors(block))
+    params = tuple(layers.weight_var(t) for _, t in layers.named_tensors(block))
     values = tuple(p.value for p in params)  # in the order _block_forward unpacks
     heads = block.attn.heads
     width = block.attn.wq.shape[0]

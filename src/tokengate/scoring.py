@@ -5,12 +5,17 @@ per-token relevance is the maximum attention weight any head at any
 query position places on that token.  ``score`` streams the tokens in
 chunks, so its memory does not grow with heads x query length x M, for
 inference and training alike.
+
+Scoring is one cross-attention layer: a layer stacked before it could
+only pass x W_v W_o forward, which is linear, so a deeper scorer equals
+one layer with key projection W_v W_o ... W_k (stacked linear maps change
+how training moves, not what a model can represent; arXiv 1802.06509).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -18,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Array, Var
 from .errors import InputError, ShapeError
-from .layers import AttentionWeights, Tensor, as_var
+from .layers import AttentionWeights, Tensor, as_var, check_weights, weight_var
 
 # Stabilizer in the relevance normalization p_i = r_i / (sum_j r_j + EPS_REL).
 EPS_REL = 1e-8
@@ -37,59 +42,41 @@ TINY = np.finfo(np.float64).tiny
 
 @dataclass
 class ScoringWeights:
-    """Stacked cross-attention scoring layers, holding only tensors that
-    reach the relevance.
+    """The packed query and key projections of the scoring layer, the only
+    tensors that reach the relevance.  A non-finite array raises an
+    ``InputError`` naming the tensor (``scoring.wq`` or ``scoring.wk``)
+    when the container is built."""
 
-    The last layer's packed ``wq``/``wk`` give the attention maps.  Each
-    earlier layer only feeds the visual stream forward as the next key
-    source x W_v W_o, so it keeps just its ``wv``/``wo``; its own maps
-    reach no output.  Depth 1 is the default.
-    """
+    wq: Tensor
+    wk: Tensor
+    heads: int
 
-    layers: list[AttentionWeights] = field(metadata={"tag": "l"})
-
-    @property
-    def heads(self) -> int:
-        return self.layers[-1].heads
-
-    @property
-    def wq(self) -> Tensor:
-        return self.layers[-1].wq
-
-    @property
-    def wk(self) -> Tensor:
-        return self.layers[-1].wk
-
-    @property
-    def carry(self) -> list[tuple[Tensor, Tensor]]:
-        """(wv, wo) of every layer before the last, first layer first."""
-        return [(a.wv, a.wo) for a in self.layers[:-1]]
+    def __post_init__(self) -> None:
+        check_weights(self, "scoring")
 
     @classmethod
-    def seeded(cls, d: int, heads: int, depth: int, rng: np.random.Generator) -> "ScoringWeights":
-        # Draw all four projections of every layer, then drop the unused
-        # ones: the budget head and re-encoder draw from the same generator
-        # next, so their seeded values do not depend on what is kept here.
-        layers = [AttentionWeights.seeded(d, heads, rng) for _ in range(depth)]
-        carry = [replace(a, wq=None, wk=None) for a in layers[:-1]]
-        return cls([*carry, replace(layers[-1], wv=None, wo=None)])
+    def seeded(cls, d: int, heads: int, rng: np.random.Generator) -> "ScoringWeights":
+        # Draw all four projections and keep wq and wk: the budget head and
+        # re-encoder draw from the same generator next, so their seeded
+        # values do not depend on what is kept here.
+        drawn = AttentionWeights.seeded(d, heads, rng)
+        return cls(wq=drawn.wq, wk=drawn.wk, heads=heads)
 
     @classmethod
     def identity(cls, d: int) -> "ScoringWeights":
-        return cls([replace(AttentionWeights.identity(d), wv=None, wo=None)])
+        """Single head with identity projections, for oracle tests."""
+        return cls(wq=np.eye(d), wk=np.eye(d), heads=1)
 
 
 def score(x: Var | Array, q: Var | Array, w: ScoringWeights) -> Var:
     """Relevance r in [0, 1]^M of every visual token, a (1, M) row.
 
     r_i is the largest attention weight any head at any query position
-    places on token i.  Every layer before the last only feeds
-    hcat(x W_v^h) W_o forward, which is linear, so the final-layer
-    logits of all (head, query) pairs are x @ A.T for one (heads*L, d)
-    matrix A, built from q and the weights by a few small tape
-    operations.  Pass 1 streams row chunks of x through GEMM -> exp ->
-    row sum, giving each (head, query) row's sum-exp S_k and its
-    log-sum-exp lse_k = log S_k.  A guard (``_sums_exact``) accepts the
+    places on token i.  The logits of all (head, query) pairs are
+    x @ A.T for one (heads*L, d) matrix A, built from q and the weights
+    by a few small tape operations.  Pass 1 streams row chunks of x
+    through GEMM -> exp -> row sum, giving each (head, query) row's
+    sum-exp S_k and its log-sum-exp lse_k = log S_k.  A guard (``_sums_exact``) accepts the
     sums only when each is finite and at least M * TINY, that is when no
     term overflowed and the subnormal ones cannot move S_k by more than
     its rounding, and when M > 1; any other input reruns pass 1 with a
@@ -132,17 +119,15 @@ def _check_streams(x: Array, q: Array) -> None:
 
 def _logit_matrix(q: Var, w: ScoringWeights) -> Var:
     """The (heads*L, d) matrix A whose product with token row x_i gives
-    token i's final-layer logits for every (head, query) pair, head-major.
+    token i's logits for every (head, query) pair, head-major.
 
     Row (h, l) is query row l projected by W_q, zeroed outside head h's
     columns, times the key projection: the zeros let one product serve
     every head.
     """
-    wq, keys = as_var(w.wq), as_var(w.wk)
+    wq, wk = weight_var(w.wq), weight_var(w.wk)
     if wq.shape[0] != q.shape[1]:
         raise ShapeError(f"token dim {q.shape[1]} does not match scoring weights {wq.shape}")
-    for wv, wo in reversed(w.carry):  # x -> final-layer keys
-        keys = ad.matmul(ad.matmul(as_var(wv), as_var(wo)), keys)
     heads, l = w.heads, q.shape[0]
     d_h = wq.shape[1] // heads
     rows = np.tile(np.arange(l), heads)
@@ -151,7 +136,7 @@ def _logit_matrix(q: Var, w: ScoringWeights) -> Var:
     own = np.broadcast_to(np.eye(heads)[:, None, :, None], (heads, l, heads, d_h))
     own = own.reshape(heads * l, heads * d_h)
     per_head = ad.mul(ad.take_rows(ad.matmul(q, wq), rows), ad.const(own))
-    return ad.smul(ad.matmul(per_head, ad.transpose(keys)), 1.0 / math.sqrt(d_h))
+    return ad.smul(ad.matmul(per_head, ad.transpose(wk)), 1.0 / math.sqrt(d_h))
 
 
 def _chunks(x: Array, a: Array, buf: Array) -> Iterator[tuple[slice, Array]]:

@@ -48,7 +48,7 @@ class SelectorModel:
         rng = np.random.default_rng(cfg.seed)
         return cls(
             cfg=cfg,
-            scoring=ScoringWeights.seeded(cfg.d, cfg.heads, cfg.scoring_depth, rng),
+            scoring=ScoringWeights.seeded(cfg.d, cfg.heads, rng),
             budget=BudgetHead.seeded(cfg.d, rng, hidden=cfg.budget_hidden),
             reencoder=ReencoderStack.seeded(cfg.d, cfg.heads, cfg.reencode_depth, rng),
         )

@@ -290,16 +290,13 @@ def attention_heads(
 
 
 def score(x, q, w: ScoringWeights) -> tuple[AttentionMap, Var]:
-    """The final layer's attention map and r = colmax of the stacked maps;
+    """The attention map and r = colmax of the stacked per-head maps;
     ties route the gradient to the first maximal (head, query) row."""
     x = as_var(x)
     q = as_var(q)
     if x.shape[0] == 0 or q.shape[0] == 0:
         raise InputError("scoring requires nonempty visual and query streams")
-    keys = x
-    for wv, wo in w.carry:
-        keys = ad.matmul(ad.matmul(keys, as_var(wv)), as_var(wo))
-    maps = [attn for _, attn in attention_heads(q, keys, w.wq, w.wk, w.heads)]
+    maps = [attn for _, attn in attention_heads(q, x, w.wq, w.wk, w.heads)]
     r = colmax(maps[0] if len(maps) == 1 else vcat(maps))
     return AttentionMap(np.stack([a.value for a in maps], axis=0)), r
 

@@ -159,9 +159,7 @@ def test_criterion_4_straight_through_gradient_fidelity():
             assert rel_err(analytic, numeric) <= 1e-5
 
         # end to end: every model parameter of a tiny selector
-        cfg = RunConfig(
-            d=8, heads=2, scoring_depth=1, reencode_depth=1, budget_hidden=8, n_max=16
-        )
+        cfg = RunConfig(d=8, heads=2, reencode_depth=1, budget_hidden=8, n_max=16)
         model = SelectorModel.build(cfg)
         wl = generate_workload(
             WorkloadSpec(m=12, d=8, l=3, k=3, alignment=3.0, seed=104),

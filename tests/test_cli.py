@@ -12,7 +12,7 @@ import pytest
 
 import tokengate
 from conftest import poke_tensor, save_per_head_weights
-from tokengate import cli
+from tokengate import cli, config
 from tokengate.budget import compute_budget
 from tokengate.cli import main
 from tokengate.config import RunConfig, SCHEMA
@@ -210,7 +210,16 @@ class TestSelectCommand:
         model = SelectorModel.build(RunConfig(d=16, heads=2, budget_hidden=16, n_max=64))
         save_per_head_weights(model, workspace / "old")
         assert main(["weights-inspect", "--weights", str(workspace / "old")]) == 4
-        assert "scoring.l0.wq" in capsys.readouterr().err
+        assert "scoring.wq" in capsys.readouterr().err
+
+    def test_weights_saved_with_scoring_depth_exit_6(self, workspace, capsys):
+        """Weights saved while scoring had a depth setting hold
+        ``scoring_depth = 1`` in their model.cfg, after ``heads``."""
+        cfg = workspace / "weights" / "model.cfg"
+        cfg.write_text(cfg.read_text().replace("heads = 2\n", "heads = 2\nscoring_depth = 1\n"))
+        assert main(_select_args(workspace)) == 6
+        assert "unknown configuration key 'scoring_depth'" in capsys.readouterr().err
+        assert not (workspace / "out_z.qtn").exists()
 
     def test_unknown_config_key_exits_6(self, workspace):
         (workspace / "run.cfg").write_text(CFG_TEXT + "imaginary_knob = 3\n")
@@ -293,6 +302,21 @@ class TestOtherCommands:
         records = from_csv(BenchRecord, out.read_text())
         assert len(records) == 8
         assert {r.mode for r in records} == {"baseline", "qts"}
+
+    @pytest.mark.parametrize(
+        "frames, message",
+        [
+            ("4,abc", "--frames: invalid literal for int() with base 10: 'abc'"),
+            ("4,2.5", "--frames: invalid literal for int() with base 10: '2.5'"),
+            ("4,-1", "frame count must be >= 1, got -1"),
+        ],
+    )
+    def test_bench_bad_frames_exit_2(self, workspace, tmp_path, capsys, frames, message):
+        out = tmp_path / "bench.csv"
+        args = ["bench", "--config", str(workspace / "run.cfg"), f"--frames={frames}", "--out", str(out)]
+        assert main(args) == 2
+        assert f"input error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_then_inspect(self, workspace, tmp_path):
         out_w = tmp_path / "trained"
@@ -447,6 +471,16 @@ class TestHelp:
             a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
         )
         assert documented == set(subparsers.choices)
+
+    def test_readme_key_lists_match_the_code(self):
+        """README's range list names exactly the keys of ``config._RULES``,
+        and its --weights list is ``cli.WEIGHT_KEYS``, in order."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        ranges = readme.split("The ranges:\n\n", 1)[1].split("\n\n", 1)[0]
+        ruled = {key for keys, _, _ in config._RULES for key in keys}
+        assert set(re.findall(r"`(\w+)`", ranges)) == ruled
+        weights = re.search(r"built and trained with\s*\(([^)]*)\)", readme).group(1)
+        assert tuple(re.findall(r"`(\w+)`", weights)) == cli.WEIGHT_KEYS
 
     def test_every_schema_key_is_read(self):
         """A key the help advertises must configure something outside config.py."""

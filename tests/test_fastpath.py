@@ -38,11 +38,10 @@ def _fuzz_instance(rng, d=8):
 
 
 class TestRelevanceMatchesScore:
-    @pytest.mark.parametrize("depth", [1, 2, 3])
     @pytest.mark.parametrize("heads", [1, 2, 4])
-    def test_fuzz_corpus(self, depth, heads):
-        rng = np.random.default_rng(1000 + 10 * depth + heads)
-        w = ScoringWeights.seeded(8, heads, depth, rng)
+    def test_fuzz_corpus(self, heads):
+        rng = np.random.default_rng(1010 + heads)
+        w = ScoringWeights.seeded(8, heads, rng)
         for _ in range(60):
             x, q = _fuzz_instance(rng)
             _, r_tape = oracles.score(x, q, w)
@@ -52,7 +51,7 @@ class TestRelevanceMatchesScore:
         """Streams spanning many chunks, including a ragged last chunk."""
         monkeypatch.setattr(scoring, "RELEVANCE_CHUNK", 5)
         rng = np.random.default_rng(1100)
-        w = ScoringWeights.seeded(8, 2, 2, rng)
+        w = ScoringWeights.seeded(8, 2, rng)
         for _ in range(60):
             x, q = _fuzz_instance(rng)
             _, r_tape = oracles.score(x, q, w)
@@ -60,7 +59,7 @@ class TestRelevanceMatchesScore:
 
     def test_single_token_gets_full_relevance(self):
         rng = np.random.default_rng(1200)
-        w = ScoringWeights.seeded(8, 4, 2, rng)
+        w = ScoringWeights.seeded(8, 4, rng)
         r = score(rng.standard_normal((1, 8)), rng.standard_normal((3, 8)), w).value.ravel()
         np.testing.assert_array_equal(r, [1.0])
 
@@ -69,7 +68,7 @@ class TestRelevanceMatchesScore:
         """Identical tokens get identical relevance 1/M, across chunks too."""
         monkeypatch.setattr(scoring, "RELEVANCE_CHUNK", chunk)
         rng = np.random.default_rng(1300)
-        w = ScoringWeights.seeded(8, 2, 1, rng)
+        w = ScoringWeights.seeded(8, 2, rng)
         for m in (3, 7, 48):
             x = np.tile(rng.standard_normal((1, 8)), (m, 1))
             q = rng.standard_normal((2, 8))
@@ -80,7 +79,7 @@ class TestRelevanceMatchesScore:
             np.testing.assert_array_equal(hard_top_n(r, 3).indices, [0, 1, 2])
 
     def test_empty_and_mismatched_inputs_rejected(self):
-        w = ScoringWeights.seeded(8, 2, 1, np.random.default_rng(1400))
+        w = ScoringWeights.seeded(8, 2, np.random.default_rng(1400))
         with pytest.raises(InputError):
             score(np.zeros((0, 8)), np.ones((2, 8)), w).value.ravel()
         with pytest.raises(InputError):
@@ -151,7 +150,7 @@ def test_relevance_in_unit_interval_and_top_n_matches_oracle(seed, m, heads, l, 
     some to 1 - 1e-15: the top-n sets are compared wherever the oracle's
     n-th and (n+1)-th values lie more than TOL apart."""
     rng = np.random.default_rng(seed)
-    w = ScoringWeights.seeded(8, heads, 1, rng)
+    w = ScoringWeights.seeded(8, heads, rng)
     x = rng.standard_normal((m, 8))
     q = 10.0**log_scale * rng.standard_normal((l, 8))
     r = score(x, q, w).value.ravel()
@@ -168,19 +167,11 @@ def test_relevance_in_unit_interval_and_top_n_matches_oracle(seed, m, heads, l, 
 class TestSelectMatchesTapePath:
     @pytest.mark.parametrize("reencode_depth", [0, 1, 3])
     @pytest.mark.parametrize("heads", [1, 2, 4])
-    @pytest.mark.parametrize("depth", [1, 2])
-    def test_unbound_equals_bound(self, depth, heads, reencode_depth):
-        cfg = RunConfig(
-            d=8,
-            heads=heads,
-            scoring_depth=depth,
-            budget_hidden=8,
-            n_max=24,
-            reencode_depth=reencode_depth,
-        )
+    def test_unbound_equals_bound(self, heads, reencode_depth):
+        cfg = RunConfig(d=8, heads=heads, budget_hidden=8, n_max=24, reencode_depth=reencode_depth)
         model = SelectorModel.build(cfg)
         bound, _ = model.bind(Tape())
-        rng = np.random.default_rng(1500 + depth)
+        rng = np.random.default_rng(1501)
         for call in range(100):
             x, q = _fuzz_instance(rng)
             ts = np.sort(rng.uniform(0, 1000, x.shape[0]))
@@ -219,7 +210,6 @@ def _query_with_column_signs(w, signs, j, rng):
     m=st.integers(1, 64),
     heads=st.sampled_from([1, 2, 4]),
     l=st.integers(1, 3),
-    depth=st.integers(1, 2),
     identity=st.booleans(),
     column=st.sampled_from(["positive", "negative", "mixed"]),
     bad=st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), min_size=1, max_size=3),
@@ -227,19 +217,19 @@ def _query_with_column_signs(w, signs, j, rng):
 )
 # A -inf entry against an all-positive column: every logit of the token is
 # -inf and lse stays finite, so only the log-domain r check sees it.
-@example(seed=0, m=16, heads=1, l=2, depth=1, identity=True, column="positive", bad=[-np.inf], chunked=False)
-@example(seed=1, m=16, heads=2, l=2, depth=2, identity=False, column="negative", bad=[np.inf], chunked=True)
+@example(seed=0, m=16, heads=1, l=2, identity=True, column="positive", bad=[-np.inf], chunked=False)
+@example(seed=1, m=16, heads=2, l=2, identity=False, column="negative", bad=[np.inf], chunked=True)
 # NaN and mixed signs leave lse non-finite: only the lse check sees them.
-@example(seed=2, m=16, heads=4, l=1, depth=1, identity=False, column="positive", bad=[np.nan], chunked=True)
-@example(seed=3, m=16, heads=1, l=3, depth=1, identity=True, column="mixed", bad=[np.inf], chunked=False)
-def test_non_finite_x_always_raises(seed, m, heads, l, depth, identity, column, bad, chunked):
+@example(seed=2, m=16, heads=4, l=1, identity=False, column="positive", bad=[np.nan], chunked=True)
+@example(seed=3, m=16, heads=1, l=3, identity=True, column="mixed", bad=[np.inf], chunked=False)
+def test_non_finite_x_always_raises(seed, m, heads, l, identity, column, bad, chunked):
     """``select`` leaves x unscanned unless scoring's own checks fail;
     they must reject every non-finite x, in both modes, without a
     RuntimeWarning.
     The first bad entry sits at (token i, feature j), and q is built so
     that the logit matrix's column j is all positive, all negative or
     mixed; later ones land anywhere.  ``chunked`` streams in chunks of 5."""
-    cfg = RunConfig(d=8, heads=heads, scoring_depth=depth, budget_hidden=8, n_max=16, reencode_depth=1, seed=seed)
+    cfg = RunConfig(d=8, heads=heads, budget_hidden=8, n_max=16, reencode_depth=1, seed=seed)
     model = SelectorModel.build(cfg)
     if identity:
         model = replace(model, scoring=ScoringWeights.identity(cfg.d))

@@ -157,7 +157,7 @@ class TestThresholdBracketInvariant:
 def relevance_stream(m=20_000, seed=0):
     """Seeded-model relevance of a generated stream: a softmax over M."""
     wl = generate_workload(WorkloadSpec(m=m, d=32, l=8, k=8), np.random.default_rng(seed))
-    return score(wl.x, wl.q, ScoringWeights.seeded(32, 4, 1, np.random.default_rng(seed))).value.ravel()
+    return score(wl.x, wl.q, ScoringWeights.seeded(32, 4, np.random.default_rng(seed))).value.ravel()
 
 
 class TestThresholdPassCount:

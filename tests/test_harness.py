@@ -303,7 +303,8 @@ class TestTrainDeskScale:
 
     def test_binds_and_scans_the_parameters_once_per_epoch(self, monkeypatch):
         """Every instance of an epoch runs on the epoch's one bound model,
-        whose binding scans each updated tensor for NaN and inf."""
+        whose binding scans each updated tensor for NaN and inf; the only
+        other scan is the build of the epoch model, before the first epoch."""
         binds = 0
         bind = SelectorModel.bind
 
@@ -313,13 +314,13 @@ class TestTrainDeskScale:
             return bind(self, tape)
 
         monkeypatch.setattr(SelectorModel, "bind", counted)
-        scans = count_matrix_scans(monkeypatch)
         spec = WorkloadSpec(m=32, d=16, l=2, k=3, seed=10)
         model = SelectorModel.build(CFG)
+        scans = count_matrix_scans(monkeypatch)
         train_desk_scale(spec, model, 3, OptimizerConfig(batch=4), PenaltyWeights())
         assert binds == 3
         names = list(model.without_reencoder().parameters())
-        assert sorted(n for n in scans if n in names) == sorted(names * 3)
+        assert sorted(n for n in scans if n in names) == sorted(names * (1 + 3))
 
     def test_returned_model_shares_the_untrained_tensors(self):
         spec = WorkloadSpec(m=32, d=16, l=2, k=3, seed=10)
@@ -439,6 +440,13 @@ class TestBenchScaling:
         model = SelectorModel.build(CFG)
         with pytest.raises(InputError):
             bench_scaling([0], model, WorkloadSpec(d=16))
+
+    def test_negative_frames_rejected(self):
+        """Checked before the frame count seeds the workload generator,
+        which would raise a bare ValueError for it."""
+        model = SelectorModel.build(CFG)
+        with pytest.raises(InputError, match="frame count must be >= 1, got -1"):
+            bench_scaling([-1], model, WorkloadSpec(d=16))
 
     def test_downstream_time_ordering(self):
         """Quadratic baseline cost grows with frames while the selected

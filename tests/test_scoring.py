@@ -10,7 +10,6 @@ from oracles import score as oracle_score
 from tokengate import autodiff as ad
 from tokengate.autodiff import Tape
 from tokengate.errors import InputError
-from tokengate.layers import AttentionWeights
 from tokengate.scoring import RELEVANCE_CHUNK, ScoringWeights, normalize_relevance, score
 
 
@@ -26,7 +25,7 @@ def _single_head_relevance(x, q, wq, wk):
 class TestScore:
     def test_single_token_gets_full_relevance(self):
         rng = np.random.default_rng(0)
-        w = ScoringWeights.seeded(8, 2, 1, rng)
+        w = ScoringWeights.seeded(8, 2, rng)
         r = score(rng.standard_normal((1, 8)), rng.standard_normal((3, 8)), w)
         np.testing.assert_array_equal(r.value, [[1.0]])
 
@@ -53,7 +52,7 @@ class TestScore:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((m, d))
         q = rng.standard_normal((l, d))
-        w = ScoringWeights.seeded(d, 2, 1, rng)
+        w = ScoringWeights.seeded(d, 2, rng)
         r = score(x, q, w)
 
         per_head = []
@@ -64,14 +63,14 @@ class TestScore:
 
     def test_attention_map_normalized(self):
         rng = np.random.default_rng(3)
-        w = ScoringWeights.seeded(8, 4, 1, rng)
+        w = ScoringWeights.seeded(8, 4, rng)
         amap, _ = oracle_score(rng.standard_normal((20, 8)), rng.standard_normal((5, 8)), w)
         amap.validate()
         assert amap.weights.shape == (4, 5, 20)
 
     def test_empty_inputs_rejected(self):
         rng = np.random.default_rng(4)
-        w = ScoringWeights.seeded(8, 2, 1, rng)
+        w = ScoringWeights.seeded(8, 2, rng)
         with pytest.raises(InputError):
             score(np.zeros((0, 8)), np.zeros((2, 8)), w)
         with pytest.raises(InputError):
@@ -82,7 +81,7 @@ class TestScore:
         d, m = 8, 15
         x = rng.standard_normal((m, d))
         q = rng.standard_normal((3, d))
-        w = ScoringWeights.seeded(d, 2, 1, rng)
+        w = ScoringWeights.seeded(d, 2, rng)
         r = score(x, q, w)
         for _ in range(5):
             perm = rng.permutation(m)
@@ -96,17 +95,17 @@ class TestScore:
         d, m = 6, 30
         x = rng.standard_normal((m, d))
         q = rng.standard_normal((1, d))
-        base = ScoringWeights.seeded(d, 1, 1, rng)
+        base = ScoringWeights.seeded(d, 1, rng)
         r = score(x, q, base)
         for c in (0.5, 2.0, 7.3):
-            scaled = ScoringWeights([AttentionWeights(wq=base.wq, wk=base.wk * c, heads=1)])
+            scaled = ScoringWeights(wq=base.wq, wk=base.wk * c, heads=1)
             r_scaled = score(x, q, scaled)
             assert int(np.argmax(r_scaled.value)) == int(np.argmax(r.value))
             assert not np.allclose(r_scaled.value, r.value)
 
     def test_relevance_stays_in_unit_interval(self):
         rng = np.random.default_rng(7)
-        w = ScoringWeights.seeded(8, 2, 1, rng)
+        w = ScoringWeights.seeded(8, 2, rng)
         for _ in range(1000):
             m = int(rng.integers(1, 40))
             l = int(rng.integers(1, 6))
@@ -135,7 +134,7 @@ class TestScore:
     def test_gradient_of_relevance_sum_matches_fd(self):
         rng = np.random.default_rng(8)
         d, m, l = 6, 9, 3
-        w = ScoringWeights.seeded(d, 2, 1, rng)
+        w = ScoringWeights.seeded(d, 2, rng)
         q = rng.standard_normal((l, d))
         x0 = rng.standard_normal((m, d))
 
@@ -162,13 +161,6 @@ class TestScore:
         assert np.any(g[0] != 0.0)
         np.testing.assert_array_equal(g[1], np.zeros(d))
 
-    def test_depth_two_still_normalized(self):
-        rng = np.random.default_rng(9)
-        w = ScoringWeights.seeded(8, 2, 2, rng)
-        amap, r = oracle_score(rng.standard_normal((12, 8)), rng.standard_normal((3, 8)), w)
-        amap.validate()
-        assert np.all(r.value >= 0) and np.all(r.value <= 1)
-
 
 @pytest.mark.parametrize("pass_", ["forward", "backward"])
 def test_score_holds_one_logits_chunk(pass_):
@@ -178,7 +170,7 @@ def test_score_holds_one_logits_chunk(pass_):
     d, heads, l, m = 32, 4, 4, 3 * RELEVANCE_CHUNK - 100
     rng = np.random.default_rng(12)
     x, q = rng.standard_normal((m, d)), rng.standard_normal((l, d))
-    w = ScoringWeights.seeded(d, heads, 1, rng)
+    w = ScoringWeights.seeded(d, heads, rng)
     if pass_ == "forward":
         peak = peak_bytes(lambda: score(x, q, w))
     else:

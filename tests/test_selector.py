@@ -12,6 +12,7 @@ from tokengate import autodiff, gate, selector
 from tokengate.budget import compute_budget
 from tokengate.config import RunConfig
 from tokengate.errors import (
+    ConfigError,
     InputError,
     MissingResourceError,
     NumericError,
@@ -218,6 +219,46 @@ def test_scoring_sets_the_infer_peak():
     assert abs(select_peak - score_peak) <= 0.05 * 2**20
 
 
+class TestWeightChecks:
+    """Scoring and budget weights are scanned once, when their container
+    is built, not on every call."""
+
+    @pytest.mark.parametrize("name", ["scoring.wq", "scoring.wk", "budget.w1", "budget.b_out"])
+    def test_non_finite_array_rejected_when_built(self, model, name):
+        params = model.parameters()
+        params[name][0, 0] = np.nan
+        with pytest.raises(InputError, match=rf"^{name.replace('.', r'[.]')} contains non-finite"):
+            model.with_parameters(params)
+
+    def test_select_scans_no_weight(self, model, monkeypatch):
+        weights = {id(t) for _, t in model.named_tensors()}
+        scanned = []
+        as_matrix = autodiff.as_matrix
+
+        def recorded(x, name="matrix"):
+            scanned.append(id(x))
+            return as_matrix(x, name)
+
+        monkeypatch.setattr(autodiff, "as_matrix", recorded)
+        wl = _workload()
+        for mode in ("infer", "train"):
+            select(model, wl.x, wl.timestamps, wl.q, mode=mode, rng=np.random.default_rng(0))
+        assert scanned and not weights & set(scanned)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["infer", "train"])
+    @pytest.mark.parametrize("name", ["scoring.wq", "scoring.wk", "budget.w1", "budget.b_out"])
+    def test_array_made_non_finite_after_build_fails_select(self, model, name, mode):
+        """Training updates the arrays in place, after the build-time scan;
+        a NaN that gets in that way still stops ``select``."""
+        params = model.parameters()
+        built = model.with_parameters(params)  # shares params' arrays
+        params[name][0, 0] = np.nan
+        wl = _workload()
+        with pytest.raises((InputError, ParameterError)):
+            select(built, wl.x, wl.timestamps, wl.q, mode=mode, rng=np.random.default_rng(0))
+
+
 class TestBoundaryCheck:
     def test_residual_check_adds_no_sigmoid_pass(self, model, monkeypatch):
         """The check reads the residual the solve evaluated at t: every
@@ -267,9 +308,8 @@ class TestBoundaryCheck:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("s_depth", [1, 2])
-    def test_round_trip_bit_exact(self, s_depth, tmp_path):
-        model = SelectorModel.build(replace(SMALL, scoring_depth=s_depth))
+    def test_round_trip_bit_exact(self, tmp_path):
+        model = SelectorModel.build(SMALL)
         save_weights(model, tmp_path / "w")
         loaded = load_weights(tmp_path / "w")
         original = model.parameters()
@@ -283,7 +323,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "cfg",
-        [RunConfig(), RunConfig(scoring_depth=2, tau_s=0.3, n_max=64, budget_hidden=16)],
+        [RunConfig(), RunConfig(tau_s=0.3, n_max=64, budget_hidden=16)],
         ids=["default", "custom"],
     )
     def test_round_trip_keeps_config(self, cfg, tmp_path):
@@ -301,12 +341,12 @@ class TestSerialization:
     def test_model_keys_only_config_loads(self, tmp_path):
         """A model.cfg that holds only the model and gate keys (the layout
         written before it held the full run config) still loads."""
-        cfg = replace(SMALL, scoring_depth=2, tau_s=0.3, n_max=40, seed=3)
+        cfg = replace(SMALL, tau_s=0.3, n_max=40, seed=3)
         model = SelectorModel.build(cfg)
         save_weights(model, tmp_path / "w")
         keys = (
-            "d", "heads", "scoring_depth", "reencode_depth", "budget_hidden", "rho_min",
-            "rho_max", "n_max", "tau_s", "newton_iters", "residual_tol", "clamp_margin", "seed",
+            "d", "heads", "reencode_depth", "budget_hidden", "rho_min", "rho_max", "n_max",
+            "tau_s", "newton_iters", "residual_tol", "clamp_margin", "seed",
         )
         (tmp_path / "w" / "model.cfg").write_text(
             "".join(f"{key} = {getattr(cfg, key)}\n" for key in keys)
@@ -317,6 +357,15 @@ class TestSerialization:
         b = select(loaded, wl.x, wl.timestamps, wl.q, mode="infer")
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_allclose(b.z, a.z, rtol=0, atol=1e-12)
+
+    def test_config_with_scoring_depth_rejected(self, model, tmp_path):
+        """Weights saved while scoring had a depth setting hold
+        ``scoring_depth = 1``, a key the schema no longer has."""
+        save_weights(model, tmp_path / "w")
+        cfg = tmp_path / "w" / "model.cfg"
+        cfg.write_text(cfg.read_text().replace("heads = 2\n", "heads = 2\nscoring_depth = 1\n"))
+        with pytest.raises(ConfigError, match="unknown configuration key 'scoring_depth'"):
+            load_weights(tmp_path / "w")
 
     def test_corrupt_byte_names_tensor(self, model, tmp_path):
         entries = save_weights(model, tmp_path / "w")
@@ -338,11 +387,13 @@ class TestSerialization:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_save_refuses_non_finite_tensor(self, model, tmp_path, bad):
-        """No file is written that load_weights would reject."""
+        """No file is written that load_weights would reject, even for an
+        array made non-finite in place after the model was built."""
         params = model.parameters()
+        built = model.with_parameters(params)  # shares params' arrays
         params["budget.w_out"][1, 0] = bad
         with pytest.raises(NumericError, match=r"budget\.w_out"):
-            save_weights(model.with_parameters(params), tmp_path / "w")
+            save_weights(built, tmp_path / "w")
         assert not (tmp_path / "w").exists()
 
     def test_missing_tensor_file(self, model, tmp_path):
@@ -410,35 +461,28 @@ class TestSerialization:
         with pytest.raises(InputError, match="bare file name"):
             load_weights(weights)
 
-    @pytest.mark.parametrize("s_depth", [1, 2])
-    def test_manifest_counts_match_configuration(self, s_depth, tmp_path):
-        """Packed heads; scoring keeps the last layer's wq/wk and each
-        earlier layer's wv/wo, the only tensors that reach the relevance."""
-        cfg = replace(SMALL, scoring_depth=s_depth)
-        entries = save_weights(SelectorModel.build(cfg), tmp_path / "w")
-        expected_scoring = 2 * s_depth
+    def test_manifest_counts_match_configuration(self, tmp_path):
+        """Packed heads; scoring keeps only wq and wk, the tensors that reach
+        the relevance."""
+        entries = save_weights(SelectorModel.build(SMALL), tmp_path / "w")
+        expected_scoring = 2
         expected_budget = 6
-        expected_reencoder = cfg.reencode_depth * (2 + 4 + 4)
+        expected_reencoder = SMALL.reencode_depth * (2 + 4 + 4)
         names = [e[0] for e in entries]
         assert sum(n.startswith("scoring.") for n in names) == expected_scoring
         assert sum(n.startswith("budget.") for n in names) == expected_budget
         assert sum(n.startswith("reencoder.") for n in names) == expected_reencoder
         assert len(names) == expected_scoring + expected_budget + expected_reencoder
 
-    @pytest.mark.parametrize(
-        "depths, trainable",
-        [((1, 2), False), ((2, 1), False), ((3, 0), False), ((1, 2), True)],
-    )
-    def test_manifest_names_in_order(self, depths, trainable):
+    @pytest.mark.parametrize("r_depth, trainable", [(2, False), (1, False), (0, False), (2, True)])
+    def test_manifest_names_in_order(self, r_depth, trainable):
         """The exact ordered names: ``reencoder._block`` unpacks a block's
         tensors in this order, and training sums the gradient norm in it."""
-        s_depth, r_depth = depths
-        model = SelectorModel.build(RunConfig(scoring_depth=s_depth, reencode_depth=r_depth))
+        model = SelectorModel.build(RunConfig(reencode_depth=r_depth))
         if trainable:
             model = model.without_reencoder()
             r_depth = 0
-        scoring = [f"scoring.l{i}.{w}" for i in range(s_depth - 1) for w in ("wv", "wo")]
-        scoring += [f"scoring.l{s_depth - 1}.wq", f"scoring.l{s_depth - 1}.wk"]
+        scoring = ["scoring.wq", "scoring.wk"]
         budget = [f"budget.{w}" for w in ("w1", "b1", "w2", "b2", "w_out", "b_out")]
         block = ["gain_attn", "gain_ffn", "attn.wq", "attn.wk", "attn.wv", "attn.wo",
                  "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2"]
@@ -449,7 +493,7 @@ class TestSerialization:
 
     def test_per_head_layout_is_missing_resource(self, model, tmp_path):
         save_per_head_weights(model, tmp_path / "w")
-        with pytest.raises(MissingResourceError, match=r"scoring\.l0\.wq"):
+        with pytest.raises(MissingResourceError, match=r"scoring\.wq"):
             load_weights(tmp_path / "w")
 
 

@@ -14,7 +14,7 @@ from tokengate import reencoder, scoring, selector
 from tokengate.autodiff import Tape
 from tokengate.config import RunConfig
 from tokengate.harness import WorkloadSpec, generate_workload, planted_mass_loss
-from tokengate.layers import AttentionWeights, map_tensors, named_tensors
+from tokengate.layers import map_tensors, named_tensors
 from tokengate.objective import PenaltyWeights, total_loss
 from tokengate.reencoder import ReencoderStack, reencode
 from tokengate.scoring import ScoringWeights, score
@@ -61,17 +61,14 @@ def _assert_gradients_match(got, want):
 @pytest.mark.parametrize("chunked", [False, True])
 @pytest.mark.parametrize("reencode_depth", [0, 1, 3])
 @pytest.mark.parametrize("heads", [1, 2, 4])
-@pytest.mark.parametrize("depth", [1, 2])
-def test_select_gradients_match_tape_oracle(monkeypatch, depth, heads, reencode_depth, chunked):
+def test_select_gradients_match_tape_oracle(monkeypatch, heads, reencode_depth, chunked):
     """One train-mode ``select`` differentiated through the kernels equals
     the same call through the tape compositions."""
     if chunked:
         _small_chunks(monkeypatch)
-    cfg = RunConfig(
-        d=8, heads=heads, scoring_depth=depth, reencode_depth=reencode_depth, budget_hidden=8, n_max=24
-    )
+    cfg = RunConfig(d=8, heads=heads, reencode_depth=reencode_depth, budget_hidden=8, n_max=24)
     model = SelectorModel.build(cfg)
-    rng = np.random.default_rng(100 * depth + 10 * heads + reencode_depth)
+    rng = np.random.default_rng(100 + 10 * heads + reencode_depth)
     for call in range(3):
         m = int(rng.integers(1, 30))
         x = rng.standard_normal((m, 8))
@@ -91,7 +88,7 @@ def test_score_gradients_with_tied_tokens_and_heads(monkeypatch, chunk):
     each token goes to its first maximal (head, query) row, as in colmax."""
     monkeypatch.setattr(scoring, "RELEVANCE_CHUNK", chunk)
     rng = np.random.default_rng(7)
-    base = ScoringWeights.seeded(8, 4, 2, rng)
+    base = ScoringWeights.seeded(8, 4, rng)
     wq, wk = np.array(base.wq), np.array(base.wk)
     wq[:, 2:4], wk[:, 2:4] = wq[:, 0:2], wk[:, 0:2]  # heads 0 and 1 tie
     x = rng.standard_normal((13, 8))
@@ -103,11 +100,9 @@ def test_score_gradients_with_tied_tokens_and_heads(monkeypatch, chunk):
     def gradients(forward):
         tape = Tape()
         leaves = {name: tape.var(v) for name, v in (("x", x), ("q", q), ("wq", wq), ("wk", wk))}
-        carry = [(tape.var(wv), tape.var(wo)) for wv, wo in base.carry]
-        layers = [AttentionWeights(wv=wv, wo=wo, heads=4) for wv, wo in carry]
-        w = ScoringWeights([*layers, AttentionWeights(wq=leaves["wq"], wk=leaves["wk"], heads=4)])
+        w = ScoringWeights(wq=leaves["wq"], wk=leaves["wk"], heads=4)
         r = forward(leaves["x"], leaves["q"], w)
-        tracked = [*leaves.values(), *(t for pair in carry for t in pair)]
+        tracked = list(leaves.values())
         return r.value, tape.gradients(ad.sum_all(ad.mul(r, ad.const(probe))), tracked)
 
     r, got = gradients(score)
