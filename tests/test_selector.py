@@ -308,8 +308,9 @@ class TestBoundaryCheck:
 
 
 class TestSerialization:
-    def test_round_trip_bit_exact(self, tmp_path):
-        model = SelectorModel.build(SMALL)
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_round_trip_bit_exact(self, heads, tmp_path):
+        model = SelectorModel.build(replace(SMALL, heads=heads))
         save_weights(model, tmp_path / "w")
         loaded = load_weights(tmp_path / "w")
         original = model.parameters()
@@ -461,27 +462,34 @@ class TestSerialization:
         with pytest.raises(InputError, match="bare file name"):
             load_weights(weights)
 
-    def test_manifest_counts_match_configuration(self, tmp_path):
+    @pytest.mark.parametrize("r_depth", [1, 2])
+    def test_manifest_counts_match_configuration(self, r_depth, tmp_path):
         """Packed heads; scoring keeps only wq and wk, the tensors that reach
         the relevance."""
-        entries = save_weights(SelectorModel.build(SMALL), tmp_path / "w")
+        cfg = replace(SMALL, reencode_depth=r_depth)
+        entries = save_weights(SelectorModel.build(cfg), tmp_path / "w")
         expected_scoring = 2
         expected_budget = 6
-        expected_reencoder = SMALL.reencode_depth * (2 + 4 + 4)
+        expected_reencoder = r_depth * (2 + 4 + 4)
         names = [e[0] for e in entries]
         assert sum(n.startswith("scoring.") for n in names) == expected_scoring
         assert sum(n.startswith("budget.") for n in names) == expected_budget
         assert sum(n.startswith("reencoder.") for n in names) == expected_reencoder
         assert len(names) == expected_scoring + expected_budget + expected_reencoder
 
-    @pytest.mark.parametrize("r_depth, trainable", [(2, False), (1, False), (0, False), (2, True)])
-    def test_manifest_names_in_order(self, r_depth, trainable):
+    @pytest.mark.parametrize(
+        "depths, trainable",
+        [((2, 2), False), ((1, 1), False), ((0, 0), False), ((2, 0), True)],
+    )
+    def test_manifest_names_in_order(self, depths, trainable):
         """The exact ordered names: ``reencoder._block`` unpacks a block's
-        tensors in this order, and training sums the gradient norm in it."""
-        model = SelectorModel.build(RunConfig(reencode_depth=r_depth))
+        tensors in this order, and training sums the gradient norm in it.
+        ``depths`` is the built re-encoder depth and the number of blocks
+        the trainable model still lists."""
+        built_depth, r_depth = depths
+        model = SelectorModel.build(RunConfig(reencode_depth=built_depth))
         if trainable:
             model = model.without_reencoder()
-            r_depth = 0
         scoring = ["scoring.wq", "scoring.wk"]
         budget = [f"budget.{w}" for w in ("w1", "b1", "w2", "b2", "w_out", "b_out")]
         block = ["gain_attn", "gain_ffn", "attn.wq", "attn.wk", "attn.wv", "attn.wo",
