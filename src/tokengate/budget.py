@@ -185,6 +185,8 @@ def predict_rho(features: BudgetFeatures, head: BudgetHead, cfg: RunConfig = Run
             g_logit,
         )
 
+    if not np.isfinite(y[0, 0]):  # the features are finite: scan the head, naming a bad array
+        check_weights(head, "budget")
     inputs = (features.q, features.r, *weights)
     return ad.apply(y * span + float(cfg.rho_min), inputs, backward)
 

@@ -28,7 +28,6 @@ class RunConfig:
     tau_s: float = 0.5
     newton_iters: int = 6
     residual_tol: float = 1e-6
-    clamp_margin: float = 10.0
     # objective
     lambda_t: float = 0.1
     lambda_m: float = 0.17
@@ -38,7 +37,6 @@ class RunConfig:
     wl_tokens: int = 256  # direct M; 0 derives M from the video geometry below
     wl_frames: int = 0
     wl_frame_rate: float = 1.0
-    wl_sample_interval: int = 1
     wl_frame_height: int = 56
     wl_frame_width: int = 56
     wl_patch: int = 14
@@ -70,7 +68,7 @@ class RunConfig:
 _RULES = (
     (
         ("d", "heads", "budget_hidden", "n_max", "newton_iters", "train_batch",
-         "wl_sample_interval", "wl_frame_height", "wl_frame_width", "wl_patch"),
+         "wl_frame_height", "wl_frame_width", "wl_patch"),
         lambda v: v >= 1,
         ">= 1",
     ),
@@ -82,7 +80,7 @@ _RULES = (
     (("tau_s", "wl_frame_rate"), lambda v: 0.0 < v < math.inf, "positive and finite"),
     (("residual_tol",), lambda v: v > 0, "positive"),
     (
-        ("clamp_margin", "lambda_t", "lambda_m", "lambda_s"),
+        ("lambda_t", "lambda_m", "lambda_s"),
         lambda v: 0.0 <= v < math.inf,
         "finite and >= 0",
     ),

@@ -78,15 +78,16 @@ def find_threshold(
 ) -> tuple[float, float]:
     """Solve sum_i sigmoid((r_i - t)/tau_s) = rho*M for the threshold t.
 
-    A safeguarded Newton iteration (Numerical Recipes' ``rtsafe``).  It
-    starts at the closed form t0 = mean(r) + tau_s*ln((1 - rho)/rho),
-    the exact root when all scores are equal, clamped to the bracket
-    [lo, hi] = [min r - max(margin, -o)*tau, max r + max(margin, o)*tau]
-    with o = ln((1 - rho)/rho), which holds the root.  At rho = 1
-    there is no finite root; t = min r - tau*ln(1/residual_tol) already
-    meets the residual and is returned.  Every evaluation narrows the sign
-    bracket, and a Newton step that would leave it bisects it instead.
-    The solve stops at the evaluated point once the residual is within
+    A safeguarded Newton iteration (Numerical Recipes' ``rtsafe``) on the
+    exact bracket [lo, hi] = [min r + o*tau_s, max r + o*tau_s] with
+    o = ln((1 - rho)/rho): at t = lo every keep probability is at least
+    sigmoid(-o) = rho, at t = hi at most rho, so the root lies in it.  It
+    starts at the closed form t0 = mean(r) + o*tau_s, inside the bracket
+    and the exact root when all scores are equal.  At rho = 1 there is no
+    finite root; t = min r - tau*ln(1/residual_tol) already meets the
+    residual and is returned.  Every evaluation narrows the bracket, and
+    a Newton step that would leave it bisects it instead.  The solve
+    stops at the evaluated point once the residual is within
     ``residual_tol*M`` and the next Newton step is below ``STEP_TOL``
     (relative) or below the step that rounding in the residual causes.
     After ``newton_iters`` evaluations without that, a bisection of the
@@ -109,12 +110,9 @@ def find_threshold(
         # sigmoid(ln residual_tol) < residual_tol, so the residual is in tol.
         t = float(r.min()) - tau_s * math.log(1.0 / cfg.residual_tol)
         return t, abs(_keep_sum(r, t, tau_s, buf) - target)
-    # The root lies within tau_s*|ln((1 - rho)/rho)| outside [min r, max r]:
-    # the clamp bracket widens to reach it when rho is near 0 or 1.
     log_odds = math.log((1.0 - rho) / rho)
-    lo = float(r.min()) - max(cfg.clamp_margin, -log_odds) * tau_s
-    hi = float(r.max()) + max(cfg.clamp_margin, log_odds) * tau_s
-    lo_ok = hi_ok = False  # has an evaluation confirmed the bracket end's sign?
+    lo = float(r.min()) + log_odds * tau_s
+    hi = float(r.max()) + log_odds * tau_s
 
     t = min(max(float(r.mean()) + tau_s * log_odds, lo), hi)
     for _ in range(cfg.newton_iters):
@@ -122,9 +120,9 @@ def find_threshold(
         keep = float(s.sum())
         u = keep - target
         if u > 0:
-            lo, lo_ok = t, True
+            lo = t
         else:
-            hi, hi_ok = t, True
+            hi = t
         slope = keep - float(s @ s)  # tau_s * |du/dt| = sum s_i(1 - s_i)
         if slope > SATURATION_GUARD:
             step = u * tau_s / slope
@@ -137,24 +135,14 @@ def find_threshold(
         if not lo < t < hi:  # saturated, or Newton left the bracket
             t = 0.5 * (lo + hi)
 
-    t = _bisect_threshold(r, target, tau_s, lo, hi, lo_ok, hi_ok, buf)
+    t = _bisect_threshold(r, target, tau_s, lo, hi, buf)
     return t, abs(_keep_sum(r, t, tau_s, buf) - target)
 
 
 def _bisect_threshold(
-    r: Array, target: float, tau: float, lo: float, hi: float, lo_ok: bool, hi_ok: bool, buf: Array
+    r: Array, target: float, tau: float, lo: float, hi: float, buf: Array
 ) -> float:
-    # keep-sum is strictly decreasing in t: u(lo) > 0 > u(hi) for any
-    # attainable target; expand an end no evaluation has confirmed
-    # until saturation no longer spoils it
-    for _ in range(0 if lo_ok else 60):
-        if _keep_sum(r, lo, tau, buf) - target > 0:
-            break
-        lo -= 10.0 * tau
-    for _ in range(0 if hi_ok else 60):
-        if _keep_sum(r, hi, tau, buf) - target <= 0:
-            break
-        hi += 10.0 * tau
+    # keep-sum is strictly decreasing in t, >= target at lo and <= target at hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if _keep_sum(r, mid, tau, buf) - target > 0:

@@ -30,8 +30,8 @@ from .selector import DiagnosticsRecord, SelectionResult, SelectorModel, select
 
 # WorkloadSpec video field -> the RunConfig key that sets it and owns its range.
 _VIDEO_KEYS = {
-    "frame_rate": "wl_frame_rate", "sample_interval": "wl_sample_interval",
-    "frame_height": "wl_frame_height", "frame_width": "wl_frame_width", "patch": "wl_patch",
+    "frame_rate": "wl_frame_rate", "frame_height": "wl_frame_height",
+    "frame_width": "wl_frame_width", "patch": "wl_patch",
 }
 
 
@@ -39,10 +39,10 @@ _VIDEO_KEYS = {
 class WorkloadSpec:
     """Planted-relevance workload parameters.
 
-    Either give ``m`` directly, or set ``frames`` (with the video
-    geometry fields) to derive the token count as
-    (frames / sample_interval) * (height * width / patch^2); timestamps
-    then follow the sampled frames at ``frame_rate``.
+    Either give ``m`` directly, or set ``frames``, the number of sampled
+    frames, with the video geometry fields to derive the token count as
+    frames * (height * width / patch^2); timestamps then follow the
+    frames at ``frame_rate``, the sampled frames per second.
     """
 
     m: int | None = 256
@@ -53,7 +53,6 @@ class WorkloadSpec:
     noise: float = 1.0
     frames: int | None = None
     frame_rate: float = RunConfig.wl_frame_rate
-    sample_interval: int = RunConfig.wl_sample_interval
     frame_height: int = RunConfig.wl_frame_height
     frame_width: int = RunConfig.wl_frame_width
     patch: int = RunConfig.wl_patch
@@ -67,12 +66,11 @@ class WorkloadSpec:
             check_ranges({key: getattr(self, f) for f, key in _VIDEO_KEYS.items()}, InputError)
             if self.frames < 1:
                 raise InputError(f"frame count must be >= 1, got {self.frames}")
-            sampled = self.frames // self.sample_interval
-            if sampled < 1:
-                raise InputError("sampling interval leaves no frames")
-            return sampled * self.tokens_per_frame()
+            return self.frames * self.tokens_per_frame()
         if self.m is None or self.m < 1:
-            raise InputError(f"token count must be >= 1, got {self.m}")
+            raise InputError(
+                f"set m (wl_tokens) or frames (wl_frames) to at least 1; got m = {self.m}"
+            )
         return self.m
 
     def validate(self) -> None:
@@ -134,7 +132,7 @@ def generate_workload(spec: WorkloadSpec, rng: np.random.Generator) -> Workload:
     if spec.frames is not None:
         tpf = spec.tokens_per_frame()
         frame_idx = np.arange(m) // tpf
-        timestamps = frame_idx * spec.sample_interval / spec.frame_rate
+        timestamps = frame_idx / spec.frame_rate
     else:
         timestamps = np.arange(m, dtype=np.float64)
     return Workload(x=x, timestamps=timestamps, q=q, planted=planted)

@@ -101,7 +101,7 @@ def score(x: Var | Array, q: Var | Array, w: ScoringWeights) -> Var:
     x = token_stream(x)
     q = as_var(q, "q")
     _check_streams(x.value, q.value)
-    return _max_attention(x, _logit_matrix(q, w))
+    return _max_attention(x, _logit_matrix(q, w), w)
 
 
 def token_stream(x: Var | Array) -> Var:
@@ -213,7 +213,7 @@ def _sums_exact(sums: Array, m: int) -> bool:
     return m > 1 and bool(np.all((sums >= m * TINY) & (sums < np.inf)))
 
 
-def _max_attention(x: Var, a: Var) -> Var:
+def _max_attention(x: Var, a: Var, w: ScoringWeights) -> Var:
     """r_i = max_k softmax_i(a @ x.T)[k, i], streamed; see ``score``.
 
     x is never scanned for finiteness unless one of two checks fails.
@@ -225,8 +225,10 @@ def _max_attention(x: Var, a: Var) -> Var:
     lse finite but the log-domain r_i exactly -inf (check 2, before the
     exp, on M values already in cache).  A failed check scans x, which
     raises ``InputError``.  A finite x that fails check 1 has a logit
-    too large for float64, which raises ``InputError`` naming x and q;
-    one that fails only check 2 carries on.  Pass 2 runs without an
+    too large for float64 or a weight array of ``w`` made non-finite in
+    place after ``w`` was built; ``w`` is then scanned, which names such
+    a tensor, and otherwise ``InputError`` names x and q.  A finite x
+    that fails only check 2 carries on.  Pass 2 runs without an
     errstate: past check 1, a non-finite x reaches it only as -inf logits
     beside a finite lse, which set no floating-point flag.
     """
@@ -236,6 +238,7 @@ def _max_attention(x: Var, a: Var) -> Var:
     lse = _log_sum_exp(xv, av, buf)
     if not np.isfinite(lse).all():
         ad.as_matrix(xv, "x")
+        check_weights(w, "scoring")
         raise InputError("x and q give attention logits too large for float64")
 
     r = np.empty(xv.shape[0])

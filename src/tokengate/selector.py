@@ -144,7 +144,10 @@ def select(
     scanned here: every non-finite token leaves scoring's log-sum-exp
     non-finite or its log-domain relevance -inf, and only then is x
     scanned (``scoring._max_attention``), so its ``InputError`` comes
-    after the q, token-count and timestamp checks.
+    after the q, token-count and timestamp checks.  The weights are
+    scanned when their containers are built; an array made non-finite in
+    place after that (as an update can do) raises ``InputError`` naming
+    it once it leaves the relevance, rho or the output non-finite.
     """
     if mode not in ("train", "infer"):
         raise ParameterError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -212,7 +215,8 @@ def _check_boundary(model: SelectorModel, res: SelectionResult, residual: float)
     """Re-verify the budget and gate contracts at the module boundary.
 
     ``residual`` is |keep-sum - rho*M| as the threshold solve evaluated
-    it at the returned t.
+    it at the returned t.  A non-finite output scans the re-encoder's
+    weights first, so a non-finite array there is named.
     """
     rec, cfg = res.record, model.cfg
     rec.validate()
@@ -231,6 +235,7 @@ def _check_boundary(model: SelectorModel, res: SelectionResult, residual: float)
     if not residual <= cfg.residual_tol * rec.m:
         raise NumericError(f"threshold residual {residual} violates tolerance")
     if not np.all(np.isfinite(res.z)):
+        layers.check_weights(model.reencoder, "reencoder")
         raise NumericError("re-encoded output contains non-finite values")
 
 
@@ -300,8 +305,6 @@ def load_weights(path: str | Path) -> SelectorModel:
         if actual != checksum:
             raise InputError(f"checksum mismatch for tensor {name} in {filename}")
         arr = tensorio.read_tensor(tensor_path)
-        if not np.all(np.isfinite(arr)):
-            raise InputError(f"tensor {name} in {filename} has non-finite values")
         if tensorio.shape_token(arr) != shape_txt:
             raise ShapeError(f"tensor {name}: file shape {arr.shape} vs manifest {shape_txt}")
         want = np.asarray(expected[name]).shape

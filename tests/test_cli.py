@@ -221,6 +221,16 @@ class TestSelectCommand:
         assert "unknown configuration key 'scoring_depth'" in capsys.readouterr().err
         assert not (workspace / "out_z.qtn").exists()
 
+    @pytest.mark.parametrize("key", ["clamp_margin", "wl_sample_interval"])
+    def test_weights_saved_with_a_removed_key_exit_6(self, workspace, capsys, key):
+        """Weights saved while the threshold solve had a bracket margin and
+        workloads a frame-sampling interval name these keys in model.cfg."""
+        cfg = workspace / "weights" / "model.cfg"
+        cfg.write_text(cfg.read_text() + f"{key} = 1\n")
+        assert main(_select_args(workspace)) == 6
+        assert f"unknown configuration key '{key}'" in capsys.readouterr().err
+        assert not (workspace / "out_z.qtn").exists()
+
     def test_unknown_config_key_exits_6(self, workspace):
         (workspace / "run.cfg").write_text(CFG_TEXT + "imaginary_knob = 3\n")
         assert main(_select_args(workspace)) == 6
@@ -280,6 +290,14 @@ class TestOtherCommands:
         out = tmp_path / "eval.csv"
         args = ["eval", "--config", str(workspace / "run.cfg"), "--trials", "0", "--out", str(out)]
         assert main(args) == 2
+        assert not out.exists()
+
+    def test_eval_without_token_count_names_both_keys(self, workspace, tmp_path, capsys):
+        out = tmp_path / "eval.csv"
+        args = ["eval", "--config", str(workspace / "run.cfg"), "--trials", "1"]
+        assert main(args + ["--set", "wl_tokens=0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "wl_tokens" in err and "wl_frames" in err
         assert not out.exists()
 
     def test_eval_missing_weights_exits_4(self, tmp_path):
@@ -362,9 +380,6 @@ class TestOtherCommands:
             ("residual_tol=nan", 6),
             ("tau_s=nan", 6),
             ("tau_s=inf", 6),
-            ("clamp_margin=-5", 6),
-            ("clamp_margin=nan", 6),
-            ("clamp_margin=inf", 6),
             ("train_lr=nan", 6),
             ("train_momentum=inf", 6),
             ("clip_norm=nan", 6),
@@ -373,7 +388,6 @@ class TestOtherCommands:
             ("lambda_s=nan", 6),
             ("rho_bar=1.5", 6),
             ("rho_bar=0", 6),
-            ("wl_sample_interval=0", 6),
             ("wl_patch=0", 6),
             ("wl_frame_height=0", 6),
             ("wl_frame_width=-3", 6),

@@ -123,13 +123,12 @@ def relevance_regime(regime, m, rng):
 SOLVER_CONFIGS = {
     "default": CFG,
     "newton_iters=1": RunConfig(newton_iters=1),  # falls back after one step
-    "clamp_margin=0": RunConfig(clamp_margin=0.0),  # bracket may miss the root
 }
 
 
 class TestThresholdBracketInvariant:
     """Residual and bisection agreement over the gate's whole input range,
-    on the Newton path and on the two forced-fallback paths."""
+    on the Newton path and on the forced-fallback path."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -152,6 +151,26 @@ class TestThresholdBracketInvariant:
         # rho within ~5e-5 of 1 the root lies below that bracket.
         if sigmoid_values((r - (r.min() - 10 * tau)) / tau).sum() > rho * m:
             assert abs(t - criterion_1_oracle(r, rho, tau)) <= 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(1, 4096),
+        rho=st.floats(1e-4, 1.0, exclude_max=True),
+        log_tau=st.floats(-2.0, 2.0),
+        regime=st.sampled_from(["softmax", "log_softmax", "uniform", "ties"]),
+        solver=st.sampled_from(sorted(SOLVER_CONFIGS)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_threshold_inside_exact_bracket(self, m, rho, log_tau, regime, solver, seed):
+        """Every keep probability lies between sigmoid((min r - t)/tau) and
+        sigmoid((max r - t)/tau), so the root lies in [min r + o*tau,
+        max r + o*tau] with o = ln((1 - rho)/rho), and so does the solve."""
+        tau = 10.0**log_tau
+        r = relevance_regime(regime, m, np.random.default_rng(seed))
+        t, _ = find_threshold(r, rho, tau, SOLVER_CONFIGS[solver])
+        offset = math.log((1.0 - rho) / rho) * tau
+        slack = 1e-12 * max(1.0, abs(r.min() + offset), abs(r.max() + offset))
+        assert r.min() + offset - slack <= t <= r.max() + offset + slack
 
 
 def relevance_stream(m=20_000, seed=0):
@@ -187,8 +206,8 @@ class TestThresholdPassCount:
 
     @pytest.mark.parametrize("rho", [0.99999, 1.0])
     def test_rho_near_one_in_few_passes(self, monkeypatch, rho):
-        """At rho = 0.99999 the root lies below min r - clamp_margin*tau_s,
-        and at rho = 1 there is none: both once took 50+ passes."""
+        """At rho = 0.99999 the root lies 11.5 tau_s below min r, and at
+        rho = 1 there is none: both once took 50+ passes."""
         r = np.random.default_rng(15).uniform(0.0, 1.0, 1000)
         passes = 0
 
@@ -201,6 +220,29 @@ class TestThresholdPassCount:
         _, residual = find_threshold(r, rho, 0.5, CFG)
         assert residual <= CFG.residual_tol * r.size
         assert passes <= 8, passes
+
+    def test_fallback_bisects_only_the_exact_bracket(self, monkeypatch):
+        """After one Newton pass the bisection starts from a bracket no wider
+        than max r - min r: 44-45 passes on U(0, 1) scores.  A bracket
+        widened by 10 tau_s at its unconfirmed end took 48-49."""
+        cfg = RunConfig(newton_iters=1)
+        passes = 0
+
+        def counted(x, out=None):
+            nonlocal passes
+            passes += 1
+            return sigmoid_values(x, out=out)
+
+        monkeypatch.setattr(gate, "sigmoid_values", counted)
+        most = 0
+        for seed in range(50):
+            r = np.random.default_rng(seed).uniform(0.0, 1.0, 1000)
+            for rho in (0.05, 0.25, 0.5, 0.9):
+                passes = 0
+                _, residual = find_threshold(r, rho, 0.5, cfg)
+                assert residual <= cfg.residual_tol * r.size
+                most = max(most, passes)
+        assert most <= 46, most
 
 
 class TestThresholdMemory:

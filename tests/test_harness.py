@@ -89,7 +89,7 @@ class TestGenerateWorkload:
          ("noise", math.nan, "noise"), ("noise", -math.inf, "noise"),
          ("l", 0, "query length"), ("l", -1, "query length"),
          ("frame_rate", 0.0, "wl_frame_rate"), ("frame_rate", math.nan, "wl_frame_rate"),
-         ("patch", 0, "wl_patch"), ("sample_interval", 0, "wl_sample_interval"),
+         ("patch", 0, "wl_patch"),
          ("frame_height", -56, "wl_frame_height"), ("d", 0, "d must"), ("d", -2, "d must")],
     )
     def test_illegal_workload_setting_rejected(self, field, value, message):
@@ -99,14 +99,14 @@ class TestGenerateWorkload:
 
     def test_video_geometry_derives_token_count_and_timestamps(self):
         spec = WorkloadSpec(
-            m=None, d=8, l=2, k=2, frames=10, frame_rate=2.0, sample_interval=2,
+            m=None, d=8, l=2, k=2, frames=5, frame_rate=1.0,
             frame_height=28, frame_width=28, patch=14, seed=4,
         )
-        # 5 sampled frames x 4 tokens/frame
+        # 5 frames x 4 tokens/frame
         assert spec.token_count() == 20
         wl = generate_workload(spec, np.random.default_rng(0))
         assert wl.x.shape == (20, 8)
-        # tokens of one frame share a timestamp; frames advance by dt/fps
+        # tokens of one frame share a timestamp; frames advance by 1/fps
         np.testing.assert_allclose(wl.timestamps[:4], 0.0)
         np.testing.assert_allclose(wl.timestamps[4:8], 1.0)
 

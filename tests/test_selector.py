@@ -247,15 +247,18 @@ class TestWeightChecks:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("mode", ["infer", "train"])
-    @pytest.mark.parametrize("name", ["scoring.wq", "scoring.wk", "budget.w1", "budget.b_out"])
+    @pytest.mark.parametrize(
+        "name",
+        ["scoring.wq", "scoring.wk", "budget.w1", "budget.b_out", "reencoder.b0.attn.wq"],
+    )
     def test_array_made_non_finite_after_build_fails_select(self, model, name, mode):
         """Training updates the arrays in place, after the build-time scan;
-        a NaN that gets in that way still stops ``select``."""
+        a NaN that gets in that way still stops ``select``, which names it."""
         params = model.parameters()
         built = model.with_parameters(params)  # shares params' arrays
         params[name][0, 0] = np.nan
         wl = _workload()
-        with pytest.raises((InputError, ParameterError)):
+        with pytest.raises(InputError, match=rf"^{name.replace('.', r'[.]')} contains non-finite"):
             select(built, wl.x, wl.timestamps, wl.q, mode=mode, rng=np.random.default_rng(0))
 
 
@@ -347,7 +350,7 @@ class TestSerialization:
         save_weights(model, tmp_path / "w")
         keys = (
             "d", "heads", "reencode_depth", "budget_hidden", "rho_min", "rho_max", "n_max",
-            "tau_s", "newton_iters", "residual_tol", "clamp_margin", "seed",
+            "tau_s", "newton_iters", "residual_tol", "seed",
         )
         (tmp_path / "w" / "model.cfg").write_text(
             "".join(f"{key} = {getattr(cfg, key)}\n" for key in keys)
