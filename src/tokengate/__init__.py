@@ -15,12 +15,11 @@ from .harness import (
     EvalRow,
     OptimizerConfig,
     WorkloadSpec,
-    bench_scaling,
     evaluate,
     generate_workload,
     train_desk_scale,
 )
-from .objective import DualState, PenaltyWeights, compute_penalties, dual_ascent, total_loss
+from .objective import PenaltyWeights, compute_penalties, total_loss
 from .reencoder import ReencoderStack, reencode
 from .scoring import ScoringWeights, normalize_relevance, score
 from .selector import (
@@ -38,7 +37,6 @@ __all__ = [
     "BudgetFeatures",
     "BudgetHead",
     "DiagnosticsRecord",
-    "DualState",
     "EvalRow",
     "KeepMask",
     "OptimizerConfig",
@@ -51,10 +49,8 @@ __all__ = [
     "Tape",
     "Var",
     "WorkloadSpec",
-    "bench_scaling",
     "compute_budget",
     "compute_penalties",
-    "dual_ascent",
     "evaluate",
     "extract_features",
     "find_threshold",

@@ -1,4 +1,4 @@
-"""Command-line surface: select, train, bench, eval, weights-inspect.
+"""Command-line surface: select, train, eval, weights-inspect.
 
 Exit codes: 0 ok, 2 input parse, 3 shape conflict, 4 missing resource,
 5 numeric failure, 6 config schema violation.
@@ -24,12 +24,10 @@ from .errors import (
     ShapeError,
 )
 from .harness import (
-    BenchRecord,
     EpochStats,
     EvalRow,
     OptimizerConfig,
     WorkloadSpec,
-    bench_scaling,
     evaluate,
     to_csv,
     train_desk_scale,
@@ -130,30 +128,44 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    try:
-        frames = [int(tok) for tok in args.frames.split(",") if tok]
-    except ValueError as exc:  # int() names the token: "invalid literal ...: 'abc'"
-        raise InputError(f"--frames: {exc}") from None
-    if not frames:
-        raise InputError("empty frame list")
-    model = _load_model(args)
-    spec = WorkloadSpec.from_config(model.cfg)
-    records = bench_scaling(frames, model, spec)
-    atomic_write_text(args.out, to_csv(BenchRecord, records))
-    print(f"benchmark rows: {len(records)} -> {args.out}")
-    return EXIT_OK
+def _summary(rows: list[EvalRow]) -> str:
+    """One line for the rows of one size: M, the quality means, the mean
+    select time and the latency ratio (select + downstream over the kept
+    tokens) / downstream over all M."""
+
+    def mean(col: str) -> float:
+        return float(np.mean([getattr(row, col) for row in rows]))
+
+    quality = " ".join(
+        f"{col}={mean(col):.4f}" for col in ("compression", "recall", "stride_recall", "precision")
+    )
+    ratio = (mean("ms") + mean("downstream_ms")) / rows[0].full_ms
+    return (
+        f"M={rows[0].m} ({len(rows)} trials): {quality} "
+        f"ms={mean('ms'):.3f} latency_ratio={ratio:.4f}"
+    )
 
 
 def cmd_eval(args) -> int:
     model = _load_model(args)
-    rows = evaluate(model, WorkloadSpec.from_config(model.cfg), args.trials)
+    spec = WorkloadSpec.from_config(model.cfg)
+    sizes = [spec]
+    if args.frames is not None:
+        try:
+            frames = [int(tok) for tok in args.frames.split(",") if tok]
+        except ValueError as exc:  # int() names the token: "invalid literal ...: 'abc'"
+            raise InputError(f"--frames: {exc}") from None
+        if not frames:
+            raise InputError("empty frame list")
+        sizes = [replace(spec, frames=f, m=None) for f in frames]
+    for size in sizes:  # every size before the first trial runs
+        size.validate()
+    rows: list[EvalRow] = []
+    for size in sizes:
+        size_rows = evaluate(model, size, args.trials)
+        print(_summary(size_rows))
+        rows += size_rows
     atomic_write_text(args.out, to_csv(EvalRow, rows))
-    means = " ".join(
-        f"{col}={np.mean([getattr(row, col) for row in rows]):.4f}"
-        for col in ("recall", "stride_recall", "precision", "rho", "compression")
-    )
-    print(f"{len(rows)} held-out trials: {means}")
     return EXIT_OK
 
 
@@ -200,14 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-trajectory", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = subparser("bench", "scaling benchmark against a quadratic mock downstream")
-    p.add_argument("--frames", required=True, help="comma-separated frame counts")
-    p.add_argument("--weights", help="weights directory (default: seeded init)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_bench)
-
-    p = subparser("eval", "held-out recall and precision against uniform stride")
+    p = subparser(
+        "eval", "held-out quality against uniform stride, and latency against a mock downstream"
+    )
     p.add_argument("--trials", type=int, default=50)
+    p.add_argument(
+        "--frames", help="comma-separated frame counts, one run each (default: the config's size)"
+    )
     p.add_argument("--weights", help="weights directory (default: seeded init)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)

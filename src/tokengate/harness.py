@@ -1,12 +1,12 @@
-"""Synthetic workloads, held-out evaluation, desk-scale training, scaling
-benchmark, and the CSV codec for their rows.
+"""Synthetic workloads, held-out evaluation, desk-scale training, and the
+CSV codec for their rows.
 
 Workloads plant a known subset of query-aligned tokens among random
 distractors, giving ground truth for recall and precision.  The
 evaluation scores the selector on workloads no training call draws, next
-to uniform-stride retention at the same per-instance budget.  The
-benchmark feeds either the full or the selected token stream into a
-quadratic-cost mock downstream block and reports wall times.
+to uniform-stride retention at the same per-instance budget, and times a
+quadratic-cost mock downstream block over the kept and the full token
+stream, so one row carries quality and latency together.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import Array, Tape, Var
 from .config import RunConfig, check_ranges
 from .errors import InputError, NumericError, ParameterError
-from .objective import DualState, PenaltyWeights, dual_ascent, total_loss
+from .objective import PenaltyWeights, total_loss
 from .selector import DiagnosticsRecord, SelectionResult, SelectorModel, select
 
 
@@ -41,8 +41,9 @@ class WorkloadSpec:
 
     Either give ``m`` directly, or set ``frames``, the number of sampled
     frames, with the video geometry fields to derive the token count as
-    frames * (height * width / patch^2); timestamps then follow the
-    frames at ``frame_rate``, the sampled frames per second.
+    frames * floor(height / patch) * floor(width / patch), the whole
+    patches that tile one frame; timestamps then follow the frames at
+    ``frame_rate``, the sampled frames per second.
     """
 
     m: int | None = 256
@@ -59,7 +60,13 @@ class WorkloadSpec:
     seed: int = 0
 
     def tokens_per_frame(self) -> int:
-        return (self.frame_height * self.frame_width) // (self.patch * self.patch)
+        tokens = (self.frame_height // self.patch) * (self.frame_width // self.patch)
+        if tokens == 0:
+            raise InputError(
+                f"a {self.frame_height}x{self.frame_width} frame holds no whole "
+                f"{self.patch}x{self.patch} patch"
+            )
+        return tokens
 
     def token_count(self) -> int:
         if self.frames is not None:
@@ -151,6 +158,32 @@ def uniform_stride_indices(m: int, n: int) -> Array:
 HELD_OUT = 1 << 20
 
 
+# Rows of one mock-downstream attention block.
+DOWNSTREAM_CHUNK = 256
+
+
+def mock_downstream(tokens: Array) -> Array:
+    """Dense single-head self-attention over the token stream.
+
+    Stands in for the downstream decoder's attention cost, Theta(n^2 d);
+    evaluated in float32 and ``DOWNSTREAM_CHUNK`` rows at a time, so its
+    cost scales without materializing the full score matrix.
+    """
+    x = np.asarray(tokens, dtype=np.float32)
+    n, d = x.shape
+    scale = 1.0 / math.sqrt(d)
+    out = np.empty_like(x)
+    xt = x.T.copy()
+    for start in range(0, n, DOWNSTREAM_CHUNK):
+        block = x[start : start + DOWNSTREAM_CHUNK]
+        scores = (block @ xt) * scale
+        scores -= scores.max(axis=1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=1, keepdims=True)
+        out[start : start + DOWNSTREAM_CHUNK] = scores @ x
+    return out
+
+
 @dataclass
 class EvalRow:
     """One held-out trial of ``evaluate``.
@@ -159,7 +192,10 @@ class EvalRow:
     the quantity the paper reports.  ``recall`` is the share of the k
     planted tokens in the kept set, ``stride_recall`` the same for
     uniform-stride retention at the same n, and ``precision`` the
-    precision@k of the k largest relevances.  ``ms`` times the select call.
+    precision@k of the k largest relevances.  ``ms`` times the select
+    call, ``downstream_ms`` ``mock_downstream`` over the kept rows z and
+    ``full_ms`` ``mock_downstream`` over all M tokens, so
+    (ms + downstream_ms) / full_ms is the latency ratio of selecting.
     """
 
     trial: int
@@ -173,10 +209,19 @@ class EvalRow:
     stride_recall: float
     precision: float
     ms: float
+    downstream_ms: float
+    full_ms: float
 
 
 def _recall(indices: Array, planted: Array) -> float:
     return float(np.intersect1d(indices, planted).size / planted.size)
+
+
+def _timed(fn: Callable, *args, **kwargs) -> tuple:
+    """``fn(*args, **kwargs)`` and its wall time in ms."""
+    start = time.perf_counter()
+    out = fn(*args, **kwargs)
+    return out, (time.perf_counter() - start) * 1e3
 
 
 def evaluate(model: SelectorModel, spec: WorkloadSpec, trials: int) -> list[EvalRow]:
@@ -184,7 +229,9 @@ def evaluate(model: SelectorModel, spec: WorkloadSpec, trials: int) -> list[Eval
 
     Uniform stride keeps the budget the selector chose, so ``recall``
     against ``stride_recall`` isolates *which* tokens are kept, not how
-    many.  No training call draws from the held-out stream.
+    many.  No training call draws from the held-out stream.  The full
+    stream's downstream time is Theta(M^2 d), seconds at M = 32768, so it
+    is timed once, on trial 0's tokens, and repeated on every row.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -192,9 +239,10 @@ def evaluate(model: SelectorModel, spec: WorkloadSpec, trials: int) -> list[Eval
     for trial in range(trials):
         wl = generate_workload(spec, np.random.default_rng([spec.seed, trial, HELD_OUT]))
         m, k = wl.x.shape[0], wl.planted.size
-        start = time.perf_counter()
-        res = select(model, wl.x, wl.timestamps, wl.q, mode="infer")
-        ms = (time.perf_counter() - start) * 1e3
+        res, ms = _timed(select, model, wl.x, wl.timestamps, wl.q, mode="infer")
+        if trial == 0:
+            _, full_ms = _timed(mock_downstream, wl.x)
+        _, downstream_ms = _timed(mock_downstream, res.z)
         n = res.record.n
         top_k = np.argpartition(-res.r_var.value.ravel(), k - 1)[:k]
         rows.append(
@@ -203,7 +251,7 @@ def evaluate(model: SelectorModel, spec: WorkloadSpec, trials: int) -> list[Eval
                 _recall(res.indices, wl.planted),
                 _recall(uniform_stride_indices(m, n), wl.planted),
                 _recall(top_k, wl.planted),
-                ms,
+                ms, downstream_ms, full_ms,
             )
         )
     return rows
@@ -257,7 +305,6 @@ def train_desk_scale(
     epochs: int,
     opt: OptimizerConfig,
     penalties: PenaltyWeights,
-    dual: DualState | None = None,
     seed: int = 0,
 ) -> tuple[SelectorModel, list[EpochStats]]:
     """SGD-with-momentum training of the scoring and budget tensors.
@@ -306,13 +353,11 @@ def train_desk_scale(
         for item, wl in enumerate(pool):
             rng = np.random.default_rng([seed, epoch, item])
             loss_value, record = _train_instance(
-                tape, bound, tracked, wl, rng, penalties, dual, grad_sum, (epoch, item)
+                tape, bound, tracked, wl, rng, penalties, grad_sum, (epoch, item)
             )
             losses.append(loss_value)
             rhos.append(record.rho)
             kept.append(record.n)
-            if dual is not None:
-                dual = dual_ascent(dual, record.rho, wl.x.shape[0])
         # in place: grads, then velocity <- momentum * velocity - lr * grads,
         # then params <- params + velocity
         for g in grad_sum.values():
@@ -346,7 +391,6 @@ def _train_instance(
     wl: Workload,
     rng: np.random.Generator,
     penalties: PenaltyWeights,
-    dual: DualState | None,
     grad_sum: dict[str, Array],
     where: tuple[int, int],
 ) -> tuple[float, DiagnosticsRecord]:
@@ -360,7 +404,7 @@ def _train_instance(
     try:
         res = select(bound, wl.x, wl.timestamps, wl.q, mode="train", rng=rng)
         task = planted_mass_loss(res, wl.planted)
-        loss = total_loss(task, res.rho_var, wl.x.shape[0], bound.cfg.n_max, penalties, dual)
+        loss = total_loss(task, res.rho_var, wl.x.shape[0], bound.cfg.n_max, penalties)
         loss_value = loss.item()
         if not math.isfinite(loss_value):
             r = res.r_var.value
@@ -380,77 +424,6 @@ def _train_instance(
         return loss_value, res.record
     finally:
         tape.clear()
-
-
-# ---------------------------------------------------------------------------
-# scaling benchmark
-
-@dataclass
-class BenchRecord:
-    frames: int
-    m: int = field(metadata={"csv": "M"})
-    n: int
-    selector_ms: float
-    downstream_ms: float
-    total_ms: float
-    mode: str
-
-
-def mock_downstream(tokens: Array, chunk: int = 256) -> Array:
-    """Dense single-head self-attention over the token stream.
-
-    Stands in for the downstream decoder's attention cost, Theta(n^2 d);
-    evaluated in float32 and row-chunked so the benchmark scales without
-    materializing the full score matrix.
-    """
-    x = np.asarray(tokens, dtype=np.float32)
-    n, d = x.shape
-    scale = 1.0 / math.sqrt(d)
-    out = np.empty_like(x)
-    xt = x.T.copy()
-    for start in range(0, n, chunk):
-        block = x[start : start + chunk]
-        scores = (block @ xt) * scale
-        scores -= scores.max(axis=1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=1, keepdims=True)
-        out[start : start + chunk] = scores @ x
-    return out
-
-
-def bench_scaling(
-    frame_counts: Sequence[int],
-    model: SelectorModel,
-    spec: WorkloadSpec,
-    downstream: Callable[[Array], Array] = mock_downstream,
-) -> list[BenchRecord]:
-    """Two latency curves per frame count: all tokens vs selected tokens."""
-    records: list[BenchRecord] = []
-    for frames in frame_counts:
-        wl_spec = replace(spec, frames=frames, m=None)
-        wl_spec.validate()  # before seeding: SeedSequence rejects a negative count
-        wl = generate_workload(wl_spec, np.random.default_rng([wl_spec.seed, frames]))
-        m = wl.x.shape[0]
-
-        start = time.perf_counter()
-        downstream(wl.x)
-        base_ms = (time.perf_counter() - start) * 1e3
-        records.append(
-            BenchRecord(frames, m, m, 0.0, base_ms, base_ms, "baseline")
-        )
-
-        start = time.perf_counter()
-        res = select(model, wl.x, wl.timestamps, wl.q, mode="infer")
-        sel_ms = (time.perf_counter() - start) * 1e3
-        start = time.perf_counter()
-        downstream(res.z)
-        down_ms = (time.perf_counter() - start) * 1e3
-        records.append(
-            BenchRecord(
-                frames, m, res.record.n, sel_ms, down_ms, sel_ms + down_ms, "qts"
-            )
-        )
-    return records
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,12 @@
 The penalty couples the retention fraction to downstream cost: a
 quadratic term for attention time, a linear term for KV memory (both
 normalized by the cap n_max), and a quadratic prior pulling rho toward
-a neutral mean.  Gradients in rho are analytic.  An optional dual
-variable enforces a dataset-level budget target by standard projected
-ascent.
+a neutral mean.  Gradients in rho are analytic.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -37,23 +34,6 @@ class PenaltyWeights:
     @classmethod
     def from_config(cls, cfg: RunConfig) -> "PenaltyWeights":
         return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
-
-
-@dataclass(frozen=True)
-class DualState:
-    """Multiplier state for the optional budget constraint rho*M <= n_bar."""
-
-    alpha: float = 0.0
-    n_bar: int = 256
-    step: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha < math.inf:
-            raise ParameterError(f"alpha must be finite and >= 0, got {self.alpha!r}")
-        if not self.n_bar >= 1:
-            raise ParameterError(f"n_bar must be >= 1, got {self.n_bar!r}")
-        if not 0.0 < self.step < math.inf:
-            raise ParameterError(f"step must be positive and finite, got {self.step!r}")
 
 
 def compute_penalties(
@@ -89,31 +69,17 @@ def penalty_var(rho: Var, m: int, n_max: int, w: PenaltyWeights) -> Var:
     return ad.apply(np.array([[value]]), (rho,), backward)
 
 
-def dual_ascent(dual: DualState, rho: float, m: int) -> DualState:
-    """Projected ascent: alpha <- max(0, alpha + step*(rho*M - n_bar))."""
-    return replace(dual, alpha=max(0.0, dual.alpha + dual.step * (rho * m - dual.n_bar)))
-
-
-def dual_penalty_var(rho: Var, m: int, dual: DualState) -> Var:
-    # linear in rho: gradient alpha*M
-    return ad.add_const(ad.smul(rho, dual.alpha * m), -dual.alpha * dual.n_bar)
-
-
 def total_loss(
     task_loss: Var,
     rho: Var,
     m: int,
     n_max: int,
     w: PenaltyWeights,
-    dual: DualState | None = None,
 ) -> Var:
-    """Task loss plus compute penalties (plus the dual term when given).
+    """Task loss plus compute penalties.
 
     The task loss is a pluggable hook: any scalar tape variable works,
     and its gradients flow to whatever produced it while the penalty
     gradient flows to the budget head through rho.
     """
-    out = ad.add(task_loss, penalty_var(rho, m, n_max, w))
-    if dual is not None:
-        out = ad.add(out, dual_penalty_var(rho, m, dual))
-    return out
+    return ad.add(task_loss, penalty_var(rho, m, n_max, w))

@@ -11,8 +11,8 @@ primitive tape operations (a few of them, such as ``colmax``, ``xlogx``,
 every attention map built in full, so the tape derives their gradients
 on its own.  The tests hold the kernels' values and gradients to these,
 and these to central finite differences (``finite_difference_gradient``).
-``exp``, ``dual_penalty`` and ``soft_gate_train`` are value-level
-references some tests still exercise; nothing in ``tokengate`` calls them.
+``exp`` and ``soft_gate_train`` are value-level references some tests
+still exercise; nothing in ``tokengate`` calls them.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from tokengate.layers import (
     as_var,
     time_encode,
 )
-from tokengate.objective import DualState
 from tokengate.reencoder import ReencoderStack
 from tokengate.scoring import EPS_REL, ScoringWeights
 
@@ -189,11 +188,6 @@ def finite_difference_gradient(f: Callable[[Array], float], x, step: float = 1e-
             raise NumericError(f"oracle evaluation non-finite at coordinate {i}")
         grad[i] = (fp - fm) / (2.0 * step)
     return grad
-
-
-def dual_penalty(rho: float, m: int, dual: DualState) -> float:
-    """alpha * (rho*M - n_bar), the Lagrangian term for the budget target."""
-    return dual.alpha * (rho * m - dual.n_bar)
 
 
 def soft_gate_train(

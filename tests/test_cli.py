@@ -24,7 +24,7 @@ from tokengate.errors import (
     ParameterError,
     ShapeError,
 )
-from tokengate.harness import BenchRecord, EvalRow, from_csv
+from tokengate.harness import EpochStats, EvalRow, from_csv, to_csv
 from tokengate.selector import SelectorModel, save_weights
 from tokengate.tensorio import read_tensor, write_tensor
 
@@ -305,21 +305,26 @@ class TestOtherCommands:
         assert main(["eval", "--weights", str(tmp_path / "nope"), "--out", str(out)]) == 4
         assert not out.exists()
 
-    def test_bench_row_count(self, workspace, tmp_path):
-        out = tmp_path / "bench.csv"
+    def test_eval_frames_row_count(self, workspace, tmp_path, capsys):
+        """One run per frame count: its rows carry their M and the latency
+        columns, and one summary line is printed per size."""
+        out = tmp_path / "eval.csv"
         code = main(
             [
-                "bench",
+                "eval",
                 "--config", str(workspace / "run.cfg"),
                 "--set", "wl_frame_height=28", "--set", "wl_frame_width=28",
-                "--frames", "4,8,12,16",
+                "--frames", "4,8,12,16", "--trials", "2",
                 "--out", str(out),
             ]
         )
         assert code == 0
-        records = from_csv(BenchRecord, out.read_text())
-        assert len(records) == 8
-        assert {r.mode for r in records} == {"baseline", "qts"}
+        rows = from_csv(EvalRow, out.read_text())
+        assert [r.m for r in rows] == [16, 16, 32, 32, 48, 48, 64, 64]
+        assert all(r.downstream_ms > 0 and r.full_ms > 0 for r in rows)
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["M=16", "M=32", "M=48", "M=64"]
+        assert all("latency_ratio=" in line for line in lines)
 
     @pytest.mark.parametrize(
         "frames, message",
@@ -329,11 +334,13 @@ class TestOtherCommands:
             ("4,-1", "frame count must be >= 1, got -1"),
         ],
     )
-    def test_bench_bad_frames_exit_2(self, workspace, tmp_path, capsys, frames, message):
-        out = tmp_path / "bench.csv"
-        args = ["bench", "--config", str(workspace / "run.cfg"), f"--frames={frames}", "--out", str(out)]
+    def test_eval_bad_frames_exit_2(self, workspace, tmp_path, capsys, frames, message):
+        out = tmp_path / "eval.csv"
+        args = ["eval", "--config", str(workspace / "run.cfg"), f"--frames={frames}", "--out", str(out)]
         assert main(args) == 2
-        assert f"input error: {message}" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"input error: {message}" in captured.err
+        assert captured.out == ""  # no size ran before the bad one was found
         assert not out.exists()
 
     def test_train_then_inspect(self, workspace, tmp_path):
@@ -466,7 +473,7 @@ def test_exit_code_per_error_class(monkeypatch, tmp_path, capsys, exc, code):
 
 class TestHelp:
     @pytest.mark.parametrize(
-        "command", ["select", "train", "bench", "eval", "weights-inspect"]
+        "command", ["select", "train", "eval", "weights-inspect"]
     )
     def test_help_lists_every_schema_key(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -495,6 +502,16 @@ class TestHelp:
         assert set(re.findall(r"`(\w+)`", ranges)) == ruled
         weights = re.search(r"built and trained with\s*\(([^)]*)\)", readme).group(1)
         assert tuple(re.findall(r"`(\w+)`", weights)) == cli.WEIGHT_KEYS
+
+    def test_readme_csv_schemas_match_the_code(self):
+        """README's CSV schema lines are the headers ``to_csv`` writes."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## CSV schemas\n\n", 1)[1].split("\n\n", 1)[0]
+        schemas = dict(re.findall(r"^- ([\w ]+): `([^`]*)`$", section, re.MULTILINE))
+        assert schemas == {
+            "eval": to_csv(EvalRow, []).strip(),
+            "training trajectory": to_csv(EpochStats, []).strip(),
+        }
 
     def test_every_schema_key_is_read(self):
         """A key the help advertises must configure something outside config.py."""

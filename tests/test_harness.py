@@ -1,4 +1,4 @@
-"""Workload generation, held-out evaluation, desk-scale training, benchmark, CSV codec."""
+"""Workload generation, held-out evaluation, desk-scale training, CSV codec."""
 
 import dataclasses
 import gc
@@ -16,12 +16,10 @@ from tokengate.config import RunConfig
 from tokengate.errors import InputError, ParameterError
 from tokengate import harness
 from tokengate.harness import (
-    BenchRecord,
     EpochStats,
     EvalRow,
     OptimizerConfig,
     WorkloadSpec,
-    bench_scaling,
     evaluate,
     from_csv,
     generate_workload,
@@ -109,6 +107,17 @@ class TestGenerateWorkload:
         # tokens of one frame share a timestamp; frames advance by 1/fps
         np.testing.assert_allclose(wl.timestamps[:4], 0.0)
         np.testing.assert_allclose(wl.timestamps[4:8], 1.0)
+
+    def test_frame_keeps_whole_patches_only(self):
+        """A 20x20 frame holds one whole 14x14 patch, not 400 // 196 = 2."""
+        spec = WorkloadSpec(m=None, d=8, l=2, k=2, frames=4, frame_height=20, frame_width=20)
+        assert spec.tokens_per_frame() == 1
+        assert generate_workload(spec, np.random.default_rng(0)).x.shape == (4, 8)
+
+    def test_frame_smaller_than_a_patch_rejected(self):
+        spec = WorkloadSpec(m=None, d=8, l=2, k=2, frames=4, frame_height=10, frame_width=10)
+        with pytest.raises(InputError, match="a 10x10 frame holds no whole 14x14 patch"):
+            generate_workload(spec, np.random.default_rng(0))
 
 
 class TestUniformStride:
@@ -419,50 +428,35 @@ class TestTapeLifetime:
         assert peaks[8] - peaks[4] <= extra + 64 * 1024
 
 
-class TestBenchScaling:
-    def test_rows_and_monotone_shape(self):
-        spec = WorkloadSpec(
-            m=None, d=16, l=4, k=4, frames=None, frame_height=28, frame_width=28,
-            patch=14, seed=11,
-        )
-        model = SelectorModel.build(CFG)
-        records = bench_scaling([4, 8, 16], model, spec)
-        assert len(records) == 6
-        base = [r for r in records if r.mode == "baseline"]
-        qts = [r for r in records if r.mode == "qts"]
-        # baseline embedding count grows linearly in frames (4 tokens/frame)
-        assert [r.n for r in base] == [16, 32, 64]
-        kept = [r.n for r in qts]
-        assert all(a <= b for a, b in zip(kept, kept[1:]))
-        assert all(r.n <= CFG.n_max for r in qts)
-
-    def test_zero_frames_rejected(self):
-        model = SelectorModel.build(CFG)
-        with pytest.raises(InputError):
-            bench_scaling([0], model, WorkloadSpec(d=16))
-
-    def test_negative_frames_rejected(self):
-        """Checked before the frame count seeds the workload generator,
-        which would raise a bare ValueError for it."""
-        model = SelectorModel.build(CFG)
-        with pytest.raises(InputError, match="frame count must be >= 1, got -1"):
-            bench_scaling([-1], model, WorkloadSpec(d=16))
+class TestEvaluateFrames:
+    """``evaluate`` at several frame counts, the size sweep behind
+    ``tokengate eval --frames``."""
 
     def test_downstream_time_ordering(self):
-        """Quadratic baseline cost grows with frames while the selected
-        stream's downstream cost plateaus at the cap (ordering only, no
-        absolute-ms claims)."""
+        """Each row carries M = frames * tokens per frame and a kept count
+        within the cap.  The quadratic full-stream cost grows with M while
+        the kept stream's stays at the cap (ordering only, no absolute-ms
+        claims)."""
         cfg = RunConfig(d=16, heads=2, budget_hidden=16, n_max=24, reencode_depth=0)
         spec = WorkloadSpec(
             m=None, d=16, l=4, k=4, frame_height=56, frame_width=56, patch=14, seed=14
         )
         model = SelectorModel.build(cfg)
-        records = bench_scaling([16, 256], model, spec)  # M = 256 vs 4096
-        base = {r.frames: r for r in records if r.mode == "baseline"}
-        qts = {r.frames: r for r in records if r.mode == "qts"}
-        assert base[256].downstream_ms > base[16].downstream_ms
-        assert qts[256].n <= 24
-        assert qts[256].downstream_ms < base[256].downstream_ms
+        small, big = (
+            evaluate(model, dataclasses.replace(spec, frames=frames), trials=2)
+            for frames in (16, 256)  # M = 256 vs 4096
+        )
+        assert [r.m for r in small + big] == [256, 256, 4096, 4096]
+        assert all(r.n <= 24 for r in small + big)
+        assert len({r.full_ms for r in small}) == len({r.full_ms for r in big}) == 1
+        assert big[0].full_ms > small[0].full_ms
+        assert all(big[0].full_ms > r.downstream_ms for r in big)
+
+    @pytest.mark.parametrize("frames", [0, -1])
+    def test_frame_count_below_one_rejected(self, frames):
+        spec = WorkloadSpec(m=None, d=16, frames=frames)
+        with pytest.raises(InputError, match=f"frame count must be >= 1, got {frames}"):
+            evaluate(SelectorModel.build(CFG), spec, trials=1)
 
 
 class TestCsvRoundTrips:
@@ -478,15 +472,11 @@ class TestCsvRoundTrips:
         rows = evaluate(_identity_model(), spec, trials=2)
         text = to_csv(EvalRow, rows)
         assert text.startswith(
-            "trial,M,k,n,compression,rho,t,recall,stride_recall,precision,ms\n"
+            "trial,M,k,n,compression,rho,t,recall,stride_recall,precision,ms,"
+            "downstream_ms,full_ms\n"
         )
         for row in from_csv(EvalRow, text):
             assert row.compression == 1.0 - row.n / 60
-
-    def test_bench(self):
-        spec = WorkloadSpec(m=None, d=16, l=2, k=2, frame_height=28, frame_width=28, patch=14)
-        records = bench_scaling([4], SelectorModel.build(CFG), spec)
-        assert from_csv(BenchRecord, to_csv(BenchRecord, records)) == records
 
     def test_records(self):
         records = [DiagnosticsRecord(0.1, 5.0, 0.5, 1.0, 0.2, 0.9, 10, 100)]
@@ -496,12 +486,7 @@ class TestCsvRoundTrips:
         stats = [EpochStats(0, 1.5, 0.3, 12.0), EpochStats(1, 1.2, 0.28, 11.5)]
         assert from_csv(EpochStats, to_csv(EpochStats, stats)) == stats
 
-    def test_bench_header_keeps_capital_m(self):
-        assert to_csv(BenchRecord, []) == "frames,M,n,selector_ms,downstream_ms,total_ms,mode\n"
-
-    @pytest.mark.parametrize(
-        "cls", [BenchRecord, DiagnosticsRecord, EpochStats, EvalRow]
-    )
+    @pytest.mark.parametrize("cls", [DiagnosticsRecord, EpochStats, EvalRow])
     def test_wrong_header_rejected(self, cls):
         other = EpochStats if cls is not EpochStats else EvalRow
         with pytest.raises(InputError, match="columns"):

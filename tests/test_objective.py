@@ -1,17 +1,15 @@
-"""Compute-aware penalty terms, analytic gradients, and the dual extension."""
+"""Compute-aware penalty terms and their analytic gradients."""
 
 import numpy as np
 import pytest
 
-from oracles import dual_penalty, finite_difference_gradient
+from oracles import finite_difference_gradient
 from tokengate import autodiff as ad
 from tokengate.autodiff import Tape
 from tokengate.errors import ParameterError
 from tokengate.objective import (
-    DualState,
     PenaltyWeights,
     compute_penalties,
-    dual_ascent,
     penalty_var,
     total_loss,
 )
@@ -70,49 +68,6 @@ class TestComputePenalties:
         assert g[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
-class TestDual:
-    def test_feasible_point_is_neutral(self):
-        dual = DualState(alpha=0.7, n_bar=100, step=0.1)
-        assert dual_penalty(0.1, 1000, dual) == 0.0
-        assert dual_ascent(dual, 0.1, 1000).alpha == dual.alpha
-
-    def test_violation_raises_alpha_until_rho_pushed_down(self):
-        """1-D toy trace: ascending alpha eventually makes the penalized
-        objective favor smaller rho."""
-        dual = DualState(alpha=0.0, n_bar=50, step=0.05)
-        m = 1000
-        rho = 0.4
-        history = []
-        for _ in range(100):
-            dual = dual_ascent(dual, rho, m)
-            # proxy objective: task prefers big rho, dual resists
-            grid = np.linspace(0.05, 0.5, 50)
-            scores = -grid + np.array([dual_penalty(g, m, dual) for g in grid])
-            rho = float(grid[np.argmin(scores)])
-            history.append((dual.alpha, rho))
-        alphas = [a for a, _ in history]
-        assert all(a2 >= a1 for a1, a2 in zip(alphas, alphas[1:]))
-        assert history[-1][1] * m <= dual.n_bar + 1e-6
-
-    def test_projection_to_zero(self):
-        dual = DualState(alpha=0.01, n_bar=500, step=1.0)
-        updated = dual_ascent(dual, 0.1, 1000)  # rho*M = 100 << 500
-        assert updated.alpha == 0.0
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ParameterError):
-            DualState(alpha=-0.5)
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [("alpha", np.nan), ("alpha", np.inf), ("step", np.nan), ("step", np.inf),
-         ("step", -np.inf), ("step", 0.0), ("n_bar", -5), ("n_bar", 0), ("n_bar", np.nan)],
-    )
-    def test_illegal_dual_setting_rejected(self, field, value):
-        with pytest.raises(ParameterError, match=f"^{field} must be"):
-            DualState(**{field: value})
-
-
 class TestTotalLoss:
     def test_zero_task_equals_penalties(self):
         w = PenaltyWeights()
@@ -131,15 +86,6 @@ class TestTotalLoss:
             ad.scalar(0.0), ad.const([[rho]]), 500, 256, PenaltyWeights(lambda_t=1.0)
         ).item()
         assert scaled > base
-
-    def test_dual_term_gradient(self):
-        dual = DualState(alpha=0.5, n_bar=100, step=0.1)
-        tape = Tape()
-        rho = tape.var([[0.3]])
-        loss = total_loss(ad.scalar(0.0), rho, 1000, 256, PenaltyWeights(), dual)
-        (g,) = tape.gradients(loss, [rho])
-        _, pen_grad = compute_penalties(0.3, 1000, 256, PenaltyWeights())
-        assert g[0, 0] == pytest.approx(pen_grad + 0.5 * 1000, rel=1e-12)
 
     def test_task_gradient_passes_through(self):
         tape = Tape()
