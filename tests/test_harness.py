@@ -428,9 +428,28 @@ class TestTapeLifetime:
         assert peaks[8] - peaks[4] <= extra + 64 * 1024
 
 
-class TestEvaluateFrames:
+class TestBenchScaling:
     """``evaluate`` at several frame counts, the size sweep behind
     ``tokengate eval --frames``."""
+
+    def test_rows_and_monotone_shape(self):
+        """M grows linearly in frames (4 tokens per 28x28 frame) and the
+        kept count grows with it, within the cap."""
+        spec = WorkloadSpec(
+            m=None, d=16, l=4, k=4, frames=None, frame_height=28, frame_width=28,
+            patch=14, seed=11,
+        )
+        model = SelectorModel.build(CFG)
+        rows = [
+            row
+            for frames in (4, 8, 16)
+            for row in evaluate(model, dataclasses.replace(spec, frames=frames), trials=1)
+        ]
+        assert [r.m for r in rows] == [16, 32, 64]
+        kept = [r.n for r in rows]
+        assert all(a <= b for a, b in zip(kept, kept[1:]))
+        assert all(r.n <= CFG.n_max for r in rows)
+        assert all(r.compression == 1.0 - r.n / r.m for r in rows)
 
     def test_downstream_time_ordering(self):
         """Each row carries M = frames * tokens per frame and a kept count
@@ -451,6 +470,10 @@ class TestEvaluateFrames:
         assert len({r.full_ms for r in small}) == len({r.full_ms for r in big}) == 1
         assert big[0].full_ms > small[0].full_ms
         assert all(big[0].full_ms > r.downstream_ms for r in big)
+
+
+class TestEvaluateFrames:
+    """Frame counts ``evaluate`` refuses before seeding a workload."""
 
     @pytest.mark.parametrize("frames", [0, -1])
     def test_frame_count_below_one_rejected(self, frames):
