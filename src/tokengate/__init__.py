@@ -16,12 +16,14 @@ from .harness import (
     OptimizerConfig,
     WorkloadSpec,
     evaluate,
+    from_csv,
     generate_workload,
+    to_csv,
     train_desk_scale,
 )
 from .objective import PenaltyWeights, compute_penalties, total_loss
 from .reencoder import ReencoderStack, reencode
-from .scoring import ScoringWeights, normalize_relevance, score
+from .scoring import ScoringWeights, score
 from .selector import (
     DiagnosticsRecord,
     SelectionResult,
@@ -54,11 +56,11 @@ __all__ = [
     "evaluate",
     "extract_features",
     "find_threshold",
+    "from_csv",
     "generate_workload",
     "hard_top_n",
     "load_config",
     "load_weights",
-    "normalize_relevance",
     "parse_config_text",
     "predict_rho",
     "reencode",
@@ -66,6 +68,7 @@ __all__ = [
     "score",
     "select",
     "threshold_gradients",
+    "to_csv",
     "total_loss",
     "train_desk_scale",
 ]

@@ -170,10 +170,6 @@ def const(x, name: str = "const") -> Var:
     return Var(as_matrix(x, name))
 
 
-def scalar(v: float) -> Var:
-    return Var(np.array([[float(v)]]))
-
-
 def apply(value: Array, inputs: tuple[Var, ...], backward: BackwardFn) -> Var:
     """Record an operation with its backward rule on the operands' tape;
     untracked operands give an untracked result."""

@@ -19,7 +19,9 @@ from .autodiff import Array, Var
 from .config import RunConfig
 from .errors import ConfigError, InputError, ParameterError, ShapeError
 from .layers import Tensor, as_var, check_weights, uniform_init, weight_var
-from .scoring import EPS_REL, normalize_relevance
+
+# Stabilizer in the relevance normalization p_i = r_i / (sum_j r_j + EPS_REL).
+EPS_REL = 1e-8
 
 # Fixed affine scalings applied to the scalar features before the MLP so
 # no single input dominates at random init: log M is divided by LOG_M_SCALE,
@@ -94,10 +96,10 @@ def extract_features(q: Var, r: Var, m: int) -> BudgetFeatures:
 
     Records nothing on a tape: ``predict_rho`` differentiates through q
     and r itself.  s_q is the exact column mean of q; r_max and the
-    entropy of p = r / (sum r + EPS_REL) come from one pass over r
-    (``scoring.normalize_relevance``), which holds p, p*log p and a
-    boolean mask beyond r, about 2.1 M floats.  Negative entries of r
-    raise ``InputError``.
+    entropy H(p) = -sum p log p of p = r / (sum r + EPS_REL), with
+    0 log 0 := 0, come from one pass over r (``_normalized``), which
+    holds p, p*log p and a boolean mask beyond r, about 2.1 M floats.
+    A negative, NaN or infinite entry of r raises ``InputError``.
     """
     q = as_var(q)
     r = as_var(r)
@@ -107,15 +109,31 @@ def extract_features(q: Var, r: Var, m: int) -> BudgetFeatures:
         raise ShapeError(f"relevance shape {r.shape} does not match token count {m}")
     rv = r.value
     top = int(rv.argmax())
+    r_max = float(rv[0, top])  # argmax stops at the first NaN, so r_max is NaN too
+    if not (rv.min() >= 0.0 and math.isfinite(r_max)):
+        raise InputError("relevance values must be finite and nonnegative")
+    _, p, positive, plogp = _normalized(rv)
+    np.multiply(plogp, p, out=plogp, where=positive)
     return BudgetFeatures(
         q=q,
         r=r,
         s_q=q.value.mean(axis=0, keepdims=True),
         log_m=math.log(m),
-        r_max=float(rv[0, top]),
-        entropy=normalize_relevance(rv)[1],
+        r_max=r_max,
+        entropy=float(-plogp.sum()),
         top=top,
     )
+
+
+def _normalized(rv: Array) -> tuple[float, Array, Array, Array]:
+    """s = sum r + EPS_REL, p = r / s, the mask p > 0 and log p (0 where
+    p = 0): what the entropy and its adjoint share."""
+    s = rv.sum() + EPS_REL
+    p = rv / s
+    positive = p > 0
+    log_p = np.where(positive, p, 1.0)
+    np.log(log_p, out=log_p)
+    return s, p, positive, log_p
 
 
 def _relevance_adjoint(rv: Array, top: int, g_max: float, g_entropy: float) -> Array:
@@ -126,11 +144,7 @@ def _relevance_adjoint(rv: Array, top: int, g_max: float, g_entropy: float) -> A
     a_j = log p_j + 1 (0 where p_j = 0, the subgradient of 0*log 0) and
     c = sum_i a_i p_i, times ``g_entropy``.
     """
-    s = rv.sum() + EPS_REL
-    p = rv / s
-    positive = p > 0
-    a = np.where(positive, p, 1.0)
-    np.log(a, out=a)
+    s, p, positive, a = _normalized(rv)
     np.add(a, 1.0, out=a, where=positive)
     c = np.vdot(a, p)
     np.subtract(c, a, out=a)

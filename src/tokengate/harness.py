@@ -82,7 +82,7 @@ class WorkloadSpec:
 
     def validate(self) -> None:
         """Raise ``InputError`` for the first field out of its range."""
-        check_ranges({"d": self.d}, InputError)
+        check_ranges({"d": self.d, "seed": self.seed}, InputError)
         m = self.token_count()
         if not self.k >= 1:
             raise InputError(f"planted count must be >= 1, got {self.k}")
@@ -235,6 +235,7 @@ def evaluate(model: SelectorModel, spec: WorkloadSpec, trials: int) -> list[Eval
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    spec.validate()  # before its seed keys a generator
     rows: list[EvalRow] = []
     for trial in range(trials):
         wl = generate_workload(spec, np.random.default_rng([spec.seed, trial, HELD_OUT]))
@@ -314,7 +315,8 @@ def train_desk_scale(
     mean).  The workload pool is fixed across epochs (gate noise stays
     fresh) so the per-epoch loss is comparable; gradients are clipped at
     a global norm.  Divergence (a non-finite loss) aborts with a
-    diagnostic dump.  A negative ``epochs`` raises ``ParameterError``.
+    diagnostic dump.  A negative ``epochs`` or ``seed`` raises
+    ``ParameterError``.
 
     Each step selects with the re-encoder removed: neither loss term
     reads the re-encoded rows z (the task loss reads the soft gate, the
@@ -332,6 +334,8 @@ def train_desk_scale(
     """
     if epochs < 0:
         raise ParameterError(f"epochs must be >= 0, got {epochs}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     trainable = model.without_reencoder()
     params = trainable.parameters()
     epoch_model = trainable.with_parameters(params)  # shares params' arrays

@@ -118,12 +118,6 @@ class AttentionWeights:
 
         return cls(wq=packed(), wk=packed(), wv=packed(), wo=uniform_init(rng, d, d), heads=heads)
 
-    @classmethod
-    def identity(cls, d: int) -> "AttentionWeights":
-        """Single head with identity projections, for oracle tests."""
-        eye = np.eye(d)
-        return cls(wq=eye.copy(), wk=eye.copy(), wv=eye.copy(), wo=eye.copy(), heads=1)
-
 
 @dataclass
 class FeedForwardWeights:

@@ -291,8 +291,22 @@ def _shift_bounds(q3: ad.Array, k3_t: ad.Array) -> tuple[ad.Array, ad.Array]:
 
 def _rmsnorm(x: ad.Array, gain: ad.Array) -> tuple[ad.Array, ad.Array]:
     """gain * x / sqrt(mean_j x_j^2 + EPS_NORM) per row, and the row
-    factors 1/sqrt(...)."""
-    inv_rms = ((x * x).mean(axis=1, keepdims=True) + EPS_NORM) ** -0.5
+    factors 1/sqrt(...).
+
+    A finite row whose mean square overflows (entries above about
+    1.3e154) takes its factor from x / s for s = max_j |x_j|, as
+    1 / (s * sqrt(mean_j (x_j / s)^2)): s is not squared, and
+    EPS_NORM / s^2 lies far below that row's rounding.  Every other row
+    keeps the plain formula.
+    """
+    with np.errstate(over="ignore"):
+        mean_sq = (x * x).mean(axis=1, keepdims=True)
+    inv_rms = (mean_sq + EPS_NORM) ** -0.5
+    wide = np.isinf(mean_sq[:, 0])
+    if wide.any():
+        scale = np.abs(x[wide]).max(axis=1, keepdims=True)
+        y = x[wide] / scale
+        inv_rms[wide] = (y * y).mean(axis=1, keepdims=True) ** -0.5 / scale
     out = x * inv_rms
     out *= gain
     return out, inv_rms
@@ -301,9 +315,12 @@ def _rmsnorm(x: ad.Array, gain: ad.Array) -> tuple[ad.Array, ad.Array]:
 def _rmsnorm_backward(
     d_out: ad.Array, x: ad.Array, inv_rms: ad.Array, gain: ad.Array
 ) -> tuple[ad.Array, ad.Array]:
-    """Adjoints (gain, x) of ``_rmsnorm``."""
-    d_gain = (d_out * x * inv_rms).sum(axis=0, keepdims=True)
-    d_y = d_out * gain
-    d_x = d_y * inv_rms
-    d_x -= x * (inv_rms**3 * (d_y * x).mean(axis=1, keepdims=True))
+    """Adjoints (gain, x) of ``_rmsnorm``, taken through the normalized
+    rows x * inv_rms: no product with a huge x can overflow and no power
+    of a tiny inv_rms can underflow."""
+    normed = x * inv_rms
+    d_gain = (d_out * normed).sum(axis=0, keepdims=True)
+    d_x = d_out * gain
+    d_x -= normed * (d_x * normed).mean(axis=1, keepdims=True)
+    d_x *= inv_rms
     return d_gain, d_x

@@ -25,9 +25,6 @@ from .autodiff import Array, Var
 from .errors import InputError, ShapeError
 from .layers import AttentionWeights, Tensor, as_var, check_weights, weight_var
 
-# Stabilizer in the relevance normalization p_i = r_i / (sum_j r_j + EPS_REL).
-EPS_REL = 1e-8
-
 # Tokens per chunk in ``score``.  Its one logits buffer takes heads*L*chunk
 # floats (4 MiB at 4 heads x 16 query rows), and it sets the call's peak
 # memory.  Smaller chunks pay the BLAS call overhead more often: over M =
@@ -61,11 +58,6 @@ class ScoringWeights:
         # values do not depend on what is kept here.
         drawn = AttentionWeights.seeded(d, heads, rng)
         return cls(wq=drawn.wq, wk=drawn.wk, heads=heads)
-
-    @classmethod
-    def identity(cls, d: int) -> "ScoringWeights":
-        """Single head with identity projections, for oracle tests."""
-        return cls(wq=np.eye(d), wk=np.eye(d), heads=1)
 
 
 def score(x: Var | Array, q: Var | Array, w: ScoringWeights) -> Var:
@@ -274,21 +266,3 @@ def _max_attention(x: Var, a: Var, w: ScoringWeights) -> Var:
         return dx, da
 
     return ad.apply(r.reshape(1, -1), (x, a), backward)
-
-
-def normalize_relevance(r) -> tuple[Array, float]:
-    """Normalized relevance p_i = r_i / (sum r + eps) and its entropy H(p).
-
-    H uses the 0*log(0) := 0 convention; an all-zero r yields p = 0, H = 0.
-    Beyond p the call holds one M-sized array, p*log p, and a boolean
-    mask; ``budget.extract_features`` takes its entropy feature from here.
-    """
-    r = np.asarray(r, dtype=np.float64).ravel()
-    if not (r.min(initial=0.0) >= 0.0 and np.isfinite(r.max(initial=0.0))):
-        raise InputError("relevance values must be finite and nonnegative")
-    p = r / (r.sum() + EPS_REL)
-    positive = p > 0
-    plogp = np.where(positive, p, 1.0)
-    np.log(plogp, out=plogp)
-    np.multiply(plogp, p, out=plogp, where=positive)  # 0 where p = 0: log 1 = 0
-    return p, float(-plogp.sum())

@@ -9,7 +9,6 @@ record.  To train, bind the model's tensors to a tape first
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator
@@ -223,7 +222,7 @@ def _check_boundary(model: SelectorModel, res: SelectionResult, residual: float)
     if not cfg.rho_min <= rec.rho <= cfg.rho_max:
         raise NumericError(f"rho {rec.rho} outside [{cfg.rho_min}, {cfg.rho_max}]")
     if res.mode == "infer":
-        cap = min(cfg.n_max, math.ceil(round(cfg.rho_max * rec.m, 9)))
+        cap = compute_budget(cfg.rho_max, rec.m, cfg.n_max)
         if rec.n > cap:
             raise NumericError(f"kept count {rec.n} exceeds compression bound {cap}")
         if rec.n != res.n_target:

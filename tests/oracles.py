@@ -12,7 +12,9 @@ every attention map built in full, so the tape derives their gradients
 on its own.  The tests hold the kernels' values and gradients to these,
 and these to central finite differences (``finite_difference_gradient``).
 ``exp`` and ``soft_gate_train`` are value-level references some tests
-still exercise; nothing in ``tokengate`` calls them.
+still exercise, and ``scalar``, ``identity_scoring`` and
+``identity_attention`` build test inputs; nothing in ``tokengate`` calls
+any of them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from tokengate import autodiff as ad
 from tokengate import gate
 from tokengate.autodiff import Array, Var
-from tokengate.budget import ENTROPY_TINY, LOG_M_SCALE, BudgetHead
+from tokengate.budget import ENTROPY_TINY, EPS_REL, LOG_M_SCALE, BudgetHead
 from tokengate.config import RunConfig
 from tokengate.errors import ConfigError, InputError, NumericError, ParameterError, ShapeError
 from tokengate.gate import KeepMask
@@ -39,7 +41,22 @@ from tokengate.layers import (
     time_encode,
 )
 from tokengate.reencoder import ReencoderStack
-from tokengate.scoring import EPS_REL, ScoringWeights
+from tokengate.scoring import ScoringWeights
+
+
+def scalar(v: float) -> Var:
+    return Var(np.array([[float(v)]]))
+
+
+def identity_scoring(d: int) -> ScoringWeights:
+    """Single head with identity projections, for oracle tests."""
+    return ScoringWeights(wq=np.eye(d), wk=np.eye(d), heads=1)
+
+
+def identity_attention(d: int) -> AttentionWeights:
+    """Single head with identity projections, for oracle tests."""
+    eye = np.eye(d)
+    return AttentionWeights(wq=eye.copy(), wk=eye.copy(), wv=eye.copy(), wo=eye.copy(), heads=1)
 
 
 def div(a: Var, b: Var) -> Var:
@@ -197,7 +214,7 @@ def soft_gate_train(
     r = gate._as_relevance(r)
     noise = gate.sample_gumbel_pairs(r.size, rng)
     soft, _, mask = gate.soft_gate_apply(
-        ad.const(r.reshape(1, -1)), ad.scalar(t), cfg.tau_s, noise
+        ad.const(r.reshape(1, -1)), scalar(t), cfg.tau_s, noise
     )
     return mask, soft.value.ravel()
 
@@ -216,7 +233,7 @@ def predict_rho_oracle(q: Var, r: Var, head: BudgetHead, cfg: RunConfig = RunCon
     operations, onto cfg's [rho_min, rho_max]."""
     log_m = math.log(r.shape[1])
     r_max, entropy = features_oracle(r)
-    log_m_scaled = ad.scalar(log_m / LOG_M_SCALE)
+    log_m_scaled = scalar(log_m / LOG_M_SCALE)
     entropy_scaled = ad.smul(entropy, 1.0 / (log_m + ENTROPY_TINY))
     inp = hcat([col_means(q), log_m_scaled, r_max, entropy_scaled])
     h1 = tanh(ad.add(ad.matmul(inp, as_var(head.w1)), as_var(head.b1)))

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from conftest import rel_err
-from oracles import finite_difference_gradient, soft_gate_train
+from oracles import finite_difference_gradient, identity_scoring, scalar, soft_gate_train
 from tokengate import autodiff as ad
 from tokengate.autodiff import Tape, sigmoid_values
 from tokengate.budget import compute_budget, extract_features, predict_rho
@@ -33,7 +33,7 @@ from tokengate.harness import (
 )
 from tokengate.objective import PenaltyWeights, compute_penalties
 from tokengate.reencoder import reencode
-from tokengate.scoring import ScoringWeights, score
+from tokengate.scoring import score
 from tokengate.selector import SelectorModel, load_weights, save_weights, select
 
 
@@ -101,7 +101,7 @@ def test_criterion_3_monotone_gate():
 
         cfg = RunConfig(d=16, heads=2, budget_hidden=16, n_max=64)
         model = dataclasses.replace(
-            SelectorModel.build(cfg), scoring=ScoringWeights.identity(16)
+            SelectorModel.build(cfg), scoring=identity_scoring(16)
         )
         spec = WorkloadSpec(m=256, d=16, l=4, k=8, alignment=4.0, seed=103)
         records = []
@@ -145,7 +145,7 @@ def test_criterion_4_straight_through_gradient_fidelity():
 
             tape = Tape()
             rv = tape.var(r0.reshape(1, -1))
-            tv, _ = threshold_var(rv, ad.scalar(rho), gate_cfg.tau_s, gate_cfg)
+            tv, _ = threshold_var(rv, scalar(rho), gate_cfg.tau_s, gate_cfg)
             soft, _, _ = soft_gate_apply(rv, tv, gate_cfg.tau_s, noise)
             loss = ad.sum_all(ad.mul(soft, ad.const(probe.reshape(1, -1))))
             (analytic,) = tape.gradients(loss, [rv])
@@ -281,7 +281,7 @@ def test_criterion_8_ablation_ordering():
     with criterion(8, "QTS recall 1.0 vs uniform-stride n/M (200 trials, 5 sigma)"):
         cfg = RunConfig(d=16, heads=2, budget_hidden=16, n_max=256)
         model = dataclasses.replace(
-            SelectorModel.build(cfg), scoring=ScoringWeights.identity(16)
+            SelectorModel.build(cfg), scoring=identity_scoring(16)
         )
         spec = WorkloadSpec(m=400, d=16, l=4, k=8, alignment=8.0, seed=108)
         trials = 200

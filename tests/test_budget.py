@@ -10,8 +10,9 @@ import pytest
 from conftest import rel_err
 from oracles import features_oracle, finite_difference_gradient, predict_rho_oracle
 from tokengate import autodiff as ad
-from tokengate.autodiff import Tape
+from tokengate.autodiff import Tape, Var
 from tokengate.budget import (
+    EPS_REL,
     BudgetHead,
     _relevance_adjoint,
     compute_budget,
@@ -21,7 +22,6 @@ from tokengate.budget import (
 from tokengate.config import RunConfig
 from tokengate.errors import ConfigError, InputError, ParameterError
 from tokengate.layers import map_tensors, named_tensors
-from tokengate.scoring import EPS_REL
 
 
 def _features(q, r):
@@ -50,15 +50,6 @@ class TestExtractFeatures:
         oracle = np.array([q[:, j].sum() / 7 for j in range(5)])
         assert np.max(np.abs(feats.s_q.ravel() - oracle)) <= 1e-12
 
-    def test_entropy_matches_scoring_module(self):
-        from tokengate.scoring import normalize_relevance
-
-        rng = np.random.default_rng(1)
-        r = rng.uniform(0, 1, 20)
-        feats = _features(np.ones((2, 3)), r)
-        _, entropy = normalize_relevance(r)
-        assert abs(feats.entropy - entropy) <= 1e-12
-
     def test_empty_query_rejected(self):
         with pytest.raises(InputError):
             extract_features(ad.const(np.zeros((0, 4))), ad.const(np.ones((1, 3))), 3)
@@ -82,6 +73,31 @@ class TestExtractFeatures:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * m * 8
+
+
+class TestEntropy:
+    """The entropy of p = r / (sum r + EPS_REL), 0 log 0 := 0, as
+    ``extract_features`` reports it."""
+
+    def test_uniform(self):
+        assert abs(_features(np.ones((2, 3)), [1.0, 1.0, 1.0, 1.0]).entropy - math.log(4)) <= 1e-6
+
+    def test_point_mass(self):
+        assert abs(_features(np.ones((2, 3)), [1.0, 0.0, 0.0, 0.0]).entropy) <= 1e-6
+
+    def test_all_zero_fallback(self):
+        assert _features(np.ones((2, 3)), np.zeros(5)).entropy == 0.0
+
+    def test_negative_rejected(self):
+        with pytest.raises(InputError):
+            _features(np.ones((2, 3)), [-0.1, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        """The finiteness check reads r_max: argmax stops at the first NaN."""
+        r = Var(np.array([[0.5, bad, 0.2, 0.9]]))  # ``ad.const`` would refuse it
+        with pytest.raises(InputError, match="finite and nonnegative"):
+            extract_features(ad.const(np.ones((2, 3))), r, 4)
 
 
 def _relevance(case):

@@ -276,6 +276,12 @@ class TestOtherCommands:
         rows = from_csv(EvalRow, out.read_text())
         assert [r.compression for r in rows] == [1.0 - r.n / 200 for r in rows]
 
+    def test_eval_tiny_rho_max_keeps_one_token(self, tmp_path):
+        out = tmp_path / "eval.csv"
+        args = ["eval", "--set", "rho_min=1e-13", "--set", "rho_max=1e-12", "--trials", "1"]
+        assert main(args + ["--out", str(out)]) == 0
+        assert [r.n for r in from_csv(EvalRow, out.read_text())] == [1]
+
     def test_eval_runs_at_the_weights_config(self, workspace, tmp_path):
         """d = 16 weights need no --set d=16, and --set n_max applies."""
         out = tmp_path / "eval.csv"

@@ -105,7 +105,7 @@ class TestScoringLseGuard:
         rng = np.random.default_rng(1800)
         x = rng.uniform(0.5, 1.0, (20, 4))
         q = np.array([[1500.0, 0.0, 0.0, 0.0]])  # logits 375 ... 750, past exp's overflow at ~709.8
-        self._check(x, q, ScoringWeights.identity(4))
+        self._check(x, q, oracles.identity_scoring(4))
         assert calls == ["exact"]
 
     def test_all_underflowing_row_takes_the_fallback(self, monkeypatch):
@@ -114,7 +114,7 @@ class TestScoringLseGuard:
         rng = np.random.default_rng(1801)
         x = rng.uniform(0.5, 1.0, (20, 4))
         q = np.array([[1.0, 2.0, 0.0, -1.0], [-3100.0, 0.0, 0.0, 0.0]])  # row 1: -1550 ... -775
-        self._check(x, q, ScoringWeights.identity(4))
+        self._check(x, q, oracles.identity_scoring(4))
         assert calls == ["exact"]
 
     @pytest.mark.parametrize("seed", [0, 1, 3])
@@ -232,7 +232,7 @@ def test_non_finite_x_always_raises(seed, m, heads, l, identity, column, bad, ch
     cfg = RunConfig(d=8, heads=heads, budget_hidden=8, n_max=16, reencode_depth=1, seed=seed)
     model = SelectorModel.build(cfg)
     if identity:
-        model = replace(model, scoring=ScoringWeights.identity(cfg.d))
+        model = replace(model, scoring=oracles.identity_scoring(cfg.d))
     w = model.scoring
     rng = np.random.default_rng(seed)
     rows = w.heads * l
@@ -299,7 +299,7 @@ class TestFiniteXIsNotScanned:
         pass 2 would subtract inf from inf."""
         scans = count_matrix_scans(monkeypatch)
         cfg = RunConfig(d=2, heads=1, budget_hidden=8, n_max=16, reencode_depth=0)
-        model = replace(SelectorModel.build(cfg), scoring=ScoringWeights.identity(2))
+        model = replace(SelectorModel.build(cfg), scoring=oracles.identity_scoring(2))
         x = np.array([[0.5, -0.25], [1.5e308, 1.5e308], [0.1, 0.2]])
         with pytest.raises(InputError, match="^x and q give attention logits too large for float64$"):
             select(model, x, np.arange(3.0), np.array([[1.0, 1.0]]), mode, np.random.default_rng(0))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import peak_bytes, rel_err
-from oracles import finite_difference_gradient, soft_gate_train
+from oracles import finite_difference_gradient, scalar, soft_gate_train
 from tokengate import autodiff as ad
 from tokengate import gate
 from tokengate.autodiff import Tape, sigmoid_values
@@ -385,7 +385,7 @@ class TestSoftGate:
 
         tape = Tape()
         rv = tape.var(r0.reshape(1, -1))
-        tv, _ = threshold_var(rv, ad.scalar(rho), tau, CFG)
+        tv, _ = threshold_var(rv, scalar(rho), tau, CFG)
         soft, _, _ = soft_gate_apply(rv, tv, tau, noise)
         loss = ad.sum_all(ad.mul(soft, ad.const(probe.reshape(1, -1))))
         (analytic,) = tape.gradients(loss, [rv])

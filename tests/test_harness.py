@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import count_matrix_scans, peak_bytes
+from oracles import identity_scoring
 from tokengate import autodiff as ad
 from tokengate import reencoder
 from tokengate.autodiff import Tape
@@ -29,7 +30,7 @@ from tokengate.harness import (
     uniform_stride_indices,
 )
 from tokengate.objective import PenaltyWeights, total_loss
-from tokengate.scoring import ScoringWeights, score
+from tokengate.scoring import score
 from tokengate.selector import DiagnosticsRecord, SelectorModel, select
 
 CFG = RunConfig(d=16, heads=2, budget_hidden=16, n_max=64)
@@ -37,7 +38,7 @@ CFG = RunConfig(d=16, heads=2, budget_hidden=16, n_max=64)
 
 def _identity_model(cfg=CFG):
     model = SelectorModel.build(cfg)
-    return dataclasses.replace(model, scoring=ScoringWeights.identity(cfg.d))
+    return dataclasses.replace(model, scoring=identity_scoring(cfg.d))
 
 
 class TestGenerateWorkload:
@@ -46,7 +47,7 @@ class TestGenerateWorkload:
         on the planted set (direct softmax oracle via score())."""
         spec = WorkloadSpec(m=300, d=16, l=4, k=6, alignment=8.0, seed=0)
         wl = generate_workload(spec, np.random.default_rng(0))
-        r = score(wl.x, wl.q, ScoringWeights.identity(16))
+        r = score(wl.x, wl.q, identity_scoring(16))
         top = np.sort(np.argsort(-r.value.ravel())[:6])
         np.testing.assert_array_equal(top, wl.planted)
 
@@ -184,6 +185,12 @@ class TestEvaluate:
         for x in drawn:
             assert not any(np.array_equal(x, seen) for seen in pool)
 
+    def test_negative_seed_rejected(self):
+        """A workload seed keys the held-out generator, which takes no
+        negative entry."""
+        with pytest.raises(InputError, match="seed must be >= 0, got -1"):
+            evaluate(SelectorModel.build(RunConfig()), WorkloadSpec(d=32, seed=-1), 1)
+
 
 class TestTrainDeskScale:
     def test_zero_learning_rate_keeps_weights_bit_identical(self):
@@ -309,6 +316,13 @@ class TestTrainDeskScale:
         spec = WorkloadSpec(m=32, d=16, l=2, k=3, seed=10)
         with pytest.raises(ParameterError, match="epochs"):
             train_desk_scale(spec, SelectorModel.build(CFG), -3, OptimizerConfig(), PenaltyWeights())
+
+    def test_negative_seed_rejected(self):
+        spec = WorkloadSpec(m=32, d=16, l=2, k=3)
+        with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+            train_desk_scale(
+                spec, SelectorModel.build(CFG), 1, OptimizerConfig(), PenaltyWeights(), seed=-1
+            )
 
     def test_binds_and_scans_the_parameters_once_per_epoch(self, monkeypatch):
         """Every instance of an epoch runs on the epoch's one bound model,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import rel_err, tape_vs_fd
-from oracles import feed_forward, multi_head_attention, rmsnorm
+from oracles import feed_forward, identity_attention, multi_head_attention, rmsnorm
 from tokengate import autodiff as ad
 from tokengate.errors import ConfigError, InputError
 from tokengate.layers import AttentionWeights, FeedForwardWeights, time_encode
@@ -63,7 +63,7 @@ class TestMultiHeadAttention:
         """Identity projections, orthogonal keys except one planted match:
         the attention row must peak exactly where a direct softmax oracle says."""
         d = 8
-        w = AttentionWeights.identity(d)
+        w = identity_attention(d)
         kv = np.eye(d)[:5] * 3.0
         q = np.zeros((1, d))
         q[0, 2] = 3.0  # aligns with key 2 only
@@ -86,7 +86,7 @@ class TestMultiHeadAttention:
         d, l, m = 6, 3, 9
         q = rng.standard_normal((l, d))
         kv = rng.standard_normal((m, d))
-        out, attn = multi_head_attention(q, kv, AttentionWeights.identity(d))
+        out, attn = multi_head_attention(q, kv, identity_attention(d))
 
         logits = q @ kv.T / math.sqrt(d)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, scalar
 from tokengate import autodiff as ad
 from tokengate.autodiff import Tape
 from tokengate.errors import ParameterError
@@ -73,17 +73,17 @@ class TestTotalLoss:
         w = PenaltyWeights()
         tape = Tape()
         rho = tape.var([[0.3]])
-        loss = total_loss(ad.scalar(0.0), rho, 500, 256, w)
+        loss = total_loss(scalar(0.0), rho, 500, 256, w)
         value, _ = compute_penalties(0.3, 500, 256, w)
         assert loss.item() == pytest.approx(value, rel=1e-12)
 
     def test_scaling_lambda_t_increases_total(self):
         rho = 0.3
         base = total_loss(
-            ad.scalar(0.0), ad.const([[rho]]), 500, 256, PenaltyWeights(lambda_t=0.1)
+            scalar(0.0), ad.const([[rho]]), 500, 256, PenaltyWeights(lambda_t=0.1)
         ).item()
         scaled = total_loss(
-            ad.scalar(0.0), ad.const([[rho]]), 500, 256, PenaltyWeights(lambda_t=1.0)
+            scalar(0.0), ad.const([[rho]]), 500, 256, PenaltyWeights(lambda_t=1.0)
         ).item()
         assert scaled > base
 

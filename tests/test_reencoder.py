@@ -1,13 +1,24 @@
 """Re-encoding stack: residual pre-norm blocks over kept tokens."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import count_guarded_heads, peak_bytes, rel_err, tape_vs_fd
 from tokengate import autodiff as ad
 from tokengate.errors import InputError, ShapeError
+from tokengate.config import RunConfig
 from tokengate.layers import time_encode
-from tokengate.reencoder import ATTENTION_ROWS, ReencoderBlock, ReencoderStack, reencode
+from tokengate.reencoder import (
+    ATTENTION_ROWS,
+    ReencoderBlock,
+    ReencoderStack,
+    _rmsnorm,
+    _rmsnorm_backward,
+    reencode,
+)
+from tokengate.selector import SelectorModel, select
 
 
 def _zero_residual_stack(d, heads, depth, rng):
@@ -132,6 +143,64 @@ class TestReencode:
         rng = np.random.default_rng(9)
         stack = ReencoderStack.seeded(8, 2, 2, rng)
         assert reencode(np.zeros((0, 8)), np.zeros(0), stack).value.shape == (0, 8)
+
+
+WIDE_SCALES = [1e155, 1e300]  # finite rows whose squares overflow
+
+
+def _wide_stream(scale, d=16, n=40):
+    """n rows, every fifth scaled so its mean square overflows float64."""
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((n, d))
+    x[::5] *= scale
+    return x, rng.standard_normal((4, d)), np.arange(float(n))
+
+
+class TestWideRows:
+    """RMSNorm over finite rows with entries above about 1.3e154."""
+
+    @pytest.mark.parametrize("scale", WIDE_SCALES)
+    def test_rmsnorm_matches_the_unscaled_row(self, scale):
+        x = np.random.default_rng(12).standard_normal((5, 8))
+        want = x / np.sqrt((x * x).mean(axis=1, keepdims=True))
+        got, _ = _rmsnorm(scale * x, np.ones((1, 8)))
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+    @pytest.mark.parametrize("scale", WIDE_SCALES)
+    def test_rmsnorm_backward_scales_with_the_row(self, scale):
+        """x / rms(x) is invariant under x -> c x (EPS_NORM is negligible
+        at rms 1e4), so the x adjoint scales by 1/c and the gain's stays."""
+        rng = np.random.default_rng(13)
+        x, d_out = 1e4 * rng.standard_normal((5, 8)), rng.standard_normal((5, 8))
+        gain = rng.uniform(0.5, 2.0, (1, 8))
+        d_gain, d_x = _rmsnorm_backward(d_out, x, _rmsnorm(x, gain)[1], gain)
+        wide_gain, wide_x = _rmsnorm_backward(d_out, scale * x, _rmsnorm(scale * x, gain)[1], gain)
+        np.testing.assert_allclose(wide_gain, d_gain, rtol=1e-10)
+        np.testing.assert_allclose(wide_x * scale, d_x, rtol=1e-10, atol=1e-10 * np.abs(d_x).max())
+
+    @pytest.mark.parametrize("mode", ["infer", "train"])
+    @pytest.mark.parametrize("scale", WIDE_SCALES)
+    def test_select_carries_on(self, scale, mode):
+        x, q, ts = _wide_stream(scale)
+        model = SelectorModel.build(RunConfig(d=16, heads=2, budget_hidden=16, n_max=64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = select(model, x, ts, q, mode=mode, rng=np.random.default_rng(0))
+        assert np.isfinite(res.z).all()
+
+    @pytest.mark.parametrize("scale", WIDE_SCALES)
+    def test_bound_backward_is_finite(self, scale):
+        x, q, ts = _wide_stream(scale)
+        model = SelectorModel.build(RunConfig(d=16, heads=2, budget_hidden=16, n_max=64))
+        tape = ad.Tape()
+        bound, tensors = model.bind(tape)
+        xv = tape.var(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = select(bound, xv, ts, q, mode="train", rng=np.random.default_rng(0))
+            loss = ad.sum_all(ad.smul(res.z_var, 1.0 / scale))
+            grads = tape.gradients(loss, [xv, *tensors.values()])
+        assert all(np.isfinite(g).all() for g in grads)
 
 
 # Allowed peak of one ``reencode`` call beyond one attention tile, in

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import count_lse_paths, peak_bytes, rel_err, tape_vs_fd
-from oracles import score as oracle_score
+from oracles import identity_scoring, score as oracle_score
 from tokengate import autodiff as ad
 from tokengate.autodiff import Tape
 from tokengate.errors import InputError
-from tokengate.scoring import RELEVANCE_CHUNK, ScoringWeights, normalize_relevance, score
+from tokengate.scoring import RELEVANCE_CHUNK, ScoringWeights, score
 
 
 def _single_head_relevance(x, q, wq, wk):
@@ -40,7 +40,7 @@ class TestScore:
         planted = 7
         x[planted] = 0.0
         x[planted, 3] = 4.0
-        w = ScoringWeights.identity(d)
+        w = identity_scoring(d)
         r = score(x, q, w)
         oracle = _single_head_relevance(x, q, np.eye(d), np.eye(d))
         assert int(np.argmax(r.value)) == planted
@@ -119,7 +119,7 @@ class TestScore:
         """The single logit -1.386 has log(exp(l)) < l; unclamped, its r
         would be 1.0000000000000002."""
         assert np.log(np.exp(-1.386)) < -1.386
-        r = score(np.array([[-1.386]]), np.array([[1.0]]), ScoringWeights.identity(1))
+        r = score(np.array([[-1.386]]), np.array([[1.0]]), identity_scoring(1))
         np.testing.assert_array_equal(r.value, [[1.0]])
 
     def test_direct_path_log_sum_exp_is_clamped_to_one(self, monkeypatch):
@@ -127,7 +127,7 @@ class TestScore:
         path keeps S = exp(-1.386) and its lse rounds below -1.386;
         unclamped, token 0's r would be 1.0000000000000002."""
         calls = count_lse_paths(monkeypatch)
-        r = score(np.array([[-1.386], [-1000.0]]), np.array([[1.0]]), ScoringWeights.identity(1))
+        r = score(np.array([[-1.386], [-1000.0]]), np.array([[1.0]]), identity_scoring(1))
         assert calls == ["direct"]
         np.testing.assert_array_equal(r.value, [[1.0, 0.0]])
 
@@ -152,7 +152,7 @@ class TestScore:
         x = np.array([[2.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0]])
         q_row = np.array([[3.0, 0, 0, 0]])
         q = np.vstack([q_row, q_row])  # deliberate tie between query rows
-        w = ScoringWeights.identity(d)
+        w = identity_scoring(d)
 
         tape = Tape()
         qv = tape.var(q)
@@ -181,22 +181,3 @@ def test_score_holds_one_logits_chunk(pass_):
     chunk = heads * l * RELEVANCE_CHUNK * 8
     assert peak < 1.5 * chunk + m * 8
 
-
-class TestNormalizeRelevance:
-    def test_uniform(self):
-        p, entropy = normalize_relevance([1.0, 1.0, 1.0, 1.0])
-        np.testing.assert_allclose(p, 0.25, atol=1e-8)
-        assert abs(entropy - math.log(4)) <= 1e-6
-
-    def test_point_mass(self):
-        _, entropy = normalize_relevance([1.0, 0.0, 0.0, 0.0])
-        assert abs(entropy) <= 1e-6
-
-    def test_all_zero_fallback(self):
-        p, entropy = normalize_relevance(np.zeros(5))
-        np.testing.assert_array_equal(p, np.zeros(5))
-        assert entropy == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(InputError):
-            normalize_relevance([-0.1, 0.5])

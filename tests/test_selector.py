@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import peak_bytes, poke_tensor, save_per_head_weights
+from oracles import scalar
 from tokengate import autodiff, gate, selector
 from tokengate.budget import compute_budget
 from tokengate.config import RunConfig
@@ -92,6 +93,14 @@ class TestSelect:
             res = select(model, wl.x, wl.timestamps, wl.q, mode="infer")
             bound = min(model.cfg.n_max, math.ceil(model.cfg.rho_max * 200))
             assert res.record.n <= bound
+
+    def test_tiny_rho_max_keeps_one_token(self):
+        """The compression bound is ``compute_budget`` at rho_max, so it
+        keeps the rule's floor of one token when rho_max * M < 1."""
+        cfg = RunConfig(d=16, heads=2, budget_hidden=16, n_max=64, rho_min=1e-13, rho_max=1e-12)
+        wl = _workload(m=300)
+        res = select(SelectorModel.build(cfg), wl.x, wl.timestamps, wl.q, mode="infer")
+        assert res.record.n == res.n_target == 1
 
     @pytest.mark.parametrize("mode", ["infer", "train"])
     def test_rho_stays_inside_the_config_bounds_of_a_built_model(self, model, mode):
@@ -304,7 +313,7 @@ class TestBoundaryCheck:
         so the budget and the threshold solve still accept it."""
         wl = _workload()
         monkeypatch.setattr(
-            selector, "predict_rho", lambda features, head, cfg: autodiff.scalar(cfg.rho_max + 0.01)
+            selector, "predict_rho", lambda features, head, cfg: scalar(cfg.rho_max + 0.01)
         )
         with pytest.raises(NumericError, match=r"rho 0\.51 outside \[0\.05, 0\.5\]"):
             select(model, wl.x, wl.timestamps, wl.q, mode=mode, rng=np.random.default_rng(0))
