@@ -10,7 +10,7 @@ information.
 from .autodiff import Tape, Var
 from .budget import BudgetFeatures, BudgetHead, compute_budget, extract_features, predict_rho
 from .config import RunConfig, load_config, parse_config_text
-from .gate import KeepMask, find_threshold, hard_top_n, threshold_gradients
+from .gate import find_threshold, hard_top_n, threshold_gradients
 from .harness import (
     EvalRow,
     OptimizerConfig,
@@ -40,7 +40,6 @@ __all__ = [
     "BudgetHead",
     "DiagnosticsRecord",
     "EvalRow",
-    "KeepMask",
     "OptimizerConfig",
     "PenaltyWeights",
     "ReencoderStack",

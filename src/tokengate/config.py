@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import ClassVar
 
 from .errors import ConfigError
 
@@ -26,8 +27,10 @@ class RunConfig:
     n_max: int = 256
     # gate
     tau_s: float = 0.5
-    newton_iters: int = 6
-    residual_tol: float = 1e-6
+    # Threshold-solve constants, not settings: the Newton evaluations
+    # before the bisection fallback, and the residual bound per token.
+    newton_iters: ClassVar[int] = 6
+    residual_tol: ClassVar[float] = 1e-6
     # objective
     lambda_t: float = 0.1
     lambda_m: float = 0.17
@@ -67,7 +70,7 @@ class RunConfig:
 # also rejects NaN.  wl_tokens or wl_frames 0 means "unset".
 _RULES = (
     (
-        ("d", "heads", "budget_hidden", "n_max", "newton_iters", "train_batch",
+        ("d", "heads", "budget_hidden", "n_max", "train_batch",
          "wl_frame_height", "wl_frame_width", "wl_patch"),
         lambda v: v >= 1,
         ">= 1",
@@ -77,8 +80,11 @@ _RULES = (
         lambda v: v >= 0,
         ">= 0",
     ),
-    (("tau_s", "wl_frame_rate"), lambda v: 0.0 < v < math.inf, "positive and finite"),
-    (("residual_tol",), lambda v: v > 0, "positive"),
+    # Below about 1e-10 a float64 t cannot resolve the gate's slope, and
+    # the threshold solve misses residual_tol; the floor keeps 4 decades
+    # clear of that edge.
+    (("tau_s",), lambda v: 1e-6 <= v < math.inf, ">= 1e-06 and finite"),
+    (("wl_frame_rate",), lambda v: 0.0 < v < math.inf, "positive and finite"),
     (
         ("lambda_t", "lambda_m", "lambda_s"),
         lambda v: 0.0 <= v < math.inf,

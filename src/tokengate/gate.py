@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Array, Var, sigmoid_values
-from .config import RunConfig
+from .config import RunConfig, check_ranges
 from .errors import ParameterError
 
 logger = logging.getLogger(__name__)
@@ -34,23 +33,6 @@ SATURATION_GUARD = 1e-12
 # Convergence criterion on the Newton step, well inside the 1e-9
 # agreement required against a bisection oracle.
 STEP_TOL = 1e-12
-
-
-@dataclass
-class KeepMask:
-    """The kept token indices, nonempty and strictly ascending."""
-
-    indices: Array
-
-    def __post_init__(self) -> None:
-        if self.indices.size < 1:
-            raise ParameterError("keep mask must retain at least one token")
-        if np.any(np.diff(self.indices) <= 0):
-            raise ParameterError("kept indices must be strictly ascending")
-
-    @property
-    def count(self) -> int:
-        return int(self.indices.size)
 
 
 def _as_relevance(r) -> Array:
@@ -73,9 +55,7 @@ def _keep_sum(r: Array, t: float, tau: float, buf: Array) -> float:
     return float(_keep_probs(r, t, tau, buf).sum())
 
 
-def find_threshold(
-    r, rho: float, tau_s: float, cfg: RunConfig = RunConfig()
-) -> tuple[float, float]:
+def find_threshold(r, rho: float, tau_s: float) -> tuple[float, float]:
     """Solve sum_i sigmoid((r_i - t)/tau_s) = rho*M for the threshold t.
 
     A safeguarded Newton iteration (Numerical Recipes' ``rtsafe``) on the
@@ -94,28 +74,32 @@ def find_threshold(
     narrowed bracket finishes the job (the residual is strictly
     decreasing in t).  Every pass reuses one M-sized buffer.  Returns
     (t, |residual|).
+
+    The inputs are plain numbers; ``residual_tol`` (1e-6) and
+    ``newton_iters`` (6) are ``RunConfig`` class constants, not
+    settings.  A rho outside (0, 1] or a tau_s outside the config's
+    range (finite and >= 1e-6) raises ``ParameterError``.
     """
     r = _as_relevance(r)
     m = r.size
     if not (0.0 < rho <= 1.0):
         raise ParameterError(f"retention fraction must lie in (0, 1], got {rho}")
-    if not 0.0 < tau_s < math.inf:
-        raise ParameterError(f"gate temperature must be positive and finite, got {tau_s}")
+    check_ranges({"tau_s": tau_s}, ParameterError)
 
     target = rho * m
-    tol = cfg.residual_tol * m
+    tol = RunConfig.residual_tol * m
     buf = np.empty(m)
     if rho == 1.0:
         # No finite root.  At this t each token's drop probability is
         # sigmoid(ln residual_tol) < residual_tol, so the residual is in tol.
-        t = float(r.min()) - tau_s * math.log(1.0 / cfg.residual_tol)
+        t = float(r.min()) - tau_s * math.log(1.0 / RunConfig.residual_tol)
         return t, abs(_keep_sum(r, t, tau_s, buf) - target)
     log_odds = math.log((1.0 - rho) / rho)
     lo = float(r.min()) + log_odds * tau_s
     hi = float(r.max()) + log_odds * tau_s
 
     t = min(max(float(r.mean()) + tau_s * log_odds, lo), hi)
-    for _ in range(cfg.newton_iters):
+    for _ in range(RunConfig.newton_iters):
         s = _keep_probs(r, t, tau_s, buf)
         keep = float(s.sum())
         u = keep - target
@@ -174,17 +158,16 @@ def threshold_gradients(r, rho: float, t: float, tau_s: float) -> tuple[float, A
     return dt_drho, dt_dr
 
 
-def threshold_var(
-    r: Var, rho: Var, tau_s: float, cfg: RunConfig = RunConfig()
-) -> tuple[Var, float]:
+def threshold_var(r: Var, rho: Var, tau_s: float) -> tuple[Var, float]:
     """Tape-aware threshold solve; backward uses the implicit gradients.
 
-    Returns (t, |residual|), the residual as ``find_threshold`` evaluated
-    it at the returned t.
+    Takes the same plain numbers as ``find_threshold`` and returns
+    (t, |residual|), the residual as ``find_threshold`` evaluated it at
+    the returned t.
     """
     r_values = r.value.ravel()
     rho_value = rho.item()
-    t, residual = find_threshold(r_values, rho_value, tau_s, cfg)
+    t, residual = find_threshold(r_values, rho_value, tau_s)
 
     def backward(g):
         dt_drho, dt_dr = threshold_gradients(r_values, rho_value, t, tau_s)
@@ -202,16 +185,17 @@ def sample_gumbel_pairs(m: int, rng: np.random.Generator) -> Array:
 
 def soft_gate_apply(
     r: Var, t: Var, tau_s: float, noise: Array
-) -> tuple[Var, Var, KeepMask]:
+) -> tuple[Var, Var, Array]:
     """Gumbel straight-through gate with frozen noise.
 
     Builds the differentiable path soft_i = sigmoid(z_i / tau_s) with
     z_i = (r_i - t)/tau_s + g0_i - g1_i, takes the hard sample z_i > 0
     (argmax of the perturbed two-class logits), and returns
-    (soft, straight_through, mask).  Forward values of the straight
+    (soft, straight_through, indices): indices are the kept tokens'
+    int64 positions in ascending order.  Forward values of the straight
     through variable are the hard 0/1 mask; its gradient flows through
     the soft path.  If everything is dropped, the highest-relevance
-    token is forced on.
+    token is forced on, so at least one index is returned.
     """
     noise_diff = (noise[0] - noise[1]).reshape(1, -1)
     z = ad.add(ad.smul(ad.sub(r, t), 1.0 / tau_s), ad.const(noise_diff))
@@ -220,12 +204,12 @@ def soft_gate_apply(
     if hard.sum() < 1:
         hard[int(np.argmax(r.value.ravel()))] = 1.0
     st = ad.straight_through(soft, hard.reshape(1, -1))
-    return soft, st, KeepMask(np.flatnonzero(hard))
+    return soft, st, np.flatnonzero(hard)
 
 
-def hard_top_n(r, n: int) -> KeepMask:
-    """Inference gate: the n highest-relevance tokens, ties to the lower
-    index, returned in ascending index order."""
+def hard_top_n(r, n: int) -> Array:
+    """Inference gate: the int64 indices of the min(n, M) highest-relevance
+    tokens, ties to the lower index, in ascending order."""
     r = _as_relevance(r)
     m = r.size
     if n < 1:
@@ -238,4 +222,4 @@ def hard_top_n(r, n: int) -> KeepMask:
     v = np.partition(r, m - n)[m - n]
     above = np.flatnonzero(r > v)
     tied = np.flatnonzero(r == v)[: n - above.size]
-    return KeepMask(np.sort(np.concatenate([above, tied])))
+    return np.sort(np.concatenate([above, tied]))

@@ -167,19 +167,17 @@ def select(
     rho_var = predict_rho(features, model.budget, model.cfg)
     rho = rho_var.item()
     n_target = compute_budget(rho, m, model.cfg.n_max)
-    t_var, residual = threshold_var(r_var, rho_var, model.cfg.tau_s, model.cfg)
+    t_var, residual = threshold_var(r_var, rho_var, model.cfg.tau_s)
     t = t_var.item()
 
     soft_var = st_var = None
     if mode == "train":
         noise = sample_gumbel_pairs(m, rng)
-        soft_var, st_var, mask = soft_gate_apply(r_var, t_var, model.cfg.tau_s, noise)
-        idx = mask.indices
+        soft_var, st_var, idx = soft_gate_apply(r_var, t_var, model.cfg.tau_s, noise)
         st_col = ad.transpose(ad.take_cols(st_var, idx))
         z_sel = ad.mul(ad.take_rows(x_var, idx), st_col)
     else:
-        mask = hard_top_n(r_var.value.ravel(), n_target)
-        idx = mask.indices
+        idx = hard_top_n(r_var.value.ravel(), n_target)
         z_sel = ad.take_rows(x_var, idx)
 
     z_var = reencode(z_sel, ts[idx], model.reencoder)

@@ -31,7 +31,6 @@ from tokengate.autodiff import Array, Var
 from tokengate.budget import ENTROPY_TINY, EPS_REL, LOG_M_SCALE, BudgetHead
 from tokengate.config import RunConfig
 from tokengate.errors import ConfigError, InputError, NumericError, ParameterError, ShapeError
-from tokengate.gate import KeepMask
 from tokengate.layers import (
     EPS_NORM,
     AttentionWeights,
@@ -209,14 +208,15 @@ def finite_difference_gradient(f: Callable[[Array], float], x, step: float = 1e-
 
 def soft_gate_train(
     r, t: float, cfg: RunConfig, rng: np.random.Generator
-) -> tuple[KeepMask, Array]:
-    """Value-level training gate: sample noise, return (mask, soft scores)."""
+) -> tuple[Array, Array]:
+    """Value-level training gate: sample noise, return (kept indices, soft
+    scores)."""
     r = gate._as_relevance(r)
     noise = gate.sample_gumbel_pairs(r.size, rng)
-    soft, _, mask = gate.soft_gate_apply(
+    soft, _, kept = gate.soft_gate_apply(
         ad.const(r.reshape(1, -1)), scalar(t), cfg.tau_s, noise
     )
-    return mask, soft.value.ravel()
+    return kept, soft.value.ravel()
 
 
 def features_oracle(r: Var) -> tuple[Var, Var]:

@@ -64,13 +64,12 @@ def test_criterion_1_threshold_equation_contract():
     in under 5 seconds."""
     with criterion(1, "threshold-equation contract (1000 instances, < 5 s)"):
         rng = np.random.default_rng(101)
-        cfg = RunConfig()
         start = time.perf_counter()
         for _ in range(1000):
             m = int(rng.integers(8, 4097))
             rho = float(rng.uniform(0.05, 0.5))
             r = rng.uniform(0.0, 1.0, m)
-            t, residual = find_threshold(r, rho, 0.5, cfg)
+            t, residual = find_threshold(r, rho, 0.5)
             assert residual <= 1e-6 * m
             assert abs(t - _bisection_oracle(r, rho, 0.5)) <= 1e-9
         elapsed = time.perf_counter() - start
@@ -120,7 +119,7 @@ def _soft_pipeline_loss(model, x_var, q_var, timestamps, noise, kept, probe, gat
     r = score(x_var, q_var, model.scoring)
     feats = extract_features(q_var, r, x_var.shape[0])
     rho = predict_rho(feats, model.budget, model.cfg)
-    t, _ = threshold_var(r, rho, gate_cfg.tau_s, gate_cfg)
+    t, _ = threshold_var(r, rho, gate_cfg.tau_s)
     soft, _, _ = soft_gate_apply(r, t, gate_cfg.tau_s, noise)
     soft_col = ad.transpose(ad.take_cols(soft, kept))
     z = ad.mul(ad.take_rows(x_var, kept), soft_col)
@@ -145,13 +144,13 @@ def test_criterion_4_straight_through_gradient_fidelity():
 
             tape = Tape()
             rv = tape.var(r0.reshape(1, -1))
-            tv, _ = threshold_var(rv, scalar(rho), gate_cfg.tau_s, gate_cfg)
+            tv, _ = threshold_var(rv, scalar(rho), gate_cfg.tau_s)
             soft, _, _ = soft_gate_apply(rv, tv, gate_cfg.tau_s, noise)
             loss = ad.sum_all(ad.mul(soft, ad.const(probe.reshape(1, -1))))
             (analytic,) = tape.gradients(loss, [rv])
 
             def f(flat):
-                t, _ = find_threshold(flat, rho, gate_cfg.tau_s, gate_cfg)
+                t, _ = find_threshold(flat, rho, gate_cfg.tau_s)
                 z = (flat - t) / gate_cfg.tau_s + (noise[0] - noise[1])
                 return float((sigmoid_values(z / gate_cfg.tau_s) * probe).sum())
 
@@ -207,12 +206,12 @@ def test_criterion_5_expected_budget_consistency():
         rng = np.random.default_rng(105)
         m, rho, trials = 64, 0.2, 100_000
         r = np.random.default_rng(0).uniform(0, 1, m)
-        t, _ = find_threshold(r, rho, cfg.tau_s, cfg)
+        t, _ = find_threshold(r, rho, cfg.tau_s)
         probs = sigmoid_values((r - t) / cfg.tau_s)
         total = 0
         for _ in range(trials):
-            mask, _ = soft_gate_train(r, t, cfg, rng)
-            total += mask.count
+            kept, _ = soft_gate_train(r, t, cfg, rng)
+            total += kept.size
         mean = total / trials
         se = math.sqrt(float((probs * (1 - probs)).sum()) / trials)
         assert abs(mean - rho * m) <= 3 * se, f"mean {mean} vs target {rho * m} (se {se})"

@@ -221,13 +221,29 @@ class TestSelectCommand:
         assert "unknown configuration key 'scoring_depth'" in capsys.readouterr().err
         assert not (workspace / "out_z.qtn").exists()
 
-    @pytest.mark.parametrize("key", ["clamp_margin", "wl_sample_interval"])
+    @pytest.mark.parametrize(
+        "key", ["clamp_margin", "wl_sample_interval", "newton_iters", "residual_tol"]
+    )
     def test_weights_saved_with_a_removed_key_exit_6(self, workspace, capsys, key):
         """Weights saved while the threshold solve had a bracket margin and
-        workloads a frame-sampling interval name these keys in model.cfg."""
+        settable solver constants, and workloads a frame-sampling interval,
+        name these keys in model.cfg."""
         cfg = workspace / "weights" / "model.cfg"
         cfg.write_text(cfg.read_text() + f"{key} = 1\n")
         assert main(_select_args(workspace)) == 6
+        assert f"unknown configuration key '{key}'" in capsys.readouterr().err
+        assert not (workspace / "out_z.qtn").exists()
+
+    @pytest.mark.parametrize("key", ["newton_iters", "residual_tol"])
+    @pytest.mark.parametrize("source", ["config", "set"])
+    def test_solver_constant_is_an_unknown_key(self, workspace, capsys, source, key):
+        """The threshold solve's constants are fixed, not configuration keys."""
+        args = _select_args(workspace)
+        if source == "config":
+            (workspace / "run.cfg").write_text(CFG_TEXT + f"{key} = 6\n")
+        else:
+            args += ["--set", f"{key}=6"]
+        assert main(args) == 6
         assert f"unknown configuration key '{key}'" in capsys.readouterr().err
         assert not (workspace / "out_z.qtn").exists()
 
@@ -388,11 +404,14 @@ class TestOtherCommands:
             ("budget_hidden=0", 6),
             ("budget_hidden=-1", 6),
             ("train_epochs=-1", 6),
+            # solver constants, no longer keys: rejected as unknown
             ("newton_iters=0", 6),
             ("residual_tol=0", 6),
             ("residual_tol=nan", 6),
             ("tau_s=nan", 6),
             ("tau_s=inf", 6),
+            ("tau_s=1e-7", 6),
+            ("tau_s=1e-200", 6),
             ("train_lr=nan", 6),
             ("train_momentum=inf", 6),
             ("clip_norm=nan", 6),

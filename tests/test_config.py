@@ -5,7 +5,15 @@ from dataclasses import fields
 
 import pytest
 
-from tokengate.config import _RULES, SCHEMA, WORKLOAD_CHECKED, RunConfig, check_ranges
+from tokengate.config import (
+    _RULES,
+    SCHEMA,
+    WORKLOAD_CHECKED,
+    RunConfig,
+    check_ranges,
+    config_text,
+    parse_config_text,
+)
 from tokengate.errors import ConfigError, InputError, ParameterError
 from tokengate.harness import _OPTIMIZER_KEYS, OptimizerConfig, WorkloadSpec
 from tokengate.objective import PenaltyWeights
@@ -85,3 +93,17 @@ def test_from_config_reads_every_shared_key():
 def test_cross_key_rules(values):
     with pytest.raises(ConfigError):
         RunConfig(**values)
+
+
+def test_solver_constants_are_not_keys():
+    """newton_iters and residual_tol are read on RunConfig but are neither
+    fields nor keys: no file, --set or constructor can change them."""
+    assert len(fields(RunConfig)) == 28
+    assert (RunConfig().newton_iters, RunConfig().residual_tol) == (6, 1e-6)
+    for key in ("newton_iters", "residual_tol"):
+        assert key not in SCHEMA and key not in RULED
+        assert key not in config_text(RunConfig())
+        with pytest.raises(TypeError):
+            RunConfig(**{key: 1})
+        with pytest.raises(ConfigError, match=f"unknown configuration key '{key}'"):
+            parse_config_text(f"{key} = 1")

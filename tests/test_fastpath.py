@@ -76,7 +76,7 @@ class TestRelevanceMatchesScore:
             assert np.all(r == r[0])
             _, r_tape = oracles.score(x, q, w)
             np.testing.assert_allclose(r, r_tape.value.ravel(), rtol=0, atol=TOL)
-            np.testing.assert_array_equal(hard_top_n(r, 3).indices, [0, 1, 2])
+            np.testing.assert_array_equal(hard_top_n(r, 3), [0, 1, 2])
 
     def test_empty_and_mismatched_inputs_rejected(self):
         w = ScoringWeights.seeded(8, 2, np.random.default_rng(1400))
@@ -161,7 +161,7 @@ def test_relevance_in_unit_interval_and_top_n_matches_oracle(seed, m, heads, l, 
     ref = oracles.score(x, q, w)[1].value.ravel()
     ranked = np.sort(ref)[::-1]
     if n == m or ranked[n - 1] - ranked[n] > TOL:
-        np.testing.assert_array_equal(hard_top_n(r, n).indices, hard_top_n(ref, n).indices)
+        np.testing.assert_array_equal(hard_top_n(r, n), hard_top_n(ref, n))
 
 
 class TestSelectMatchesTapePath:
@@ -287,7 +287,7 @@ class TestFiniteXIsNotScanned:
         assert paths == ["exact"] and "x" not in scans
         assert res.r_var.value[0, 5] == 1.0 and 5 in res.indices
         ref = oracles.score(x, wl.q, model.scoring)[1].value.ravel()
-        np.testing.assert_array_equal(res.indices, hard_top_n(ref, res.n_target).indices)
+        np.testing.assert_array_equal(res.indices, hard_top_n(ref, res.n_target))
         assert np.all(np.isfinite(res.z))
 
     @pytest.mark.filterwarnings("error")
@@ -383,7 +383,7 @@ class TestHardTopNMatchesStableSort:
         r = np.array(values, dtype=np.float64)
         n = max(1, len(values) + extra)
         expected = np.sort(np.argsort(-r, kind="stable")[:n])
-        np.testing.assert_array_equal(hard_top_n(r, n).indices, expected)
+        np.testing.assert_array_equal(hard_top_n(r, n), expected)
 
 
 def _masked_sigmoid(x):

@@ -298,14 +298,41 @@ class TestBoundaryCheck:
         wl = _workload()
         solve = gate.find_threshold
 
-        def off_root(r, rho, tau_s, cfg):
-            t = solve(r, rho, tau_s, cfg)[0] + tau_s
+        def off_root(r, rho, tau_s):
+            t = solve(r, rho, tau_s)[0] + tau_s
             keep = float(autodiff.sigmoid_values((r - t) / tau_s).sum())
             return t, abs(keep - rho * r.size)
 
         monkeypatch.setattr(gate, "find_threshold", off_root)
         with pytest.raises(NumericError, match="threshold residual"):
             select(model, wl.x, wl.timestamps, wl.q, mode="infer")
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda idx: idx[:0],
+            lambda idx: idx[::-1].copy(),
+            lambda idx: np.concatenate([idx[:1], idx[:-1]]),
+            lambda idx: np.concatenate([idx[:3], idx[2:-1]]),
+        ],
+        ids=["empty", "descending", "repeated", "repeat-inside"],
+    )
+    def test_empty_or_non_ascending_indices_raise(self, model, monkeypatch, corrupt):
+        """Neither gate returns such indices, so both are patched to; the
+        boundary check alone must catch them, in either mode."""
+        wl = _workload()
+        top_n, soft_gate = selector.hard_top_n, selector.soft_gate_apply
+        monkeypatch.setattr(selector, "hard_top_n", lambda r, n: corrupt(top_n(r, n)))
+
+        def corrupt_soft_gate(*args):
+            soft, st, idx = soft_gate(*args)
+            return soft, st, corrupt(idx)
+
+        monkeypatch.setattr(selector, "soft_gate_apply", corrupt_soft_gate)
+        for mode in ("infer", "train"):
+            with pytest.raises(NumericError, match="kept 0 tokens|kept zero|ascending") as info:
+                select(model, wl.x, wl.timestamps, wl.q, mode, np.random.default_rng(1))
+            assert info.traceback[-1].name == "_check_boundary"
 
     @pytest.mark.parametrize("mode", ["infer", "train"])
     def test_rho_above_head_bound_raises(self, model, monkeypatch, mode):
@@ -353,13 +380,14 @@ class TestSerialization:
 
     def test_model_keys_only_config_loads(self, tmp_path):
         """A model.cfg that holds only the model and gate keys (the layout
-        written before it held the full run config) still loads."""
+        written before it held the full run config, less the solver
+        constants that are no longer keys) still loads."""
         cfg = replace(SMALL, tau_s=0.3, n_max=40, seed=3)
         model = SelectorModel.build(cfg)
         save_weights(model, tmp_path / "w")
         keys = (
             "d", "heads", "reencode_depth", "budget_hidden", "rho_min", "rho_max", "n_max",
-            "tau_s", "newton_iters", "residual_tol", "seed",
+            "tau_s", "seed",
         )
         (tmp_path / "w" / "model.cfg").write_text(
             "".join(f"{key} = {getattr(cfg, key)}\n" for key in keys)
