@@ -5,23 +5,18 @@ attention, predicts an instance-specific retention fraction, gates
 tokens through a solved-threshold Gumbel straight-through gate (hard
 Top-n at inference), and re-encodes the survivors with absolute-time
 information.
+
+The training and evaluation names (from ``harness`` and ``objective``)
+load on first access, so a process that only loads weights and runs
+inference never imports those modules.
 """
+
+import importlib
 
 from .autodiff import Tape, Var
 from .budget import BudgetFeatures, BudgetHead, compute_budget, extract_features, predict_rho
 from .config import RunConfig, load_config, parse_config_text
 from .gate import find_threshold, hard_top_n, threshold_gradients
-from .harness import (
-    EvalRow,
-    OptimizerConfig,
-    WorkloadSpec,
-    evaluate,
-    from_csv,
-    generate_workload,
-    to_csv,
-    train_desk_scale,
-)
-from .objective import PenaltyWeights, compute_penalties, total_loss
 from .reencoder import ReencoderStack, reencode
 from .scoring import ScoringWeights, score
 from .selector import (
@@ -71,3 +66,36 @@ __all__ = [
     "total_loss",
     "train_desk_scale",
 ]
+
+# Names exported from the modules that only training and evaluation use, by
+# defining module; ``__getattr__`` (PEP 562) resolves them on first access.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "EvalRow",
+            "OptimizerConfig",
+            "WorkloadSpec",
+            "evaluate",
+            "from_csv",
+            "generate_workload",
+            "to_csv",
+            "train_desk_scale",
+        ),
+        "harness",
+    ),
+    **dict.fromkeys(("PenaltyWeights", "compute_penalties", "total_loss"), "objective"),
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY.values():  # importing a submodule binds it on the package
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

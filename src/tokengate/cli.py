@@ -2,6 +2,10 @@
 
 Exit codes: 0 ok, 2 input parse, 3 shape conflict, 4 missing resource,
 5 numeric failure, 6 config schema violation.
+
+Only ``train`` and ``eval`` import the training modules (``harness`` and
+``objective``), so ``select --mode infer`` and ``weights-inspect`` start
+without them.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,18 +28,11 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .harness import (
-    EpochStats,
-    EvalRow,
-    OptimizerConfig,
-    WorkloadSpec,
-    evaluate,
-    to_csv,
-    train_desk_scale,
-)
-from .objective import PenaltyWeights
 from .selector import SelectorModel, load_weights, save_weights, select
 from .tensorio import atomic_write_text, read_tensor, write_tensor
+
+if TYPE_CHECKING:
+    from .harness import EvalRow
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -93,7 +91,7 @@ def cmd_select(args) -> int:
     x = read_tensor(args.x)
     q = read_tensor(args.q)
     timestamps = read_tensor(args.timestamps).ravel()
-    rng = np.random.default_rng(model.cfg.seed)
+    rng = np.random.default_rng(model.cfg.seed) if args.mode == "train" else None
     result = select(model, x, timestamps, q, mode=args.mode, rng=rng)
 
     write_tensor(args.out_tokens, result.z)
@@ -111,6 +109,9 @@ def cmd_select(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .harness import EpochStats, OptimizerConfig, WorkloadSpec, to_csv, train_desk_scale
+    from .objective import PenaltyWeights
+
     cfg = _load_run_config(args)
     model = SelectorModel.build(cfg)
     spec = WorkloadSpec.from_config(cfg)
@@ -147,6 +148,8 @@ def _summary(rows: list[EvalRow]) -> str:
 
 
 def cmd_eval(args) -> int:
+    from .harness import EvalRow, WorkloadSpec, evaluate, to_csv
+
     model = _load_model(args)
     spec = WorkloadSpec.from_config(model.cfg)
     sizes = [spec]

@@ -14,7 +14,6 @@ the expected kept count would not match rho*M for tau_s != 1.
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
@@ -24,8 +23,6 @@ from .autodiff import Array, Var, sigmoid_values
 from .config import RunConfig, check_ranges
 from .errors import ParameterError
 
-logger = logging.getLogger(__name__)
-
 # Guard under which the gate counts as saturated and implicit gradients
 # are clamped to zero instead of dividing by ~0.
 SATURATION_GUARD = 1e-12
@@ -33,6 +30,14 @@ SATURATION_GUARD = 1e-12
 # Convergence criterion on the Newton step, well inside the 1e-9
 # agreement required against a bisection oracle.
 STEP_TOL = 1e-12
+
+
+def _warn(message: str, *args) -> None:
+    """Log a warning under this module's logger; ``logging`` loads with
+    the first warning, so a run that gives none never imports it."""
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
 
 
 def _as_relevance(r) -> Array:
@@ -151,7 +156,7 @@ def threshold_gradients(r, rho: float, t: float, tau_s: float) -> tuple[float, A
     weights = s * (1.0 - s)
     denom = float(weights.sum())
     if denom < SATURATION_GUARD:
-        logger.warning("saturated gate: threshold gradients clamped to zero")
+        _warn("saturated gate: threshold gradients clamped to zero")
         return 0.0, np.zeros(m)
     dt_drho = -m * tau_s / denom
     dt_dr = weights / denom
@@ -215,7 +220,7 @@ def hard_top_n(r, n: int) -> Array:
     if n < 1:
         raise ParameterError(f"budget must be >= 1, got {n}")
     if n > m:
-        logger.warning("budget %d exceeds token count %d; clamping", n, m)
+        _warn("budget %d exceeds token count %d; clamping", n, m)
         n = m
     # v is the n-th largest value: keep every r > v, then the
     # lowest-indexed r == v until n tokens are kept

@@ -43,8 +43,11 @@ class SelectorModel:
     reencoder: ReencoderStack
 
     @classmethod
-    def build(cls, cfg: RunConfig) -> "SelectorModel":
-        rng = np.random.default_rng(cfg.seed)
+    def build(cls, cfg: RunConfig, rng: np.random.Generator | None = None) -> "SelectorModel":
+        """The model the ``seeded`` constructors draw from ``rng``, by
+        default ``np.random.default_rng(cfg.seed)``."""
+        if rng is None:
+            rng = np.random.default_rng(cfg.seed)
         return cls(
             cfg=cfg,
             scoring=ScoringWeights.seeded(cfg.d, cfg.heads, rng),
@@ -266,6 +269,16 @@ def save_weights(model: SelectorModel, path: str | Path) -> list[tuple[str, str,
     return entries
 
 
+class _ZeroDraws:
+    """Stands in for a ``np.random.Generator`` where only the names and
+    shapes of the seeded tensors matter: every draw is zeros, and no
+    generator (nor ``numpy.random``) is loaded."""
+
+    @staticmethod
+    def uniform(low: float, high: float, size: tuple[int, ...]) -> Array:
+        return np.zeros(size)
+
+
 def load_weights(path: str | Path) -> SelectorModel:
     """Rebuild a model from a weights directory, verifying every checksum.
 
@@ -278,7 +291,7 @@ def load_weights(path: str | Path) -> SelectorModel:
         raise MissingResourceError(f"weights directory not found: {path}")
     if not (path / "model.cfg").exists():
         raise MissingResourceError(f"model config not found in {path}")
-    skeleton = SelectorModel.build(load_config(path / "model.cfg"))
+    skeleton = SelectorModel.build(load_config(path / "model.cfg"), rng=_ZeroDraws())
     manifest = tensorio.read_manifest(path / "manifest.txt")
     names = [entry[0] for entry in manifest]
     repeated = sorted({name for name in names if names.count(name) > 1})

@@ -361,6 +361,16 @@ class TestSerialization:
         b = select(loaded, wl.x, wl.timestamps, wl.q, mode="infer")
         np.testing.assert_array_equal(a.z, b.z)
 
+    def test_round_trip_byte_identical_beyond_defaults(self, tmp_path):
+        """``load_weights`` takes its names and shapes from a skeleton that
+        draws nothing: weights of a non-default shape, loaded and saved
+        again, write the same bytes."""
+        cfg = RunConfig(heads=2, reencode_depth=1, budget_hidden=16)
+        entries = save_weights(SelectorModel.build(cfg), tmp_path / "a")
+        assert save_weights(load_weights(tmp_path / "a"), tmp_path / "b") == entries
+        for first in sorted((tmp_path / "a").iterdir()):
+            assert (tmp_path / "b" / first.name).read_bytes() == first.read_bytes(), first.name
+
     @pytest.mark.parametrize(
         "cfg",
         [RunConfig(), RunConfig(tau_s=0.3, n_max=64, budget_hidden=16)],
