@@ -1,7 +1,7 @@
 """Command-line surface: select, train, eval, weights-inspect.
 
-Exit codes: 0 ok, 2 input parse, 3 shape conflict, 4 missing resource,
-5 numeric failure, 6 config schema violation.
+Exit codes: 0 ok, 2 input parse, 3 shape conflict, 4 missing or unusable
+resource (any OSError on a path), 5 numeric failure, 6 config schema violation.
 
 Only ``train`` and ``eval`` import the training modules (``harness`` and
 ``objective``), so ``select --mode infer`` and ``weights-inspect`` start
@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, replace
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -48,10 +47,7 @@ WEIGHT_KEYS = ("d", "heads", "reencode_depth", "budget_hidden", "rho_min", "rho_
 def _load_run_config(args, cfg: RunConfig = RunConfig()) -> RunConfig:
     """``cfg`` with --config and then --set applied on top."""
     if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise MissingResourceError(f"config file not found: {path}")
-        cfg = load_config(path, cfg)
+        cfg = load_config(args.config, cfg)
     if getattr(args, "set", None):
         cfg = apply_overrides(cfg, args.set)
     return cfg
@@ -244,8 +240,8 @@ def main(argv: list[str] | None = None) -> int:
     except ShapeError as exc:
         print(f"shape error: {exc}", file=sys.stderr)
         return EXIT_SHAPE
-    except (MissingResourceError, FileNotFoundError) as exc:
-        print(f"missing resource: {exc}", file=sys.stderr)
+    except (MissingResourceError, OSError) as exc:  # OSError: a path missing, a directory, ...
+        print(f"missing or unusable resource: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

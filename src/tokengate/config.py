@@ -71,7 +71,7 @@ class RunConfig:
 _RULES = (
     (
         ("d", "heads", "budget_hidden", "n_max", "train_batch",
-         "wl_frame_height", "wl_frame_width", "wl_patch"),
+         "wl_frame_height", "wl_frame_width", "wl_patch", "wl_query_len", "wl_planted"),
         lambda v: v >= 1,
         ">= 1",
     ),
@@ -84,7 +84,7 @@ _RULES = (
     # the threshold solve misses residual_tol; the floor keeps 4 decades
     # clear of that edge.
     (("tau_s",), lambda v: 1e-6 <= v < math.inf, ">= 1e-06 and finite"),
-    (("wl_frame_rate",), lambda v: 0.0 < v < math.inf, "positive and finite"),
+    (("wl_frame_rate", "wl_alignment"), lambda v: 0.0 < v < math.inf, "positive and finite"),
     (
         ("lambda_t", "lambda_m", "lambda_s"),
         lambda v: 0.0 <= v < math.inf,
@@ -92,11 +92,8 @@ _RULES = (
     ),
     (("rho_min", "rho_max"), lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     (("rho_bar",), lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    (("train_lr", "train_momentum", "clip_norm"), math.isfinite, "finite"),
+    (("train_lr", "train_momentum", "clip_norm", "wl_noise"), math.isfinite, "finite"),
 )
-# The numeric keys _RULES leaves out: WorkloadSpec.validate checks them,
-# since a workload built without a RunConfig needs the same checks.
-WORKLOAD_CHECKED = ("wl_query_len", "wl_planted", "wl_alignment", "wl_noise")
 
 
 def check_ranges(values: dict, error: type[Exception] = ConfigError) -> None:
@@ -147,7 +144,11 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
 
 
 def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"), base)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    return parse_config_text(text, base)
 
 
 def apply_overrides(cfg: RunConfig, pairs: list[str]) -> RunConfig:

@@ -15,8 +15,9 @@ import csv
 import io
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import Field, dataclass, field, fields, replace
-from typing import Callable, Sequence, get_type_hints
+from typing import Callable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
@@ -28,10 +29,12 @@ from .objective import PenaltyWeights, total_loss
 from .selector import DiagnosticsRecord, SelectionResult, SelectorModel, select
 
 
-# WorkloadSpec video field -> the RunConfig key that sets it and owns its range.
-_VIDEO_KEYS = {
-    "frame_rate": "wl_frame_rate", "frame_height": "wl_frame_height",
-    "frame_width": "wl_frame_width", "patch": "wl_patch",
+# WorkloadSpec field -> the RunConfig key that sets it and owns its range;
+# from_config sets m and frames apart, since their keys' 0 is None there.
+_WORKLOAD_KEYS = {
+    "d": "d", "l": "wl_query_len", "k": "wl_planted", "alignment": "wl_alignment",
+    "noise": "wl_noise", "frame_rate": "wl_frame_rate", "frame_height": "wl_frame_height",
+    "frame_width": "wl_frame_width", "patch": "wl_patch", "seed": "seed",
 }
 
 
@@ -69,8 +72,8 @@ class WorkloadSpec:
         return tokens
 
     def token_count(self) -> int:
+        """M, for a spec whose fields passed ``validate``'s range check."""
         if self.frames is not None:
-            check_ranges({key: getattr(self, f) for f, key in _VIDEO_KEYS.items()}, InputError)
             if self.frames < 1:
                 raise InputError(f"frame count must be >= 1, got {self.frames}")
             return self.frames * self.tokens_per_frame()
@@ -81,32 +84,18 @@ class WorkloadSpec:
         return self.m
 
     def validate(self) -> None:
-        """Raise ``InputError`` for the first field out of its range."""
-        check_ranges({"d": self.d, "seed": self.seed}, InputError)
+        """Raise ``InputError`` at the first broken rule: the key ranges, M >= 1, k <= M."""
+        check_ranges({key: getattr(self, f) for f, key in _WORKLOAD_KEYS.items()}, InputError)
         m = self.token_count()
-        if not self.k >= 1:
-            raise InputError(f"planted count must be >= 1, got {self.k}")
         if self.k > m:
             raise InputError(f"planted count {self.k} exceeds token count {m}")
-        if not self.l >= 1:
-            raise InputError(f"query length l must be >= 1, got {self.l!r}")
-        if not 0.0 < self.alignment < math.inf:
-            raise InputError(f"alignment must be positive and finite, got {self.alignment!r}")
-        if not math.isfinite(self.noise):
-            raise InputError(f"noise must be finite, got {self.noise!r}")
 
     @classmethod
     def from_config(cls, cfg: RunConfig) -> "WorkloadSpec":
         return cls(
             m=cfg.wl_tokens if cfg.wl_tokens > 0 else None,
-            d=cfg.d,
-            l=cfg.wl_query_len,
-            k=cfg.wl_planted,
-            alignment=cfg.wl_alignment,
-            noise=cfg.wl_noise,
             frames=cfg.wl_frames if cfg.wl_frames > 0 else None,
-            seed=cfg.seed,
-            **{f: getattr(cfg, key) for f, key in _VIDEO_KEYS.items()},
+            **{f: getattr(cfg, key) for f, key in _WORKLOAD_KEYS.items()},
         )
 
 
@@ -314,9 +303,9 @@ def train_desk_scale(
     compute-aware penalty on rho (batch expectation is the arithmetic
     mean).  The workload pool is fixed across epochs (gate noise stays
     fresh) so the per-epoch loss is comparable; gradients are clipped at
-    a global norm.  Divergence (a non-finite loss) aborts with a
-    diagnostic dump.  A negative ``epochs`` or ``seed`` raises
-    ``ParameterError``.
+    a global norm.  Divergence raises ``NumericError`` (``_diverges``)
+    naming the epoch, and the item for a step.  A negative ``epochs`` or
+    ``seed`` raises ``ParameterError``.
 
     Each step selects with the re-encoder removed: neither loss term
     reads the re-encoded rows z (the task loss reads the soft gate, the
@@ -332,10 +321,7 @@ def train_desk_scale(
     returned model holds the trained tensors and shares every other
     tensor (the re-encoder's) with ``model``.
     """
-    if epochs < 0:
-        raise ParameterError(f"epochs must be >= 0, got {epochs}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    check_ranges({"train_epochs": epochs, "seed": seed}, ParameterError)
     trainable = model.without_reencoder()
     params = trainable.parameters()
     epoch_model = trainable.with_parameters(params)  # shares params' arrays
@@ -357,26 +343,27 @@ def train_desk_scale(
         for item, wl in enumerate(pool):
             rng = np.random.default_rng([seed, epoch, item])
             loss_value, record = _train_instance(
-                tape, bound, tracked, wl, rng, penalties, grad_sum, (epoch, item)
+                tape, bound, tracked, wl, rng, penalties, grad_sum, {"epoch": epoch, "item": item}
             )
             losses.append(loss_value)
             rhos.append(record.rho)
             kept.append(record.n)
         # in place: grads, then velocity <- momentum * velocity - lr * grads,
         # then params <- params + velocity
-        for g in grad_sum.values():
-            g /= opt.batch
-        total_norm = math.sqrt(sum(float((g * g).sum()) for g in grad_sum.values()))
-        if total_norm > opt.clip_norm > 0:
-            scale = opt.clip_norm / total_norm
+        with _diverges({"epoch": epoch}):
             for g in grad_sum.values():
-                g *= scale
-        for name, p in params.items():
-            v, g = velocity[name], grad_sum[name]
-            v *= opt.momentum
-            g *= opt.lr
-            v -= g
-            p += v
+                g /= opt.batch
+            total_norm = math.sqrt(sum(float((g * g).sum()) for g in grad_sum.values()))
+            if total_norm > opt.clip_norm > 0:
+                scale = opt.clip_norm / total_norm
+                for g in grad_sum.values():
+                    g *= scale
+            for name, p in params.items():
+                v, g = velocity[name], grad_sum[name]
+                v *= opt.momentum
+                g *= opt.lr
+                v -= g
+                p += v
         trajectory.append(
             EpochStats(
                 epoch=epoch,
@@ -396,38 +383,49 @@ def _train_instance(
     rng: np.random.Generator,
     penalties: PenaltyWeights,
     grad_sum: dict[str, Array],
-    where: tuple[int, int],
+    where: dict[str, int],
 ) -> tuple[float, DiagnosticsRecord]:
     """One instance of a training step on ``tape``, where ``bound`` and
     its leaves ``tracked`` were bound: select, loss and backward, the
     gradients added into ``grad_sum``.  Returns the loss and the
     selection's diagnostics record.  The tape is cleared on the way out,
     success or not, and the rest of the graph dies with this call's
-    locals.  ``where`` is (epoch, item), for the divergence dump.
+    locals.  ``where`` names the epoch and item, for the divergence dump.
     """
     try:
-        res = select(bound, wl.x, wl.timestamps, wl.q, mode="train", rng=rng)
-        task = planted_mass_loss(res, wl.planted)
-        loss = total_loss(task, res.rho_var, wl.x.shape[0], bound.cfg.n_max, penalties)
-        loss_value = loss.item()
-        if not math.isfinite(loss_value):
-            r = res.r_var.value
-            raise NumericError(
-                "training diverged: non-finite loss",
-                dump={
-                    "epoch": where[0],
-                    "item": where[1],
-                    "rho": res.record.rho,
-                    "t": res.record.t,
-                    "r_stats": {"min": r.min(), "mean": r.mean(), "max": r.max()},
-                },
-            )
-        names = list(tracked)
-        for name, g in zip(names, tape.gradients(loss, [tracked[n] for n in names])):
-            grad_sum[name] += g
+        with _diverges(where):
+            res = select(bound, wl.x, wl.timestamps, wl.q, mode="train", rng=rng)
+            task = planted_mass_loss(res, wl.planted)
+            loss = total_loss(task, res.rho_var, wl.x.shape[0], bound.cfg.n_max, penalties)
+            loss_value = loss.item()
+            if not math.isfinite(loss_value):
+                r = res.r_var.value
+                raise NumericError(
+                    "training diverged: non-finite loss",
+                    dump={
+                        **where,
+                        "rho": res.record.rho,
+                        "t": res.record.t,
+                        "r_stats": {"min": r.min(), "mean": r.mean(), "max": r.max()},
+                    },
+                )
+            names = list(tracked)
+            for name, g in zip(names, tape.gradients(loss, [tracked[n] for n in names])):
+                grad_sum[name] += g
         return loss_value, res.record
     finally:
         tape.clear()
+
+
+@contextmanager
+def _diverges(dump: dict) -> Iterator[None]:
+    """Raise the block's first floating-point overflow, division by zero or
+    invalid operation (it can come before any loss) as ``NumericError(dump)``."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericError(f"training diverged: {exc}", dump=dump) from None
 
 
 # ---------------------------------------------------------------------------

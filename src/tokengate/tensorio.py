@@ -83,8 +83,12 @@ def read_manifest(path: str | Path) -> list[tuple[str, str, str, str]]:
     path = Path(path)
     if not path.exists():
         raise MissingResourceError(f"manifest not found: {path}")
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
     entries = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         parts = line.split()

@@ -12,7 +12,7 @@ import pytest
 
 import tokengate
 from conftest import poke_tensor, save_per_head_weights
-from tokengate import cli, config
+from tokengate import cli, config, harness
 from tokengate.budget import compute_budget
 from tokengate.cli import main
 from tokengate.config import RunConfig, SCHEMA
@@ -247,6 +247,35 @@ class TestSelectCommand:
         assert f"unknown configuration key '{key}'" in capsys.readouterr().err
         assert not (workspace / "out_z.qtn").exists()
 
+    @pytest.mark.parametrize("flag", ["--x", "--config", "--out-tokens"])
+    def test_directory_for_a_file_exits_4_without_outputs(self, workspace, capsys, flag):
+        (workspace / "adir").mkdir()
+        args = _select_args(workspace)
+        args[args.index(flag) + 1] = str(workspace / "adir")
+        assert main(args) == 4
+        assert "missing or unusable resource: " in capsys.readouterr().err
+        assert list((workspace / "adir").iterdir()) == []
+        assert not list(workspace.glob("adir.*"))  # no temporary file is left
+        assert not (workspace / "out_idx.txt").exists()
+
+    def test_missing_config_file_exits_4(self, workspace, capsys):
+        args = _select_args(workspace)
+        args[args.index("--config") + 1] = str(workspace / "nope.cfg")
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert "missing or unusable resource: " in err and "nope.cfg" in err
+        assert not (workspace / "out_z.qtn").exists()
+
+    @pytest.mark.parametrize(
+        "name, code", [("run.cfg", 6), ("weights/model.cfg", 6), ("weights/manifest.txt", 2)]
+    )
+    def test_non_utf8_file_exits_with_its_code(self, workspace, capsys, name, code):
+        path = workspace / name
+        path.write_bytes(b"\xff" + path.read_bytes())
+        assert main(_select_args(workspace)) == code
+        assert f"{name.split('/')[-1]}: not UTF-8 text" in capsys.readouterr().err
+        assert not (workspace / "out_z.qtn").exists()
+
     def test_unknown_config_key_exits_6(self, workspace):
         (workspace / "run.cfg").write_text(CFG_TEXT + "imaginary_knob = 3\n")
         assert main(_select_args(workspace)) == 6
@@ -321,6 +350,8 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert "wl_tokens" in err and "wl_frames" in err
         assert not out.exists()
+        assert main(args + ["--set", "wl_tokens=0", "--frames", "2", "--out", str(out)]) == 0
+        assert [r.m for r in from_csv(EvalRow, out.read_text())] == [32]
 
     def test_eval_missing_weights_exits_4(self, tmp_path):
         out = tmp_path / "eval.csv"
@@ -354,6 +385,7 @@ class TestOtherCommands:
             ("4,abc", "--frames: invalid literal for int() with base 10: 'abc'"),
             ("4,2.5", "--frames: invalid literal for int() with base 10: '2.5'"),
             ("4,-1", "frame count must be >= 1, got -1"),
+            (",", "empty frame list"),
         ],
     )
     def test_eval_bad_frames_exit_2(self, workspace, tmp_path, capsys, frames, message):
@@ -428,7 +460,7 @@ class TestOtherCommands:
             ("seed=-1", 6),
             ("wl_tokens=-5", 6),
             ("wl_frames=-1", 6),
-            ("wl_planted=0", 2),
+            ("wl_planted=0", 6),
             ("rho_min=0.6", 6),
             ("rho_max=1.5", 6),
             ("rho_min=nan", 6),
@@ -450,24 +482,65 @@ class TestOtherCommands:
         assert not out_t.exists()
 
     @pytest.mark.parametrize(
-        "key, message",
-        [("wl_alignment=nan", "alignment"), ("wl_noise=nan", "noise"),
-         ("wl_query_len=-1", "query length")],
+        "setting", ["wl_query_len=0", "wl_planted=0", "wl_alignment=nan", "wl_noise=inf"]
     )
-    def test_bad_workload_key_exits_2_naming_it(self, workspace, tmp_path, capsys, key, message):
+    def test_bad_workload_key_exits_6_naming_it(self, workspace, tmp_path, capsys, setting):
         out_w = tmp_path / "trained"
         out_t = tmp_path / "traj.csv"
         args = [
             "train",
             "--config", str(workspace / "run.cfg"),
-            "--set", "train_epochs=1", "--set", key,
+            "--set", "train_epochs=1", "--set", setting,
             "--out-weights", str(out_w),
             "--out-trajectory", str(out_t),
         ]
-        assert main(args) == 2
-        assert message in capsys.readouterr().err
+        assert main(args) == 6
+        key = setting.split("=")[0]
+        assert f"config error: {key} must be " in capsys.readouterr().err
         assert not out_w.exists()
         assert not out_t.exists()
+
+    def test_diverging_training_exits_5_with_its_dump(self, workspace, tmp_path, capsys):
+        out_w = tmp_path / "trained"
+        out_t = tmp_path / "traj.csv"
+        args = [
+            "train",
+            "--config", str(workspace / "run.cfg"),
+            "--set", "train_epochs=3", "--set", "train_batch=2", "--set", "train_lr=1e300",
+            "--out-weights", str(out_w),
+            "--out-trajectory", str(out_t),
+        ]
+        assert main(args) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("numeric failure: training diverged: overflow")
+        assert json.loads(err[1]) == {"epoch": 1, "item": 0}
+        assert not out_w.exists()
+        assert not out_t.exists()
+
+    def test_out_weights_on_an_existing_file_exits_4(self, workspace, tmp_path, capsys):
+        out_w = tmp_path / "taken"
+        out_w.write_text("")
+        out_t = tmp_path / "traj.csv"
+        args = [
+            "train",
+            "--config", str(workspace / "run.cfg"),
+            "--set", "train_epochs=1", "--set", "train_batch=2",
+            "--out-weights", str(out_w),
+            "--out-trajectory", str(out_t),
+        ]
+        assert main(args) == 4
+        assert "missing or unusable resource: " in capsys.readouterr().err
+        assert out_w.read_text() == ""
+        assert not out_t.exists()
+
+    def test_eval_out_on_a_directory_exits_4(self, workspace, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.mkdir()
+        args = ["eval", "--config", str(workspace / "run.cfg"), "--trials", "1", "--out", str(out)]
+        assert main(args) == 4
+        assert "missing or unusable resource: " in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        assert not list(tmp_path.glob("taken.*"))  # no temporary file is left
 
 
 @pytest.mark.parametrize(
@@ -539,8 +612,11 @@ class TestHelp:
         }
 
     def test_every_schema_key_is_read(self):
-        """A key the help advertises must configure something outside config.py."""
+        """A key the help advertises must configure something outside
+        config.py: read as ``.<key>``, or set through a field map that
+        ``from_config`` reads."""
         src = Path(tokengate.__file__).parent
         code = "\n".join(p.read_text() for p in src.glob("*.py") if p.name != "config.py")
-        unread = [key for key in SCHEMA if not re.search(rf"\.{key}\b", code)]
+        mapped = {*harness._WORKLOAD_KEYS.values(), *harness._OPTIMIZER_KEYS.values()}
+        unread = [key for key in SCHEMA if key not in mapped and not re.search(rf"\.{key}\b", code)]
         assert unread == []

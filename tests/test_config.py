@@ -1,21 +1,20 @@
 """RunConfig's one range table and the objects that check through it."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
 from tokengate.config import (
     _RULES,
     SCHEMA,
-    WORKLOAD_CHECKED,
     RunConfig,
     check_ranges,
     config_text,
     parse_config_text,
 )
 from tokengate.errors import ConfigError, InputError, ParameterError
-from tokengate.harness import _OPTIMIZER_KEYS, OptimizerConfig, WorkloadSpec
+from tokengate.harness import _OPTIMIZER_KEYS, _WORKLOAD_KEYS, OptimizerConfig, WorkloadSpec
 from tokengate.objective import PenaltyWeights
 
 RULED = [key for keys, _, _ in _RULES for key in keys]
@@ -29,20 +28,37 @@ VALUES = [math.nan, math.inf, -math.inf, -1.0, -1e-9, 0.0, 1e-9, 0.5, 1.0, 2.0]
 
 
 def test_every_numeric_key_is_checked_in_one_place():
-    """A key is in _RULES or in WORKLOAD_CHECKED, never both, and each
-    rule names RunConfig fields only."""
+    """Every numeric RunConfig key has one rule in _RULES, and each rule
+    names RunConfig fields only."""
     assert len(RULED) == len(set(RULED))
-    assert set(RULED) <= set(SCHEMA)
-    assert set(WORKLOAD_CHECKED) <= set(SCHEMA)
-    assert not set(RULED) & set(WORKLOAD_CHECKED)
     numeric = {key for key, (typ, _) in SCHEMA.items() if typ in (int, float)}
-    assert numeric == set(RULED) | set(WORKLOAD_CHECKED)
+    assert set(RULED) == numeric
 
 
-@pytest.mark.parametrize("key", WORKLOAD_CHECKED)
-def test_workload_checked_keys_are_checked_by_the_workload(key):
-    spec = WorkloadSpec.from_config(RunConfig(**{key: math.nan}))
-    with pytest.raises(InputError):
+def test_workload_fields_mirror_their_keys_through_one_map():
+    """Every WorkloadSpec field but m and frames (whose keys' 0 is None
+    on the spec) is in _WORKLOAD_KEYS, and from_config sets each from its
+    key."""
+    assert set(_WORKLOAD_KEYS) == {f.name for f in fields(WorkloadSpec)} - {"m", "frames"}
+    assert set(_WORKLOAD_KEYS.values()) <= set(RULED)
+    cfg = RunConfig(
+        d=8, heads=2, wl_tokens=0, wl_frames=3, wl_query_len=2, wl_planted=5,
+        wl_alignment=2.5, wl_noise=0.5, wl_frame_rate=2.0, wl_frame_height=30,
+        wl_frame_width=40, wl_patch=10, seed=7,
+    )
+    expected = WorkloadSpec(
+        m=None, d=8, l=2, k=5, alignment=2.5, noise=0.5, frames=3, frame_rate=2.0,
+        frame_height=30, frame_width=40, patch=10, seed=7,
+    )
+    assert WorkloadSpec.from_config(cfg) == expected
+
+
+@pytest.mark.parametrize(
+    "field, key", list(_WORKLOAD_KEYS.items()), ids=list(_WORKLOAD_KEYS.values())
+)
+def test_workload_checked_keys_are_checked_by_the_workload(field, key):
+    spec = replace(WorkloadSpec(), **{field: math.nan})
+    with pytest.raises(InputError, match=rf"^{key} must be .*, got nan$"):
         spec.validate()
 
 
@@ -83,6 +99,26 @@ def test_from_config_reads_every_shared_key():
     )
     assert PenaltyWeights.from_config(cfg) == PenaltyWeights(0.3, 0.4, 0.6, 0.7)
     assert OptimizerConfig.from_config(cfg) == OptimizerConfig(0.2, 0.5, 3.0, 5)
+
+
+def test_parse_skips_comments_and_blank_lines():
+    cfg = parse_config_text("# a comment\n\n   \nd = 16  # trailing comment\nheads = 2\n")
+    assert (cfg.d, cfg.heads) == (16, 2)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("d = 16\nheads 2", "line 2: expected 'key = value', got 'heads 2'"),
+        ("d = sixteen", "line 1: bad value for d: invalid literal for int() with base 10: 'sixteen'"),
+        ("tau_s = 0.5.1", "line 1: bad value for tau_s: could not convert string to float: '0.5.1'"),
+    ],
+    ids=["no_equals", "bad_int", "bad_float"],
+)
+def test_parse_rejects_a_malformed_line(text, message):
+    with pytest.raises(ConfigError) as caught:
+        parse_config_text(text)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from tokengate import autodiff as ad
 from tokengate import reencoder
 from tokengate.autodiff import Tape
 from tokengate.config import RunConfig
-from tokengate.errors import InputError, ParameterError
+from tokengate.errors import InputError, NumericError, ParameterError
 from tokengate import harness
 from tokengate.harness import (
     EpochStats,
@@ -79,14 +79,14 @@ class TestGenerateWorkload:
     @pytest.mark.parametrize("k", [0, -1])
     def test_no_planted_tokens_rejected(self, k):
         """Recall and the planted-mass loss divide by the planted count."""
-        with pytest.raises(InputError, match="planted count"):
+        with pytest.raises(InputError, match="wl_planted must be >= 1"):
             generate_workload(WorkloadSpec(m=16, k=k), np.random.default_rng(0))
 
     @pytest.mark.parametrize(
         "field, value, message",
         [("alignment", math.nan, "alignment"), ("alignment", math.inf, "alignment"),
          ("noise", math.nan, "noise"), ("noise", -math.inf, "noise"),
-         ("l", 0, "query length"), ("l", -1, "query length"),
+         ("l", 0, "wl_query_len"), ("l", -1, "wl_query_len"),
          ("frame_rate", 0.0, "wl_frame_rate"), ("frame_rate", math.nan, "wl_frame_rate"),
          ("patch", 0, "wl_patch"),
          ("frame_height", -56, "wl_frame_height"), ("d", 0, "d must"), ("d", -2, "d must")],
@@ -193,6 +193,24 @@ class TestEvaluate:
 
 
 class TestTrainDeskScale:
+    @pytest.mark.parametrize(
+        "opt, dump",
+        [
+            # weights of ~1e300 overflow the scoring logits in epoch 1's first step
+            (OptimizerConfig(lr=1e300, batch=2), {"epoch": 1, "item": 0}),
+            # the velocity overflows in epoch 1's update
+            (OptimizerConfig(lr=1e10, momentum=1e308, clip_norm=0.0, batch=2), {"epoch": 1}),
+        ],
+        ids=["step", "update"],
+    )
+    def test_divergence_raises_numeric_error_with_its_place(self, opt, dump):
+        """The first overflow of a diverging run raises, with no
+        RuntimeWarning, and names where it happened."""
+        spec = WorkloadSpec(m=48, d=16, l=4, k=4, seed=8)
+        with pytest.raises(NumericError, match="^training diverged: overflow") as caught:
+            train_desk_scale(spec, SelectorModel.build(CFG), 4, opt, PenaltyWeights())
+        assert caught.value.dump == dump
+
     def test_zero_learning_rate_keeps_weights_bit_identical(self):
         spec = WorkloadSpec(m=48, d=16, l=4, k=4, seed=8)
         model = SelectorModel.build(CFG)

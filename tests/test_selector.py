@@ -491,6 +491,29 @@ class TestSerialization:
         with pytest.raises(InputError, match=rf"more than once: {name}$"):
             load_weights(tmp_path / "w")
 
+    @pytest.mark.parametrize(
+        "edit, error, message",
+        [
+            (lambda f: [f[0][:3]] + f[1:], InputError, "line 1: expected 4 fields, got 3"),
+            (lambda f: f + [["extra.w", *f[0][1:]]], InputError, "lists unknown tensors: extra.w$"),
+            (lambda f: [[f[0][0], "1x1", *f[0][2:]]] + f[1:], ShapeError, r"vs manifest 1x1$"),
+        ],
+        ids=["three_fields", "unknown_tensor", "shape_differs_from_file"],
+    )
+    def test_malformed_manifest_rejected(self, model, tmp_path, edit, error, message):
+        save_weights(model, tmp_path / "w")
+        manifest = tmp_path / "w" / "manifest.txt"
+        fields = [line.split() for line in manifest.read_text().splitlines()]
+        manifest.write_text("".join(" ".join(line) + "\n" for line in edit(fields)))
+        with pytest.raises(error, match=message):
+            load_weights(tmp_path / "w")
+
+    def test_missing_model_config(self, model, tmp_path):
+        save_weights(model, tmp_path / "w")
+        (tmp_path / "w" / "model.cfg").unlink()
+        with pytest.raises(MissingResourceError, match="model config not found"):
+            load_weights(tmp_path / "w")
+
     @pytest.mark.parametrize("target", ["../{}", "sub/{}", "absolute"])
     def test_manifest_filename_must_be_bare(self, model, tmp_path, target):
         """A manifest may not name a file outside its directory, even one
@@ -570,6 +593,21 @@ class TestTensorFormat:
         (tmp_path / "bad.qtn").write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(InputError, match="offset 0"):
             read_tensor(tmp_path / "bad.qtn")
+
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            (b"QTN1\x01\x00", "truncated header at offset 6"),
+            (b"QTN1" + struct.pack("<II", 2, 1), "unsupported version 2 at offset 4"),
+            (b"QTN1" + struct.pack("<II", 1, 3), "unsupported rank 3 at offset 8"),
+            (b"QTN1" + struct.pack("<II", 1, 2) + struct.pack("<Q", 4), "truncated dimensions at offset 20"),
+        ],
+        ids=["header", "version", "rank", "dimensions"],
+    )
+    def test_malformed_header_names_its_offset(self, tmp_path, blob, message):
+        (tmp_path / "h.qtn").write_bytes(blob)
+        with pytest.raises(InputError, match=f"{message}$"):
+            read_tensor(tmp_path / "h.qtn")
 
     def test_dimension_product_beyond_int64(self, tmp_path):
         """dims (2^32, 2^32) and no payload: the element count 2^64 is
