@@ -14,11 +14,12 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import RunConfig, apply_overrides, load_config, schema_help
+from .config import RunConfig, load_config, parse_config_text, schema_help
 from .errors import (
     ConfigError,
     InputError,
@@ -49,7 +50,7 @@ def _load_run_config(args, cfg: RunConfig = RunConfig()) -> RunConfig:
     if getattr(args, "config", None):
         cfg = load_config(args.config, cfg)
     if getattr(args, "set", None):
-        cfg = apply_overrides(cfg, args.set)
+        cfg = parse_config_text("\n".join(args.set), base=cfg)
     return cfg
 
 
@@ -72,6 +73,31 @@ def _load_model(args) -> SelectorModel:
     return replace(model, cfg=cfg)
 
 
+def _check_outputs(
+    files: list[str], weights_dir: str | None = None, model: SelectorModel | None = None
+) -> None:
+    """Raise, before any work, the ``OSError`` that writing would raise
+    after it: a file whose destination is a directory or whose parent is
+    not one, or a weights directory for ``model`` (``save_weights``
+    creates it with its parents, then writes ``model.cfg``,
+    ``manifest.txt`` and one ``<name>.qtn`` per tensor) whose path or
+    nearest existing ancestor is not a directory."""
+    made = set()
+    if weights_dir is not None:
+        root = Path(weights_dir)
+        found = next(p for p in (root, *root.parents) if p.exists())
+        if not found.is_dir():
+            raise NotADirectoryError(f"cannot write weights to {root}: {found} is not a directory")
+        made = {root, *root.parents}
+        names = ["model.cfg", "manifest.txt", *(f"{name}.qtn" for name, _ in model.named_tensors())]
+        files = [*files, *(root / name for name in names)]
+    for path in map(Path, files):
+        if path.is_dir() or path in made:
+            raise IsADirectoryError(f"cannot write {path} over a directory")
+        if not (path.parent.is_dir() or path.parent in made):
+            raise NotADirectoryError(f"cannot write {path}: {path.parent} is not a directory")
+
+
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value configuration file")
     parser.add_argument(
@@ -83,6 +109,7 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_select(args) -> int:
+    _check_outputs([args.out_tokens, args.out_indices, args.out_diag])
     model = _load_model(args)
     x = read_tensor(args.x)
     q = read_tensor(args.q)
@@ -110,6 +137,7 @@ def cmd_train(args) -> int:
 
     cfg = _load_run_config(args)
     model = SelectorModel.build(cfg)
+    _check_outputs([args.out_trajectory], args.out_weights, model)
     spec = WorkloadSpec.from_config(cfg)
     trained, trajectory = train_desk_scale(
         spec,
@@ -146,6 +174,7 @@ def _summary(rows: list[EvalRow]) -> str:
 def cmd_eval(args) -> int:
     from .harness import EvalRow, WorkloadSpec, evaluate, to_csv
 
+    _check_outputs([args.out])
     model = _load_model(args)
     spec = WorkloadSpec.from_config(model.cfg)
     sizes = [spec]

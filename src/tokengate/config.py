@@ -151,11 +151,6 @@ def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
     return parse_config_text(text, base)
 
 
-def apply_overrides(cfg: RunConfig, pairs: list[str]) -> RunConfig:
-    """Apply --set key=value overrides on top of a config."""
-    return parse_config_text("\n".join(pairs), base=cfg)
-
-
 def config_text(cfg: RunConfig) -> str:
     lines = [f"{name} = {getattr(cfg, name)}" for name in SCHEMA]
     return "\n".join(lines) + "\n"

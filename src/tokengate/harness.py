@@ -25,6 +25,7 @@ from . import autodiff as ad
 from .autodiff import Array, Tape, Var
 from .config import RunConfig, check_ranges
 from .errors import InputError, NumericError, ParameterError
+from .gate import hard_top_n
 from .objective import PenaltyWeights, total_loss
 from .selector import DiagnosticsRecord, SelectionResult, SelectorModel, select
 
@@ -46,21 +47,22 @@ class WorkloadSpec:
     frames, with the video geometry fields to derive the token count as
     frames * floor(height / patch) * floor(width / patch), the whole
     patches that tile one frame; timestamps then follow the frames at
-    ``frame_rate``, the sampled frames per second.
+    ``frame_rate``, the sampled frames per second.  Every default is its
+    RunConfig key's, so ``WorkloadSpec() == from_config(RunConfig())``.
     """
 
-    m: int | None = 256
-    d: int = 16
-    l: int = 4
-    k: int = 4
-    alignment: float = 6.0
-    noise: float = 1.0
+    m: int | None = RunConfig.wl_tokens
+    d: int = RunConfig.d
+    l: int = RunConfig.wl_query_len
+    k: int = RunConfig.wl_planted
+    alignment: float = RunConfig.wl_alignment
+    noise: float = RunConfig.wl_noise
     frames: int | None = None
     frame_rate: float = RunConfig.wl_frame_rate
     frame_height: int = RunConfig.wl_frame_height
     frame_width: int = RunConfig.wl_frame_width
     patch: int = RunConfig.wl_patch
-    seed: int = 0
+    seed: int = RunConfig.seed
 
     def tokens_per_frame(self) -> int:
         tokens = (self.frame_height // self.patch) * (self.frame_width // self.patch)
@@ -181,10 +183,11 @@ class EvalRow:
     the quantity the paper reports.  ``recall`` is the share of the k
     planted tokens in the kept set, ``stride_recall`` the same for
     uniform-stride retention at the same n, and ``precision`` the
-    precision@k of the k largest relevances.  ``ms`` times the select
-    call, ``downstream_ms`` ``mock_downstream`` over the kept rows z and
-    ``full_ms`` ``mock_downstream`` over all M tokens, so
-    (ms + downstream_ms) / full_ms is the latency ratio of selecting.
+    precision@k of the k largest relevances, ties to the lower index as
+    in the gate.  ``ms`` times the select call, ``downstream_ms``
+    ``mock_downstream`` over the kept rows z and ``full_ms``
+    ``mock_downstream`` over all M tokens, so (ms + downstream_ms) /
+    full_ms is the latency ratio of selecting.
     """
 
     trial: int
@@ -234,13 +237,12 @@ def evaluate(model: SelectorModel, spec: WorkloadSpec, trials: int) -> list[Eval
             _, full_ms = _timed(mock_downstream, wl.x)
         _, downstream_ms = _timed(mock_downstream, res.z)
         n = res.record.n
-        top_k = np.argpartition(-res.r_var.value.ravel(), k - 1)[:k]
         rows.append(
             EvalRow(
                 trial, m, k, n, 1.0 - n / m, res.record.rho, res.record.t,
                 _recall(res.indices, wl.planted),
                 _recall(uniform_stride_indices(m, n), wl.planted),
-                _recall(top_k, wl.planted),
+                _recall(hard_top_n(res.r_var.value, k), wl.planted),
                 ms, downstream_ms, full_ms,
             )
         )
@@ -295,7 +297,7 @@ def train_desk_scale(
     epochs: int,
     opt: OptimizerConfig,
     penalties: PenaltyWeights,
-    seed: int = 0,
+    seed: int = RunConfig.seed,
 ) -> tuple[SelectorModel, list[EpochStats]]:
     """SGD-with-momentum training of the scoring and budget tensors.
 

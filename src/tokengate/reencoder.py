@@ -120,10 +120,12 @@ def _block(x: Var, block: ReencoderBlock) -> Var:
     recomputed ATTENTION_ROWS query rows at a time by the forward's own
     tile generator, so no n x n map is ever stored.
     """
-    params = tuple(layers.weight_var(t) for _, t in layers.named_tensors(block))
-    values = tuple(p.value for p in params)  # in the order _block_forward unpacks
-    heads = block.attn.heads
-    width = block.attn.wq.shape[0]
+    a, f = block.attn, block.ffn  # the tensors in the order _block_forward unpacks
+    tensors = (block.gain_attn, block.gain_ffn, a.wq, a.wk, a.wv, a.wo, f.w1, f.b1, f.w2, f.b2)
+    params = tuple(layers.weight_var(t) for t in tensors)
+    values = tuple(p.value for p in params)
+    heads = a.heads
+    width = a.wq.shape[0]
     if width != x.shape[1]:
         raise ShapeError(f"re-encoder width {width} vs token width {x.shape[1]}")
     xv = x.value

@@ -30,7 +30,10 @@ from .layers import AttentionWeights, Tensor, as_var, check_weights, weight_var
 # memory.  Smaller chunks pay the BLAS call overhead more often: over M =
 # 32k, 106k and 180k tokens (4 heads, 4-16 query rows, d = 32), chunks of
 # 4096 and 2048 ran 7% and 8-14% slower than 8192, and 16384 ran 4-6%
-# faster at twice the buffer (2-vCPU x86, OpenBLAS 0.3.31).
+# faster at twice the buffer (2-vCPU x86, OpenBLAS 0.3.31).  The size
+# moves r's low bits: pass 1 sums each chunk and then adds up the chunk
+# sums, so at 4096 r moved by up to 3.75e-15 relative on the long_video
+# inputs; a new size must re-check the indices in perfbench/reference.npz.
 RELEVANCE_CHUNK = 8192
 
 # Smallest normal float64, 2^-1022: the floor of ``_sums_exact``.

@@ -543,6 +543,87 @@ class TestOtherCommands:
         assert not list(tmp_path.glob("taken.*"))  # no temporary file is left
 
 
+class TestUnwritableOutputs:
+    """A command whose writes would fail exits 4 before it selects, trains
+    or evaluates, and leaves no output behind."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("the command ran its work before checking its outputs")
+
+        for module, name in ((cli, "select"), (harness, "train_desk_scale"), (harness, "evaluate")):
+            monkeypatch.setattr(module, name, work)
+
+    @staticmethod
+    def _train_args(workspace, out_w, out_t):
+        return [
+            "train",
+            "--config", str(workspace / "run.cfg"),
+            "--set", "train_epochs=1", "--set", "train_batch=2",
+            "--out-weights", str(out_w),
+            "--out-trajectory", str(out_t),
+        ]
+
+    def test_train_trajectory_on_a_directory(self, workspace, tmp_path, capsys):
+        out_w = tmp_path / "tw"
+        assert main(self._train_args(workspace, out_w, tmp_path)) == 4
+        assert "cannot write" in capsys.readouterr().err
+        assert not out_w.exists()
+
+    def test_train_trajectory_on_the_weights_directory(self, workspace, tmp_path):
+        out_w = tmp_path / "tw"
+        assert main(self._train_args(workspace, out_w, out_w)) == 4
+        assert not out_w.exists()
+
+    @pytest.mark.parametrize("weights", ["taken", "taken/w"])
+    def test_train_weights_on_or_under_a_file(self, workspace, tmp_path, capsys, weights):
+        (tmp_path / "taken").write_text("")
+        out_t = tmp_path / "traj.csv"
+        assert main(self._train_args(workspace, tmp_path / weights, out_t)) == 4
+        assert "taken is not a directory" in capsys.readouterr().err
+        assert (tmp_path / "taken").read_text() == ""
+        assert not out_t.exists()
+
+    def test_train_weights_tensor_on_a_directory(self, workspace, tmp_path, capsys):
+        out_w = tmp_path / "tw"
+        (out_w / "scoring.wq.qtn").mkdir(parents=True)
+        out_t = tmp_path / "traj.csv"
+        assert main(self._train_args(workspace, out_w, out_t)) == 4
+        assert "scoring.wq.qtn over a directory" in capsys.readouterr().err
+        assert [p.name for p in out_w.iterdir()] == ["scoring.wq.qtn"]
+        assert not out_t.exists()
+
+    def test_select_diag_on_a_directory(self, workspace, capsys):
+        args = _select_args(workspace)
+        (workspace / "out_diag.json").mkdir()
+        assert main(args) == 4
+        assert "out_diag.json over a directory" in capsys.readouterr().err
+        assert not (workspace / "out_z.qtn").exists()
+        assert not (workspace / "out_idx.txt").exists()
+
+    def test_eval_out_in_a_missing_directory(self, workspace, tmp_path, capsys):
+        out = tmp_path / "nonexistent" / "e.csv"
+        args = ["eval", "--config", str(workspace / "run.cfg"), "--set", "wl_tokens=64",
+                "--trials", "1", "--out", str(out)]
+        assert main(args) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no summary line: no trial ran
+        assert "nonexistent is not a directory" in captured.err
+        assert not out.parent.exists()
+
+
+def test_train_writes_its_trajectory_into_a_new_weights_directory(workspace, tmp_path):
+    """The weights directory counts as the trajectory's parent, since
+    the weights are written first."""
+    out_w = tmp_path / "new" / "tw"
+    out_t = out_w / "traj.csv"
+    args = TestUnwritableOutputs._train_args(workspace, out_w, out_t)
+    assert main(args + ["--set", "wl_tokens=32"]) == 0
+    assert (out_w / "manifest.txt").exists()
+    assert from_csv(EpochStats, out_t.read_text())[0].epoch == 0
+
+
 @pytest.mark.parametrize(
     "exc, code",
     [

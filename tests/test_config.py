@@ -53,6 +53,11 @@ def test_workload_fields_mirror_their_keys_through_one_map():
     assert WorkloadSpec.from_config(cfg) == expected
 
 
+@pytest.mark.parametrize("cls", [WorkloadSpec, OptimizerConfig, PenaltyWeights])
+def test_defaults_are_run_config_defaults(cls):
+    assert cls() == cls.from_config(RunConfig())
+
+
 @pytest.mark.parametrize(
     "field, key", list(_WORKLOAD_KEYS.items()), ids=list(_WORKLOAD_KEYS.values())
 )

@@ -189,7 +189,34 @@ class TestEvaluate:
         """A workload seed keys the held-out generator, which takes no
         negative entry."""
         with pytest.raises(InputError, match="seed must be >= 0, got -1"):
-            evaluate(SelectorModel.build(RunConfig()), WorkloadSpec(d=32, seed=-1), 1)
+            evaluate(SelectorModel.build(RunConfig()), WorkloadSpec(d=32, k=4, seed=-1), 1)
+
+    def test_default_workload_runs_on_the_default_model(self):
+        """WorkloadSpec's defaults are RunConfig's, so the two agree on d."""
+        rows = evaluate(SelectorModel.build(RunConfig()), WorkloadSpec(), 1)
+        assert [(row.m, row.k) for row in rows] == [(RunConfig.wl_tokens, RunConfig.wl_planted)]
+
+    @pytest.mark.parametrize("planted_lower, precision", [(True, 1.0), (False, 0.75)])
+    def test_precision_tie_counts_the_lower_index(self, monkeypatch, planted_lower, precision):
+        """A planted token tied at the k-th relevance with a distractor
+        counts only when its index is the lower one, as in hard_top_n."""
+        spec = WorkloadSpec(m=64, d=16, l=4, k=4, seed=15)
+        planted = generate_workload(
+            spec, np.random.default_rng([spec.seed, 0, harness.HELD_OUT])
+        ).planted
+        tied = planted[0] if planted_lower else planted[-1]
+        others = np.setdiff1d(np.arange(spec.m), planted)
+        distractor = others[others > tied][0] if planted_lower else others[others < tied][-1]
+        r = np.zeros((1, spec.m))
+        r[0, planted] = 1.0
+        r[0, [tied, distractor]] = 0.5
+
+        def select_with_r(*args, **kwargs):
+            return dataclasses.replace(select(*args, **kwargs), r_var=ad.Var(r))
+
+        monkeypatch.setattr(harness, "select", select_with_r)
+        [row] = evaluate(_identity_model(), spec, 1)
+        assert row.precision == precision
 
 
 class TestTrainDeskScale:
@@ -509,7 +536,7 @@ class TestEvaluateFrames:
 
     @pytest.mark.parametrize("frames", [0, -1])
     def test_frame_count_below_one_rejected(self, frames):
-        spec = WorkloadSpec(m=None, d=16, frames=frames)
+        spec = WorkloadSpec(m=None, d=16, k=4, frames=frames)
         with pytest.raises(InputError, match=f"frame count must be >= 1, got {frames}"):
             evaluate(SelectorModel.build(CFG), spec, trials=1)
 
