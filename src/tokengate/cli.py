@@ -28,7 +28,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .selector import SelectorModel, load_weights, save_weights, select
+from .selector import SelectorModel, load_weights, save_weights, select, weights_files
 from .tensorio import atomic_write_text, read_tensor, write_tensor
 
 if TYPE_CHECKING:
@@ -79,19 +79,18 @@ def _check_outputs(
     """Raise, before any work, the ``OSError`` that writing would raise
     after it: a file whose destination is a directory or whose parent is
     not one, or a weights directory for ``model`` (``save_weights``
-    creates it with its parents, then writes ``model.cfg``,
-    ``manifest.txt`` and one ``<name>.qtn`` per tensor) whose path or
-    nearest existing ancestor is not a directory."""
+    creates it with its parents, then writes its ``weights_files``)
+    whose path or nearest existing ancestor is not a directory.  Paths
+    are compared resolved, so two spellings of one directory match."""
     made = set()
     if weights_dir is not None:
-        root = Path(weights_dir)
+        root = Path(weights_dir).resolve()
         found = next(p for p in (root, *root.parents) if p.exists())
         if not found.is_dir():
             raise NotADirectoryError(f"cannot write weights to {root}: {found} is not a directory")
         made = {root, *root.parents}
-        names = ["model.cfg", "manifest.txt", *(f"{name}.qtn" for name, _ in model.named_tensors())]
-        files = [*files, *(root / name for name in names)]
-    for path in map(Path, files):
+        files = [*files, *(root / name for name in weights_files(model))]
+    for path in (Path(f).resolve() for f in files):
         if path.is_dir() or path in made:
             raise IsADirectoryError(f"cannot write {path} over a directory")
         if not (path.parent.is_dir() or path.parent in made):

@@ -243,6 +243,12 @@ def _check_boundary(model: SelectorModel, res: SelectionResult, residual: float)
 # weight persistence
 
 
+def weights_files(model: SelectorModel) -> list[str]:
+    """The files ``save_weights`` writes for ``model``: ``model.cfg``,
+    ``manifest.txt``, then one ``<name>.qtn`` per tensor."""
+    return ["model.cfg", "manifest.txt", *(f"{name}.qtn" for name, _ in model.named_tensors())]
+
+
 def save_weights(model: SelectorModel, path: str | Path) -> list[tuple[str, str, str, str]]:
     """Write one QTN1 file per tensor, a manifest, and ``model.cfg``: the
     full run config the model was built from.
@@ -255,17 +261,17 @@ def save_weights(model: SelectorModel, path: str | Path) -> list[tuple[str, str,
     for name, arr in tensors:
         if not np.all(np.isfinite(arr)):
             raise NumericError(f"tensor {name} has non-finite values")
+    cfg_file, manifest_file, *tensor_files = weights_files(model)
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    tensorio.atomic_write_text(path / "model.cfg", config_text(model.cfg))
+    tensorio.atomic_write_text(path / cfg_file, config_text(model.cfg))
     entries = []
-    for name, arr in tensors:
-        filename = f"{name}.qtn"
+    for (name, arr), filename in zip(tensors, tensor_files):
         tensorio.write_tensor(path / filename, arr)
         entries.append(
             (name, tensorio.shape_token(arr), tensorio.file_sha256(path / filename), filename)
         )
-    tensorio.write_manifest(path / "manifest.txt", entries)
+    tensorio.write_manifest(path / manifest_file, entries)
     return entries
 
 

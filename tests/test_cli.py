@@ -613,15 +613,25 @@ class TestUnwritableOutputs:
         assert not out.parent.exists()
 
 
-def test_train_writes_its_trajectory_into_a_new_weights_directory(workspace, tmp_path):
+@pytest.mark.parametrize(
+    "out_w, out_t",
+    [
+        ("new/tw", "new/tw/traj.csv"),
+        ("{tmp}/tw", "tw/traj.csv"),  # an absolute --out-weights, a relative trajectory
+        ("a/../tw", "tw/traj.csv"),
+    ],
+    ids=["nested", "absolute", "dotdot"],
+)
+def test_train_writes_its_trajectory_into_a_new_weights_directory(
+    workspace, tmp_path, monkeypatch, out_w, out_t
+):
     """The weights directory counts as the trajectory's parent, since
-    the weights are written first."""
-    out_w = tmp_path / "new" / "tw"
-    out_t = out_w / "traj.csv"
-    args = TestUnwritableOutputs._train_args(workspace, out_w, out_t)
+    the weights are written first, however the two paths spell it."""
+    monkeypatch.chdir(tmp_path)
+    args = TestUnwritableOutputs._train_args(workspace, out_w.format(tmp=tmp_path), out_t)
     assert main(args + ["--set", "wl_tokens=32"]) == 0
-    assert (out_w / "manifest.txt").exists()
-    assert from_csv(EpochStats, out_t.read_text())[0].epoch == 0
+    assert (tmp_path / out_t).with_name("manifest.txt").exists()
+    assert from_csv(EpochStats, (tmp_path / out_t).read_text())[0].epoch == 0
 
 
 @pytest.mark.parametrize(

@@ -1,20 +1,24 @@
 """Alternating pairs of benchmark runs on two checkouts of this repository.
 
-    python3 tools/ab_pairs.py --parent ../parent --change . --pairs 10
+    python3 tools/ab_pairs.py --parent ../parent --pairs 10
 
-For every workload, each pair runs ``perfbench/run.py --trace 0`` once in
-each checkout, the parent first in even pairs and the change first in odd
-ones, so a drift in the machine's speed falls on both sides alike.  Each
-side runs its own ``perfbench/`` and ``src/``.  The parent can be any
-directory holding the parent commit, such as a second clone or an
-exported tree (``git archive``).
+For every workload of BENCHMARK.json, each pair runs
+``perfbench/run.py --trace 0`` for the benchmark's ``run_seconds`` once in
+the parent checkout and once in this one, the parent first in even pairs
+and the change first in odd ones, so a drift in the machine's speed falls
+on both sides alike.  Each side runs its own ``perfbench/`` and ``src/``.
+The parent can be any directory holding the parent commit, such as a
+second clone or an exported tree (``git archive``).
 
-For each end-to-end metric of BENCHMARK.json it prints each side's median
-and quartiles, the pairs the change wins (ties count for neither), and two
-verdicts: ``regressed`` when the change's median is worse than the
-parent's by more than the metric's bound, and ``gain`` when, over at
-least ten pairs, the change wins at least nine tenths of them and the
-medians differ by more than the distance between the parent's quartiles.
+For each end-to-end metric it prints each side's median and quartiles,
+the pairs the change wins (ties count for neither), and two verdicts.
+The bound verdict is ``regressed`` when the change's median is worse than
+the parent's by more than the metric's bound; else ``unresolved`` when
+the parent's quartiles lie further apart than the bound, unless every
+change run beats every parent run; else ``within bound``.  ``gain`` holds
+when, over at least ten pairs, the change wins at least nine tenths of
+them, the medians differ by more than the distance between the parent's
+quartiles, and the change has no more failed calls than the parent.
 Failed calls and failed checks are counted per side.
 """
 
@@ -31,11 +35,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seconds: float) -> dict:
     """The result object (the last line) of one benchmark run in ``checkout``."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seconds", str(seconds), "--trace", "0",
     ]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -43,12 +47,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def run_pairs(runner, checkouts: dict, workload: str, pairs: int, seed: int, seconds: float) -> dict:
+def run_pairs(runner, checkouts: dict, workload: str, pairs: int, seconds: float) -> dict:
     """{side: [result per pair]}, each pair run in alternating order."""
     results = {side: [] for side in SIDES}
     for i in range(pairs):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            results[side].append(runner(checkouts[side], workload, seed, seconds))
+            results[side].append(runner(checkouts[side], workload, seconds))
     return results
 
 
@@ -59,6 +63,10 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
+def failed_calls(runs: list[dict]) -> int:
+    return sum(r["failed"] for r in runs)
+
+
 def compare(results: dict, metric: dict) -> dict:
     """The summary of one end-to-end metric over paired runs."""
     name, lower = metric["name"], metric["better"] == "lower"
@@ -67,14 +75,26 @@ def compare(results: dict, metric: dict) -> dict:
     wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
     pq, cq = quartiles(parent), quartiles(change)
     worse = (cq[1] - pq[1]) if lower else (pq[1] - cq[1])
+    bound = metric["bound"] * abs(pq[1])
+    always_better = max(change) < min(parent) if lower else min(change) > max(parent)
+    if worse > bound:
+        verdict = "regressed"
+    elif pq[2] - pq[0] > bound and not always_better:
+        verdict = "unresolved"
+    else:
+        verdict = "within bound"
+    more_failed = failed_calls(results["change"]) > failed_calls(results["parent"])
     return {
         "metric": name,
         "parent": pq,
         "change": cq,
         "wins": wins,
         "pairs": len(parent),
-        "regressed": worse > metric["bound"] * abs(pq[1]),
-        "gain": len(parent) >= 10 and wins >= 0.9 * len(parent) and -worse > pq[2] - pq[0],
+        "verdict": verdict,
+        "gain": (
+            len(parent) >= 10 and wins >= 0.9 * len(parent) and -worse > pq[2] - pq[0]
+            and not more_failed
+        ),
     }
 
 
@@ -82,9 +102,10 @@ def report(workload: str, results: dict, metrics: list[dict]) -> list[str]:
     lines = [f"== {workload}"]
     for side in SIDES:
         runs = results[side]
-        failed = sum(r["failed"] for r in runs)
         incorrect = sum(not r["correct"] for r in runs)
-        lines.append(f"  {side}: {len(runs)} runs, {failed} failed calls, {incorrect} runs not correct")
+        lines.append(
+            f"  {side}: {len(runs)} runs, {failed_calls(runs)} failed calls, {incorrect} runs not correct"
+        )
     for metric in metrics:
         row = compare(results, metric)
         p, c = row["parent"], row["change"]
@@ -92,7 +113,7 @@ def report(workload: str, results: dict, metrics: list[dict]) -> list[str]:
             f"  {row['metric']:14s} parent {p[1]:.6g} [{p[0]:.6g}, {p[2]:.6g}]"
             f"  change {c[1]:.6g} [{c[0]:.6g}, {c[2]:.6g}]"
             f"  wins {row['wins']}/{row['pairs']}"
-            f"  regressed={row['regressed']} gain={row['gain']}"
+            f"  {row['verdict']}, gain={row['gain']}"
         )
     return lines
 
@@ -100,23 +121,17 @@ def report(workload: str, results: dict, metrics: list[dict]) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
-    parser.add_argument("--change", default=ROOT, type=Path, help="checkout of the change")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workload", action="append", help="repeatable; default: every workload")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json run_seconds")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    checkouts = {"parent": args.parent.resolve(), "change": ROOT}
     cached = {side: (path / "src" / "tokengate" / "__pycache__").is_dir() for side, path in checkouts.items()}
     if len(set(cached.values())) > 1:
         print(f"warning: bytecode caches differ between the sides ({cached}); setup_s compares "
               "compiling against loading", file=sys.stderr)
-    for workload in workloads:
-        results = run_pairs(run_once, checkouts, workload, args.pairs, args.seed, seconds)
+    for workload in (w["name"] for w in bench["workloads"]):
+        results = run_pairs(run_once, checkouts, workload, args.pairs, bench["run_seconds"])
         print("\n".join(report(workload, results, bench["end_to_end"])), flush=True)
     return 0
 
