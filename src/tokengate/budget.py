@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Array, Var
 from .config import RunConfig
 from .errors import ConfigError, InputError, ParameterError, ShapeError
-from .layers import Tensor, as_var, check_weights, uniform_init, weight_var
+from .layers import Tensor, as_var, check_weights, uniform_init, unscanned_var
 
 # Stabilizer in the relevance normalization p_i = r_i / (sum_j r_j + EPS_REL).
 EPS_REL = 1e-8
@@ -172,7 +172,7 @@ def predict_rho(features: BudgetFeatures, head: BudgetHead, cfg: RunConfig = Run
         raise ConfigError(
             f"budget head expects input dim {head.input_dim}, features give {d + 3}"
         )
-    weights = tuple(weight_var(t) for t in (head.w1, head.b1, head.w2, head.b2, head.w_out, head.b_out))
+    weights = tuple(unscanned_var(t) for t in (head.w1, head.b1, head.w2, head.b2, head.w_out, head.b_out))
     w1, b1, w2, b2, w_out, b_out = (w.value for w in weights)
     rv, top = features.r.value, features.top
     entropy_scale = 1.0 / (features.log_m + ENTROPY_TINY)

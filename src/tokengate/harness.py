@@ -4,9 +4,10 @@ CSV codec for their rows.
 Workloads plant a known subset of query-aligned tokens among random
 distractors, giving ground truth for recall and precision.  The
 evaluation scores the selector on workloads no training call draws, next
-to uniform-stride retention at the same per-instance budget, and times a
-quadratic-cost mock downstream block over the kept and the full token
-stream, so one row carries quality and latency together.
+to uniform-stride retention at the same per-instance budget, and times
+the downstream consumer (the re-encoder's attention kernel in float64,
+Theta(n^2 d)) over the kept and the full token stream, so one row
+carries quality and latency together.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .config import RunConfig, check_ranges
 from .errors import InputError, NumericError, ParameterError
 from .gate import hard_top_n
 from .objective import PenaltyWeights, total_loss
+from .reencoder import attend
 from .selector import DiagnosticsRecord, SelectionResult, SelectorModel, select
 
 
@@ -149,30 +151,15 @@ def uniform_stride_indices(m: int, n: int) -> Array:
 HELD_OUT = 1 << 20
 
 
-# Rows of one mock-downstream attention block.
-DOWNSTREAM_CHUNK = 256
-
-
 def mock_downstream(tokens: Array) -> Array:
-    """Dense single-head self-attention over the token stream.
+    """Dense single-head self-attention over the token stream, in float64.
 
-    Stands in for the downstream decoder's attention cost, Theta(n^2 d);
-    evaluated in float32 and ``DOWNSTREAM_CHUNK`` rows at a time, so its
-    cost scales without materializing the full score matrix.
+    Stands in for the downstream consumer's attention cost, Theta(n^2 d):
+    the re-encoder's tiled kernel (``reencoder.attend``) with the tokens
+    as queries, keys and values, so its memory is linear in n.
     """
-    x = np.asarray(tokens, dtype=np.float32)
-    n, d = x.shape
-    scale = 1.0 / math.sqrt(d)
-    out = np.empty_like(x)
-    xt = x.T.copy()
-    for start in range(0, n, DOWNSTREAM_CHUNK):
-        block = x[start : start + DOWNSTREAM_CHUNK]
-        scores = (block @ xt) * scale
-        scores -= scores.max(axis=1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=1, keepdims=True)
-        out[start : start + DOWNSTREAM_CHUNK] = scores @ x
-    return out
+    x = np.asarray(tokens, dtype=np.float64)
+    return attend(x, x, x, 1)[0]
 
 
 @dataclass
@@ -221,9 +208,11 @@ def evaluate(model: SelectorModel, spec: WorkloadSpec, trials: int) -> list[Eval
 
     Uniform stride keeps the budget the selector chose, so ``recall``
     against ``stride_recall`` isolates *which* tokens are kept, not how
-    many.  No training call draws from the held-out stream.  The full
-    stream's downstream time is Theta(M^2 d), seconds at M = 32768, so it
-    is timed once, on trial 0's tokens, and repeated on every row.
+    many.  No training call draws from the held-out stream.  The
+    downstream consumer is ``mock_downstream``, the re-encoder's attention
+    kernel in float64.  The full stream's downstream time is
+    Theta(M^2 d), seconds at M = 32768, so it is timed once, on trial 0's
+    tokens, and repeated on every row.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")

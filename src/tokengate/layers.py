@@ -37,15 +37,17 @@ def as_var(x: Tensor, name: str = "const") -> Var:
     return x if isinstance(x, Var) else ad.const(x, name)
 
 
-def weight_var(t: Tensor) -> Var:
-    """A weight as a Var, unscanned: ``check_weights`` or its tape checked it."""
-    return t if isinstance(t, Var) else Var(t)
+def unscanned_var(t: Tensor, name: str = "matrix") -> Var:
+    """``t`` if it is a Var, else ``t`` as a 2-D float64 Var, unscanned:
+    ``check_weights`` or its tape proved a weight finite, and
+    ``scoring.score`` proves its token stream finite from its outputs."""
+    return t if isinstance(t, Var) else Var(ad.to_matrix(t, name))
 
 
 def check_weights(container, prefix: str) -> None:
     """Raise ``InputError`` naming (as ``named_tensors`` does) the first
     array of ``container`` that is not a finite matrix.  Weight containers
-    call this once, when built, so their kernels wrap them with ``weight_var``."""
+    call this once, when built, so their kernels wrap them with ``unscanned_var``."""
     for name, tensor in named_tensors(container, prefix):
         if isinstance(tensor, np.ndarray):
             ad.as_matrix(tensor, name)

@@ -6,8 +6,9 @@ through a stack of pre-norm residual blocks (RMSNorm -> self-attention
 ablation and is an exact identity.
 
 ``reencode`` serves inference and training alike: each block is one
-GEMM per packed projection and a row-tiled attention, recorded on the
-tape as one operation whose backward recomputes what it needs, so its
+GEMM per packed projection and a row-tiled attention (``attend``, which
+``harness.evaluate`` also times as the downstream consumer), recorded on
+the tape as one operation whose backward recomputes what it needs, so its
 memory is O(n * d + ATTENTION_ROWS * n) for n kept tokens.
 
 Exp is the only elementwise pass over an attention tile.  Any shift of
@@ -122,7 +123,7 @@ def _block(x: Var, block: ReencoderBlock) -> Var:
     """
     a, f = block.attn, block.ffn  # the tensors in the order _block_forward unpacks
     tensors = (block.gain_attn, block.gain_ffn, a.wq, a.wk, a.wv, a.wo, f.w1, f.b1, f.w2, f.b2)
-    params = tuple(layers.weight_var(t) for t in tensors)
+    params = tuple(layers.unscanned_var(t) for t in tensors)
     values = tuple(p.value for p in params)
     heads = a.heads
     width = a.wq.shape[0]
@@ -140,27 +141,12 @@ def _block(x: Var, block: ReencoderBlock) -> Var:
 def _block_forward(x: ad.Array, values: tuple, heads: int) -> tuple[ad.Array, tuple]:
     """The block's output and the intermediates its backward needs.
 
-    One GEMM per packed d x d projection, the 1/sqrt(d_h) scale folded
-    into the queries.  Queries, keys and values are laid out per head
-    with one spare column (``_per_head``).  ``_attention_tiles`` writes
-    the shift -s_i into the queries' spare column (the keys' holds
-    ones), so each tile is exp of one QK GEMM; the values' column of
-    ones makes the PV GEMM yield each head's output and its row sums
-    together, and the sums divide the n x d_h output, not the n x n
-    weights (FlashAttention's deferred normalisation).  A head whose
-    largest s_i reaches SHIFT_LIMIT subtracts its exact row max from
-    each tile instead.  SiLU is pre / (1 + exp(-pre)), one exp pass too.
+    One GEMM per packed d x d projection, then ``attend`` over the
+    projected rows.  SiLU is pre / (1 + exp(-pre)), one exp pass too.
     """
     gain_attn, gain_ffn, wq, wk, wv, wo, w1, b1, w2, b2 = values
-    n, d = x.shape
     normed, inv_attn = _rmsnorm(x, gain_attn)
-    q_aug = _per_head(normed @ wq, heads, 0.0)  # _attention_tiles writes -s in the spare column
-    q_aug *= 1.0 / math.sqrt(d // heads)
-    k_aug = np.ascontiguousarray(_per_head(normed @ wk, heads, 1.0).transpose(1, 2, 0))
-    v_aug = _per_head(normed @ wv, heads, 1.0)
-    ov = _attention(q_aug, k_aug, v_aug)
-    sums = ov[:, :, -1]
-    o = (ov[:, :, :-1] / ov[:, :, -1:]).reshape(n, d)
+    o, sums, q_aug, k_aug, v_aug = attend(normed @ wq, normed @ wk, normed @ wv, heads)
     mid = x + o @ wo
 
     normed_ffn, inv_ffn = _rmsnorm(mid, gain_ffn)
@@ -239,6 +225,32 @@ def _per_head(a: ad.Array, heads: int, fill: float) -> ad.Array:
     out = np.full((n, heads, d // heads + 1), fill)
     out[:, :, :-1] = a.reshape(n, heads, d // heads)
     return out
+
+
+def attend(q: ad.Array, k: ad.Array, v: ad.Array, heads: int) -> tuple:
+    """Softmax self-attention of n x d queries, keys and values, per head.
+
+    Returns the n x d output o (head h in columns h*d_h:(h+1)*d_h), the
+    (n, heads) row sums, and the (n, heads, d_h + 1) query and value and
+    (heads, d_h + 1, n) key layouts of ``_per_head`` that
+    ``_block_backward`` reuses, the 1/sqrt(d_h) scale folded into the
+    queries.  ``_attention_tiles`` writes the shift -s_i into the
+    queries' spare column (the keys' holds ones), so each tile is exp of
+    one QK GEMM; the values' column of ones makes the PV GEMM yield each
+    head's output and its row sums together, and the sums divide the
+    n x d_h output, not the n x n weights (FlashAttention's deferred
+    normalisation).  A head whose largest s_i reaches SHIFT_LIMIT
+    subtracts its exact row max from each tile instead.
+    """
+    n, d = q.shape
+    q_aug = _per_head(q, heads, 0.0)  # _attention_tiles writes -s in the spare column
+    q_aug *= 1.0 / math.sqrt(d // heads)
+    k_aug = np.ascontiguousarray(_per_head(k, heads, 1.0).transpose(1, 2, 0))
+    v_aug = _per_head(v, heads, 1.0)
+    ov = _attention(q_aug, k_aug, v_aug)
+    sums = ov[:, :, -1]
+    o = (ov[:, :, :-1] / ov[:, :, -1:]).reshape(n, d)
+    return o, sums, q_aug, k_aug, v_aug
 
 
 def _attention(q_aug: ad.Array, k_aug: ad.Array, v_aug: ad.Array) -> ad.Array:

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Array, Var
 from .errors import InputError, ShapeError
-from .layers import AttentionWeights, Tensor, as_var, check_weights, weight_var
+from .layers import AttentionWeights, Tensor, as_var, check_weights, unscanned_var
 
 # Tokens per chunk in ``score``.  Its one logits buffer takes heads*L*chunk
 # floats (4 MiB at 4 heads x 16 query rows), and it sets the call's peak
@@ -93,16 +93,10 @@ def score(x: Var | Array, q: Var | Array, w: ScoringWeights) -> Var:
     only when that proof fails is x scanned, to raise ``InputError``
     naming x or to carry on for a finite x whose logits overflow.
     """
-    x = token_stream(x)
+    x = unscanned_var(x, "x")
     q = as_var(q, "q")
     _check_streams(x.value, q.value)
     return _max_attention(x, _logit_matrix(q, w), w)
-
-
-def token_stream(x: Var | Array) -> Var:
-    """x as a Var, coerced to a 2-D float64 matrix but not scanned:
-    ``score`` proves its entries finite from its own outputs."""
-    return x if isinstance(x, Var) else Var(ad.to_matrix(x, "x"))
 
 
 def _check_streams(x: Array, q: Array) -> None:
@@ -120,7 +114,7 @@ def _logit_matrix(q: Var, w: ScoringWeights) -> Var:
     columns, times the key projection: the zeros let one product serve
     every head.
     """
-    wq, wk = weight_var(w.wq), weight_var(w.wk)
+    wq, wk = unscanned_var(w.wq), unscanned_var(w.wk)
     if wq.shape[0] != q.shape[1]:
         raise ShapeError(f"token dim {q.shape[1]} does not match scoring weights {wq.shape}")
     heads, l = w.heads, q.shape[0]

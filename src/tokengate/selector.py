@@ -28,9 +28,9 @@ from .errors import (
     ShapeError,
 )
 from .gate import hard_top_n, sample_gumbel_pairs, soft_gate_apply, threshold_var
-from .layers import Tensor, as_var
+from .layers import Tensor, as_var, unscanned_var
 from .reencoder import ReencoderStack, reencode
-from .scoring import ScoringWeights, score, token_stream
+from .scoring import ScoringWeights, score
 
 
 @dataclass
@@ -155,7 +155,7 @@ def select(
         raise ParameterError(f"mode must be 'train' or 'infer', got {mode!r}")
     if mode == "train" and rng is None:
         raise ParameterError("train mode needs an rng for the Gumbel noise")
-    x_var = token_stream(x)  # ``score`` proves x finite
+    x_var = unscanned_var(x, "x")  # ``score`` proves x finite
     q_var = as_var(q, "q")
     m = x_var.shape[0]
     if m == 0:

@@ -517,6 +517,27 @@ class TestOtherCommands:
         assert not out_w.exists()
         assert not out_t.exists()
 
+    def test_non_finite_loss_exits_5_with_its_dump(self, tmp_path, capsys):
+        """A penalty weight that overflows the loss in Python floats, which
+        no numpy error state sees, takes the non-finite-loss branch."""
+        out_w = tmp_path / "trained"
+        out_t = tmp_path / "traj.csv"
+        args = [
+            "train",
+            "--set", "lambda_t=1e308", "--set", "train_epochs=1",
+            "--out-weights", str(out_w),
+            "--out-trajectory", str(out_t),
+        ]
+        assert main(args) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "numeric failure: training diverged: non-finite loss"
+        dump = json.loads(err[1])
+        assert sorted(dump) == ["epoch", "item", "r_stats", "rho", "t"]
+        assert (dump["epoch"], dump["item"]) == (0, 0)
+        assert sorted(dump["r_stats"]) == ["max", "mean", "min"]
+        assert not out_w.exists()
+        assert not out_t.exists()
+
     def test_out_weights_on_an_existing_file_exits_4(self, workspace, tmp_path, capsys):
         out_w = tmp_path / "taken"
         out_w.write_text("")

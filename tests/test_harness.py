@@ -8,8 +8,8 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import count_matrix_scans, peak_bytes
-from oracles import identity_scoring
+from conftest import count_guarded_heads, count_matrix_scans, peak_bytes
+from oracles import identity_attention, identity_scoring, multi_head_attention
 from tokengate import autodiff as ad
 from tokengate import reencoder
 from tokengate.autodiff import Tape
@@ -217,6 +217,23 @@ class TestEvaluate:
         monkeypatch.setattr(harness, "select", select_with_r)
         [row] = evaluate(_identity_model(), spec, 1)
         assert row.precision == precision
+
+
+class TestMockDownstream:
+    @pytest.mark.parametrize(
+        "m, scale, exact", [(1, 1.0, 0), (300, 1.0, 0), (40, 100.0, 1), (40, 1e150, 1)]
+    )
+    def test_matches_the_tape_attention(self, monkeypatch, m, scale, exact):
+        """M = 300 spans two attention tiles, rows x100 take the exact
+        row-max shift, and rows x1e150 would overflow a float32 cast."""
+        d = 16
+        x = scale * np.random.default_rng(m).standard_normal((m, d))
+        want = multi_head_attention(x, x, identity_attention(d))[0].value
+        guarded = count_guarded_heads(monkeypatch)
+        got = harness.mock_downstream(x)
+        assert guarded == [(exact, 1 - exact)]
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestTrainDeskScale:
