@@ -6,9 +6,9 @@ tokens through a solved-threshold Gumbel straight-through gate (hard
 Top-n at inference), and re-encodes the survivors with absolute-time
 information.
 
-The training and evaluation names (from ``harness`` and ``objective``)
-load on first access, so a process that only loads weights and runs
-inference never imports those modules.
+The training and evaluation names (from ``harness``) load on first
+access, so a process that only loads weights and runs inference never
+imports that module.
 """
 
 import importlib
@@ -67,32 +67,32 @@ __all__ = [
     "train_desk_scale",
 ]
 
-# Names exported from the modules that only training and evaluation use, by
-# defining module; ``__getattr__`` (PEP 562) resolves them on first access.
-_LAZY = {
-    **dict.fromkeys(
-        (
-            "EvalRow",
-            "OptimizerConfig",
-            "WorkloadSpec",
-            "evaluate",
-            "from_csv",
-            "generate_workload",
-            "to_csv",
-            "train_desk_scale",
-        ),
-        "harness",
-    ),
-    **dict.fromkeys(("PenaltyWeights", "compute_penalties", "total_loss"), "objective"),
-}
+# Names exported from ``harness``, the module that only training and
+# evaluation use; ``__getattr__`` (PEP 562) resolves them on first access.
+_LAZY = frozenset(
+    (
+        "EvalRow",
+        "OptimizerConfig",
+        "PenaltyWeights",
+        "WorkloadSpec",
+        "compute_penalties",
+        "evaluate",
+        "from_csv",
+        "generate_workload",
+        "to_csv",
+        "total_loss",
+        "train_desk_scale",
+    )
+)
 
 
 def __getattr__(name: str):
-    if name in _LAZY.values():  # importing a submodule binds it on the package
-        return importlib.import_module(f"{__name__}.{name}")
-    if name not in _LAZY:
+    if name != "harness" and name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    harness = importlib.import_module(f"{__name__}.harness")  # binds tokengate.harness
+    if name == "harness":
+        return harness
+    value = getattr(harness, name)
     globals()[name] = value
     return value
 

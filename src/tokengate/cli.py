@@ -3,9 +3,8 @@
 Exit codes: 0 ok, 2 input parse, 3 shape conflict, 4 missing or unusable
 resource (any OSError on a path), 5 numeric failure, 6 config schema violation.
 
-Only ``train`` and ``eval`` import the training modules (``harness`` and
-``objective``), so ``select --mode infer`` and ``weights-inspect`` start
-without them.
+Only ``train`` and ``eval`` import the training module ``harness``, so
+``select --mode infer`` and ``weights-inspect`` start without it.
 """
 
 from __future__ import annotations
@@ -80,8 +79,10 @@ def _check_outputs(
     after it: a file whose destination is a directory or whose parent is
     not one, or a weights directory for ``model`` (``save_weights``
     creates it with its parents, then writes its ``weights_files``)
-    whose path or nearest existing ancestor is not a directory.  Paths
-    are compared resolved, so two spellings of one directory match."""
+    whose path or nearest existing ancestor is not a directory.  Two
+    destinations that name one file raise too, since the later write
+    would replace the earlier.  Paths are compared resolved, so two
+    spellings of one path match."""
     made = set()
     if weights_dir is not None:
         root = Path(weights_dir).resolve()
@@ -90,7 +91,11 @@ def _check_outputs(
             raise NotADirectoryError(f"cannot write weights to {root}: {found} is not a directory")
         made = {root, *root.parents}
         files = [*files, *(root / name for name in weights_files(model))]
+    seen = set()
     for path in (Path(f).resolve() for f in files):
+        if path in seen:
+            raise OSError(f"two outputs would write {path}")
+        seen.add(path)
         if path.is_dir() or path in made:
             raise IsADirectoryError(f"cannot write {path} over a directory")
         if not (path.parent.is_dir() or path.parent in made):
@@ -131,8 +136,14 @@ def cmd_select(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .harness import EpochStats, OptimizerConfig, WorkloadSpec, to_csv, train_desk_scale
-    from .objective import PenaltyWeights
+    from .harness import (
+        EpochStats,
+        OptimizerConfig,
+        PenaltyWeights,
+        WorkloadSpec,
+        to_csv,
+        train_desk_scale,
+    )
 
     cfg = _load_run_config(args)
     model = SelectorModel.build(cfg)

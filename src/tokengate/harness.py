@@ -1,5 +1,5 @@
-"""Synthetic workloads, held-out evaluation, desk-scale training, and the
-CSV codec for their rows.
+"""Synthetic workloads, held-out evaluation, desk-scale training under a
+task loss plus a compute-aware penalty, and the CSV codec for their rows.
 
 Workloads plant a known subset of query-aligned tokens among random
 distractors, giving ground truth for recall and precision.  The
@@ -17,7 +17,7 @@ import io
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import Field, dataclass, field, fields, replace
+from dataclasses import Field, asdict, dataclass, field, fields, replace
 from typing import Callable, Iterator, Sequence, get_type_hints
 
 import numpy as np
@@ -25,9 +25,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Array, Tape, Var
 from .config import RunConfig, check_ranges
-from .errors import InputError, NumericError, ParameterError
+from .errors import InputError, NumericError, ParameterError, ShapeError
 from .gate import hard_top_n
-from .objective import PenaltyWeights, total_loss
 from .reencoder import attend
 from .selector import DiagnosticsRecord, SelectionResult, SelectorModel, select
 
@@ -260,6 +259,69 @@ class OptimizerConfig:
     @classmethod
     def from_config(cls, cfg: RunConfig) -> "OptimizerConfig":
         return cls(**{f: getattr(cfg, key) for f, key in _OPTIMIZER_KEYS.items()})
+
+
+@dataclass(frozen=True)
+class PenaltyWeights:
+    """The compute-aware penalty's weights; each field is the RunConfig key
+    of that name, with its default and its range."""
+
+    lambda_t: float = RunConfig.lambda_t
+    lambda_m: float = RunConfig.lambda_m
+    lambda_s: float = RunConfig.lambda_s
+    rho_bar: float = RunConfig.rho_bar
+
+    def __post_init__(self) -> None:
+        check_ranges(asdict(self), ParameterError)
+
+    @classmethod
+    def from_config(cls, cfg: RunConfig) -> "PenaltyWeights":
+        return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
+
+
+def compute_penalties(
+    rho: float, m: int, n_max: int, w: PenaltyWeights
+) -> tuple[float, float]:
+    """The compute-aware penalty on rho and its analytic d/drho: a
+    quadratic term for attention time, a linear term for KV memory (both
+    normalized by the cap n_max), and a quadratic prior pulling rho
+    toward a neutral mean.
+
+    value = lt*(rho*M)^2/n_max^2 + lm*rho*M/n_max + ls*(rho - rho_bar)^2
+    grad  = 2*lt*rho*M^2/n_max^2 + lm*M/n_max + 2*ls*(rho - rho_bar)
+    """
+    if m < 1 or n_max < 1:
+        raise ParameterError(f"token count and cap must be >= 1, got M={m}, n_max={n_max}")
+    value = (
+        w.lambda_t * (rho * m) ** 2 / n_max**2
+        + w.lambda_m * rho * m / n_max
+        + w.lambda_s * (rho - w.rho_bar) ** 2
+    )
+    grad = (
+        2.0 * w.lambda_t * rho * m**2 / n_max**2
+        + w.lambda_m * m / n_max
+        + 2.0 * w.lambda_s * (rho - w.rho_bar)
+    )
+    return value, grad
+
+
+def total_loss(task_loss: Var, rho: Var, m: int, n_max: int, w: PenaltyWeights) -> Var:
+    """Task loss plus the compute-aware penalty on ``rho``, as one tape
+    operation whose backward passes the adjoint through to the task loss
+    and applies the penalty's analytic gradient to rho.
+
+    The task loss is a pluggable hook: any (1, 1) tape variable works,
+    and its gradients flow to whatever produced it.  Any other shape
+    raises ``ShapeError``.
+    """
+    if task_loss.shape != (1, 1):
+        raise ShapeError(f"the task loss must be (1, 1), got {task_loss.shape}")
+    value, grad = compute_penalties(rho.item(), m, n_max, w)
+
+    def backward(g):
+        return g, np.array([[g[0, 0] * grad]])
+
+    return ad.apply(task_loss.value + np.array([[value]]), (task_loss, rho), backward)
 
 
 @dataclass

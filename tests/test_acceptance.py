@@ -26,12 +26,13 @@ from tokengate.gate import (
 )
 from tokengate.harness import (
     OptimizerConfig,
+    PenaltyWeights,
     WorkloadSpec,
+    compute_penalties,
     evaluate,
     generate_workload,
     train_desk_scale,
 )
-from tokengate.objective import PenaltyWeights, compute_penalties
 from tokengate.reencoder import reencode
 from tokengate.scoring import score
 from tokengate.selector import SelectorModel, load_weights, save_weights, select

@@ -623,6 +623,25 @@ class TestUnwritableOutputs:
         assert not (workspace / "out_z.qtn").exists()
         assert not (workspace / "out_idx.txt").exists()
 
+    def test_select_two_outputs_name_one_file(self, workspace, monkeypatch, capsys):
+        """``o`` and ``./o`` are one file: the later write would replace
+        the earlier."""
+        monkeypatch.chdir(workspace)
+        args = _select_args(workspace)
+        args[args.index("--out-tokens") + 1] = "o"
+        args[args.index("--out-indices") + 1] = "./o"
+        assert main(args) == 4
+        assert f"two outputs would write {workspace.resolve() / 'o'}" in capsys.readouterr().err
+        assert not (workspace / "o").exists()
+        assert not (workspace / "out_diag.json").exists()
+
+    @pytest.mark.parametrize("name", ["model.cfg", "manifest.txt", "scoring.wq.qtn"])
+    def test_train_trajectory_on_a_weights_file(self, workspace, tmp_path, capsys, name):
+        out_w = tmp_path / "tw"
+        assert main(self._train_args(workspace, out_w, out_w / name)) == 4
+        assert f"two outputs would write {out_w.resolve() / name}" in capsys.readouterr().err
+        assert not out_w.exists()
+
     def test_eval_out_in_a_missing_directory(self, workspace, tmp_path, capsys):
         out = tmp_path / "nonexistent" / "e.csv"
         args = ["eval", "--config", str(workspace / "run.cfg"), "--set", "wl_tokens=64",

@@ -19,7 +19,7 @@ from tokengate.tensorio import write_tensor
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # Modules an inference process has no use for.
-UNUSED = ("tokengate.harness", "tokengate.objective", "tokengate.cli", "numpy.random", "logging")
+UNUSED = ("tokengate.harness", "tokengate.cli", "numpy.random", "logging")
 
 # REPORT prints, as its last line, which of UNUSED are loaded after the body
 # runs, and which of them ``import numpy`` alone had loaded (numpy 1.x loads
@@ -134,10 +134,10 @@ for name in tokengate.__all__:
     obj = getattr(tokengate, name)
     if getattr(importlib.import_module(obj.__module__), name) is not obj:
         mismatched.append(name)
-print(json.dumps({"mismatched": mismatched, "objective": tokengate.objective.__name__}))
+print(json.dumps({"mismatched": mismatched, "harness": tokengate.harness.__name__}))
 """
         )
-        assert report == {"mismatched": [], "objective": "tokengate.objective"}
+        assert report == {"mismatched": [], "harness": "tokengate.harness"}
 
     def test_unknown_name_raises_attribute_error(self):
         assert not hasattr(tokengate, "no_such_name")

@@ -14,8 +14,13 @@ from tokengate.config import (
     parse_config_text,
 )
 from tokengate.errors import ConfigError, InputError, ParameterError
-from tokengate.harness import _OPTIMIZER_KEYS, _WORKLOAD_KEYS, OptimizerConfig, WorkloadSpec
-from tokengate.objective import PenaltyWeights
+from tokengate.harness import (
+    _OPTIMIZER_KEYS,
+    _WORKLOAD_KEYS,
+    OptimizerConfig,
+    PenaltyWeights,
+    WorkloadSpec,
+)
 
 RULED = [key for keys, _, _ in _RULES for key in keys]
 

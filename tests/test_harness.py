@@ -20,16 +20,17 @@ from tokengate.harness import (
     EpochStats,
     EvalRow,
     OptimizerConfig,
+    PenaltyWeights,
     WorkloadSpec,
     evaluate,
     from_csv,
     generate_workload,
     planted_mass_loss,
     to_csv,
+    total_loss,
     train_desk_scale,
     uniform_stride_indices,
 )
-from tokengate.objective import PenaltyWeights, total_loss
 from tokengate.scoring import score
 from tokengate.selector import DiagnosticsRecord, SelectorModel, select
 

@@ -6,13 +6,8 @@ import pytest
 from oracles import finite_difference_gradient, scalar
 from tokengate import autodiff as ad
 from tokengate.autodiff import Tape
-from tokengate.errors import ParameterError
-from tokengate.objective import (
-    PenaltyWeights,
-    compute_penalties,
-    penalty_var,
-    total_loss,
-)
+from tokengate.errors import ParameterError, ShapeError
+from tokengate.harness import PenaltyWeights, compute_penalties, total_loss
 
 
 class TestComputePenalties:
@@ -62,7 +57,7 @@ class TestComputePenalties:
         w = PenaltyWeights()
         tape = Tape()
         rho = tape.var([[0.3]])
-        out = penalty_var(rho, 500, 256, w)
+        out = total_loss(scalar(0.0), rho, 500, 256, w)
         (g,) = tape.gradients(out, [rho])
         _, expected = compute_penalties(0.3, 500, 256, w)
         assert g[0, 0] == pytest.approx(expected, rel=1e-12)
@@ -94,3 +89,24 @@ class TestTotalLoss:
         loss = total_loss(task, rho, 100, 256, PenaltyWeights(lambda_t=0, lambda_m=0, lambda_s=0))
         (g,) = tape.gradients(loss, [rho])
         assert g[0, 0] == pytest.approx(3.0, rel=1e-12)
+
+    def test_rho_adjoint_adds_task_and_penalty_gradients(self):
+        """With every lambda nonzero and a task loss that reads rho, rho's
+        adjoint is the task's 3 plus the penalty's analytic gradient."""
+        w = PenaltyWeights(lambda_t=0.2, lambda_m=0.3, lambda_s=0.05, rho_bar=0.275)
+        tape = Tape()
+        rho = tape.var([[0.2]])
+        loss = total_loss(ad.smul(rho, 3.0), rho, 100, 256, w)
+        (g,) = tape.gradients(loss, [rho])
+        _, penalty_grad = compute_penalties(0.2, 100, 256, w)
+        assert penalty_grad != 0.0
+        assert g[0, 0] == pytest.approx(3.0 + penalty_grad, rel=1e-12)
+
+    def test_non_scalar_task_loss_rejected(self):
+        """A (1, 3) task loss would add the penalty to each entry, so a sum
+        of the loss would count it three times."""
+        tape = Tape()
+        rho = tape.var([[0.3]])
+        task = ad.const(np.zeros((1, 3)))
+        with pytest.raises(ShapeError, match=r"\(1, 3\)"):
+            total_loss(task, rho, 500, 256, PenaltyWeights())

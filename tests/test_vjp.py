@@ -13,9 +13,14 @@ from tokengate import autodiff as ad
 from tokengate import reencoder, scoring, selector
 from tokengate.autodiff import Tape
 from tokengate.config import RunConfig
-from tokengate.harness import WorkloadSpec, generate_workload, planted_mass_loss
+from tokengate.harness import (
+    PenaltyWeights,
+    WorkloadSpec,
+    generate_workload,
+    planted_mass_loss,
+    total_loss,
+)
 from tokengate.layers import map_tensors, named_tensors
-from tokengate.objective import PenaltyWeights, total_loss
 from tokengate.reencoder import ReencoderStack, reencode
 from tokengate.scoring import ScoringWeights, score
 from tokengate.selector import SelectorModel, select
@@ -193,8 +198,9 @@ class TestEdgeCases:
 # Tape records of one train-mode select + total_loss + backward at the
 # `tokengate train` defaults; each stage forward, the budget stage among
 # them, records one operation (one per re-encoder block), the rest are
-# small gate and loss ops.
-TRAIN_STEP_RECORDS = 29
+# small gate and loss ops; total_loss is a single operation over the task
+# loss and rho.
+TRAIN_STEP_RECORDS = 28
 
 
 def test_train_step_tape_size(monkeypatch):
